@@ -51,6 +51,7 @@ from .report import (
     render_report,
     resources_per_weakness_stats,
 )
+from .report import VERSION as __version__
 from .rules import (
     DEFAULT_PATTERNS,
     PatternSet,
@@ -59,8 +60,6 @@ from .rules import (
     detect_candidates,
     evaluate_predicate,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AttributeId",

@@ -190,9 +190,6 @@ class DataflowAnalysis:
     def definition_for(self, node) -> Union[Definition, None]:
         return self._def_by_node.get(id(node))
 
-    def uses_at(self, node) -> Union[UseRecord, None]:
-        return self._uses_by_node.get(id(node))
-
     def reaches(self, def_node, use_node) -> bool:
         """Whether the definition made by *def_node* may reach the uses of
         its variable at *use_node*."""

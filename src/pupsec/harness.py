@@ -94,7 +94,7 @@ def _analyze_file(path: str, mode: str, patterns: PatternSet) -> _FileResult:
     try:
         text = Path(path).read_text(encoding="utf-8")
         manifest = parse_manifest(text, path)
-    except (ScanError, UnicodeDecodeError) as exc:
+    except (ScanError, UnicodeDecodeError, OSError) as exc:
         return _FileResult(path, (), (), str(exc))
     classified = classify_expressions(manifest)
     index = build_membership_index(manifest)

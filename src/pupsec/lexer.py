@@ -1,5 +1,23 @@
 """Tokenizer for the Puppet manifest subset.
 
+``tokenize`` matches one compiled master pattern of named alternatives
+(``_MASTER``) at the current offset, and the name of the alternative that
+matched says what the next token is: trivia, a single- or double-quoted
+string, a ``$variable``, a number, a name, a type reference, an
+unsupported operator, a symbol or the end of the input.  Blanks before a
+token on the same line are part of its match.  Some alternatives name an
+error instead (``open_comment``, ``open_sq``, ``bad_var``, ``bad_colons``,
+``bad_char``) and match the text the error is reported at.  Lines and
+columns come from match offsets and the offset where the current line
+starts, which moves only past trivia and strings, the tokens that can
+contain a newline.
+
+Double-quoted bodies are kept raw for the parser.  The ``dq`` alternative
+covers bodies whose ``${...}`` parts hold no quote, brace or backslash.
+Any other ``"`` falls to ``dq_open``, and ``_dq_end`` scans for the end of
+that string: a backslash skips two characters, and a quote inside
+``${...}`` does not end the string.
+
 Comments (``# ...`` and ``/* ... */``) are discarded here, so the parser
 only ever sees code tokens.  Constructs that are recognizably Puppet but
 outside the supported subset (heredocs, lambdas, chaining arrows, ...)
@@ -79,10 +97,6 @@ KEYWORDS = {
     "in": TokenKind.KW_IN,
 }
 
-_WORD_RE = re.compile(r"(::)?[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*")
-_VAR_RE = re.compile(r"(::)?[A-Za-z0-9_]+(::[A-Za-z0-9_]+)*")
-_NUM_RE = re.compile(r"[0-9]+(\.[0-9]+)?")
-
 
 @dataclass
 class Token:
@@ -96,226 +110,180 @@ class Token:
         return SourceLocation(path, self.line, self.column)
 
 
-class _Scanner:
-    def __init__(self, text: str, path: str):
-        self.text = text
-        self.path = path
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self.path, self.line, self.col)
+# Recognized Puppet operators outside the supported subset, by construct.
+_UNSUPPORTED = {
+    "<<|": "resource_collector",
+    "<|": "resource_collector",
+    "@(": "heredoc",
+    "@@": "exported_resource",
+    "->": "chaining_arrow",
+    "~>": "chaining_arrow",
+    "=~": "regex_match",
+    "!~": "regex_match",
+    "+=": "append_assignment",
+    "@": "virtual_resource",
+    "|": "lambda",
+    ".": "method_call",
+}
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
+_SYMBOLS = {
+    "=>": TokenKind.ARROW,
+    "==": TokenKind.EQ,
+    "!=": TokenKind.NE,
+    "<=": TokenKind.LE,
+    ">=": TokenKind.GE,
+    "{": TokenKind.LBRACE,
+    "}": TokenKind.RBRACE,
+    "[": TokenKind.LBRACK,
+    "]": TokenKind.RBRACK,
+    "(": TokenKind.LPAREN,
+    ")": TokenKind.RPAREN,
+    ",": TokenKind.COMMA,
+    ":": TokenKind.COLON,
+    ";": TokenKind.SEMI,
+    "=": TokenKind.ASSIGN,
+    "?": TokenKind.QUESTION,
+    "<": TokenKind.LT,
+    ">": TokenKind.GT,
+    "+": TokenKind.PLUS,
+    "-": TokenKind.MINUS,
+    "*": TokenKind.STAR,
+    "/": TokenKind.SLASH,
+    "%": TokenKind.PERCENT,
+    "!": TokenKind.BANG,
+}
 
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
+# Alternatives that match the start of a token the lexer rejects.
+_ERRORS = {
+    "open_comment": "unterminated block comment",
+    "open_sq": "unterminated string",
+    "bad_var": "invalid variable name",
+    "bad_colons": "unexpected character ':'",
+}
 
-    def _startswith(self, s: str) -> bool:
-        return self.text.startswith(s, self.pos)
 
-    def tokens(self) -> list[Token]:
-        out: list[Token] = []
-        while True:
-            tok = self._next_token()
-            out.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return out
+def _alternation(operators) -> str:
+    # Longest first, so that '=>' is tried before '='.
+    return "|".join(re.escape(op) for op in sorted(operators, key=len, reverse=True))
 
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        if self.pos >= len(self.text):
-            return Token(TokenKind.EOF, "", None, self.line, self.col)
-        line, col = self.line, self.col
-        c = self._peek()
 
-        if c == "'":
-            return self._sq_string(line, col)
-        if c == '"':
-            return self._dq_string(line, col)
-        if c == "$":
-            return self._variable(line, col)
-        if c.isdigit():
-            m = _NUM_RE.match(self.text, self.pos)
-            text = m.group(0)
-            self._advance(len(text))
-            value = float(text) if "." in text else int(text)
-            return Token(TokenKind.NUMBER, text, value, line, col)
-        if c.isalpha() or c == "_" or self._startswith("::"):
-            m = _WORD_RE.match(self.text, self.pos)
-            if not m:
-                raise ParseError(self._loc(), f"unexpected character {c!r}")
-            text = m.group(0)
-            self._advance(len(text))
-            kind = KEYWORDS.get(text)
-            if kind is None:
-                first = text.lstrip(":")[0]
-                kind = TokenKind.TYPE_REF if first.isupper() else TokenKind.NAME
-            return Token(kind, text, text, line, col)
+# Order matters: an alternative is tried only where every earlier one
+# failed.  The last two always match, so ``_MASTER.match`` never fails.
+_MASTER = re.compile(
+    r"[ \t]*(?:"
+    + "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in (
+            ("trivia", r"(?:[ \t\r\n]+|#[^\n]*|/\*.*?\*/)+"),
+            ("open_comment", r"/\*"),
+            ("sq", r"'[^'\\]*(?:\\.[^'\\]*)*'"),
+            ("open_sq", "'"),
+            ("dq", r'"[^"\\$]*(?:(?:\\.|\$(?!\{)|\$\{[^{}"\'\\]*\})[^"\\$]*)*"'),
+            ("dq_open", '"'),
+            ("var", r"\$(?:::)?[A-Za-z0-9_]+(?:::[A-Za-z0-9_]+)*"),
+            ("bad_var", r"\$"),
+            ("number", r"[0-9]+(?:\.[0-9]+)?"),
+            ("name", r"(?:::)?[a-z_][A-Za-z0-9_]*(?:::[A-Za-z_][A-Za-z0-9_]*)*"),
+            ("type_ref", r"(?:::)?[A-Z][A-Za-z0-9_]*(?:::[A-Za-z_][A-Za-z0-9_]*)*"),
+            ("bad_colons", "::"),
+            ("unsupported", _alternation(_UNSUPPORTED)),
+            ("symbol", _alternation(_SYMBOLS)),
+            ("eof", r"\Z"),
+            ("bad_char", "."),
+        )
+    )
+    + ")",
+    re.DOTALL,
+)
+_SQ_ESCAPE = re.compile(r"\\([\\'])")
 
-        return self._symbol(line, col)
 
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            c = self._peek()
-            if c in " \t\r\n":
-                self._advance()
-            elif c == "#":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif self._startswith("/*"):
-                start = self._loc()
-                self._advance(2)
-                while self.pos < len(self.text) and not self._startswith("*/"):
-                    self._advance()
-                if self.pos >= len(self.text):
-                    raise ParseError(start, "unterminated block comment")
-                self._advance(2)
-            else:
-                return
-
-    def _sq_string(self, line: int, col: int) -> Token:
-        start = self._loc()
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise ParseError(start, "unterminated string")
-            c = self._peek()
-            if c == "\\":
-                nxt = self._peek(1)
-                if nxt in ("'", "\\"):
-                    chars.append(nxt)
-                    self._advance(2)
-                else:
-                    chars.append("\\")
-                    self._advance()
-            elif c == "'":
-                self._advance()
-                text = "".join(chars)
-                return Token(TokenKind.SQ_STRING, text, text, line, col)
-            else:
-                chars.append(c)
-                self._advance()
-
-    def _dq_string(self, line: int, col: int) -> Token:
-        # The raw body is kept verbatim; escape resolution and interpolation
-        # splitting happen in the parser.  Quotes inside ${...} must not
-        # terminate the string.
-        start = self._loc()
-        self._advance()  # opening quote
-        body_start = self.pos
-        depth = 0
-        inner_quote = ""
-        while True:
-            if self.pos >= len(self.text):
-                raise ParseError(start, "unterminated string")
-            c = self._peek()
-            if c == "\\":
-                self._advance(2)
-                continue
-            if inner_quote:
-                if c == inner_quote:
-                    inner_quote = ""
-                self._advance()
-                continue
-            if depth == 0 and c == '"':
-                body = self.text[body_start : self.pos]
-                self._advance()
-                return Token(TokenKind.DQ_STRING, body, body, line, col)
-            if c == "$" and self._peek(1) == "{":
+def _dq_end(text: str, pos: int) -> int:
+    """Offset of the quote that ends the double-quoted string whose body
+    starts at *pos*, or -1 if the string is unterminated."""
+    depth = 0
+    inner_quote = ""
+    while pos < len(text):
+        c = text[pos]
+        if c == "\\":
+            pos += 2
+            continue
+        if inner_quote:
+            if c == inner_quote:
+                inner_quote = ""
+        elif depth == 0 and c == '"':
+            return pos
+        elif c == "$" and text.startswith("{", pos + 1):
+            depth += 1
+            pos += 1
+        elif depth > 0:
+            if c in ("'", '"'):
+                inner_quote = c
+            elif c == "{":
                 depth += 1
-                self._advance(2)
-                continue
-            if depth > 0:
-                if c in ("'", '"'):
-                    inner_quote = c
-                elif c == "{":
-                    depth += 1
-                elif c == "}":
-                    depth -= 1
-            self._advance()
-
-    def _variable(self, line: int, col: int) -> Token:
-        self._advance()  # '$'
-        m = _VAR_RE.match(self.text, self.pos)
-        if not m:
-            raise ParseError(SourceLocation(self.path, line, col), "invalid variable name")
-        raw = m.group(0)
-        self._advance(len(raw))
-        name = raw[2:] if raw.startswith("::") else raw
-        return Token(TokenKind.VARIABLE, name, name, line, col)
-
-    def _symbol(self, line: int, col: int) -> Token:
-        loc = SourceLocation(self.path, line, col)
-        two = self.text[self.pos : self.pos + 2]
-        unsupported = {
-            "@(": "heredoc",
-            "@@": "exported_resource",
-            "->": "chaining_arrow",
-            "~>": "chaining_arrow",
-            "=~": "regex_match",
-            "!~": "regex_match",
-            "<|": "resource_collector",
-            "+=": "append_assignment",
-        }
-        if self.text.startswith("<<|", self.pos):
-            raise UnsupportedConstruct(loc, "resource_collector")
-        if two in unsupported:
-            raise UnsupportedConstruct(loc, unsupported[two])
-        doubles = {
-            "=>": TokenKind.ARROW,
-            "==": TokenKind.EQ,
-            "!=": TokenKind.NE,
-            "<=": TokenKind.LE,
-            ">=": TokenKind.GE,
-        }
-        if two in doubles:
-            self._advance(2)
-            return Token(doubles[two], two, two, line, col)
-        c = self._peek()
-        if c == "@":
-            raise UnsupportedConstruct(loc, "virtual_resource")
-        if c == "|":
-            raise UnsupportedConstruct(loc, "lambda")
-        if c == ".":
-            raise UnsupportedConstruct(loc, "method_call")
-        singles = {
-            "{": TokenKind.LBRACE,
-            "}": TokenKind.RBRACE,
-            "[": TokenKind.LBRACK,
-            "]": TokenKind.RBRACK,
-            "(": TokenKind.LPAREN,
-            ")": TokenKind.RPAREN,
-            ",": TokenKind.COMMA,
-            ":": TokenKind.COLON,
-            ";": TokenKind.SEMI,
-            "=": TokenKind.ASSIGN,
-            "?": TokenKind.QUESTION,
-            "<": TokenKind.LT,
-            ">": TokenKind.GT,
-            "+": TokenKind.PLUS,
-            "-": TokenKind.MINUS,
-            "*": TokenKind.STAR,
-            "/": TokenKind.SLASH,
-            "%": TokenKind.PERCENT,
-            "!": TokenKind.BANG,
-        }
-        if c in singles:
-            self._advance()
-            return Token(singles[c], c, c, line, col)
-        raise ParseError(loc, f"unexpected character {c!r}")
+            elif c == "}":
+                depth -= 1
+        pos += 1
+    return -1
 
 
 def tokenize(text: str, path: str) -> list[Token]:
     """Tokenize *text*, raising ParseError/UnsupportedConstruct on bad input."""
-    return _Scanner(text, path).tokens()
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _MASTER.match
+    pos = 0
+    line = 1
+    line_start = 0  # offset of the first character of the current line
+    while True:
+        m = match(text, pos)
+        group = m.lastgroup
+        start, pos = m.span(group)
+        column = start - line_start + 1
+        if group == "symbol":
+            s = m.group(group)
+            append(Token(_SYMBOLS[s], s, s, line, column))
+            continue
+        if group == "name":
+            s = m.group(group)
+            append(Token(KEYWORDS.get(s, TokenKind.NAME), s, s, line, column))
+            continue
+        if group == "var":
+            name = text[start + 1 : pos].removeprefix("::")
+            append(Token(TokenKind.VARIABLE, name, name, line, column))
+            continue
+        if group == "type_ref":
+            s = m.group(group)
+            append(Token(TokenKind.TYPE_REF, s, s, line, column))
+            continue
+        if group == "number":
+            s = m.group(group)
+            append(Token(TokenKind.NUMBER, s, float(s) if "." in s else int(s), line, column))
+            continue
+        if group == "sq":
+            body = text[start + 1 : pos - 1]
+            if "\\" in body:
+                body = _SQ_ESCAPE.sub(r"\1", body)
+            append(Token(TokenKind.SQ_STRING, body, body, line, column))
+        elif group == "dq" or group == "dq_open":
+            if group == "dq_open":
+                pos = _dq_end(text, pos) + 1
+                if pos == 0:
+                    raise ParseError(SourceLocation(path, line, column), "unterminated string")
+            body = text[start + 1 : pos - 1]
+            append(Token(TokenKind.DQ_STRING, body, body, line, column))
+        elif group == "eof":
+            append(Token(TokenKind.EOF, "", None, line, column))
+            return tokens
+        elif group == "unsupported":
+            raise UnsupportedConstruct(SourceLocation(path, line, column), _UNSUPPORTED[m.group(group)])
+        elif group == "bad_char":
+            raise ParseError(SourceLocation(path, line, column), f"unexpected character {m.group(group)!r}")
+        elif group != "trivia":
+            raise ParseError(SourceLocation(path, line, column), _ERRORS[group])
+        # Only trivia and strings can span lines.
+        newlines = text.count("\n", start, pos)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", start, pos) + 1

@@ -64,6 +64,25 @@ def test_unsupported_construct_is_skippable(tmp_path):
     assert len(report.skipped) == 1
 
 
+def _tree_with_unreadable_manifests(root):
+    (root / "good.pp").write_text("$x = 'ok'\nfile { 'f': content => $x }\n")
+    (root / "dir.pp").mkdir()
+    (root / "dangling.pp").symlink_to(root / "no-such-target.pp")
+
+
+def test_unreadable_manifests_are_skipped(tmp_path):
+    _tree_with_unreadable_manifests(tmp_path)
+    report = run_scan([tmp_path], on_parse_error="skip")
+    assert sorted(Path(p).name for p, _ in report.skipped) == ["dangling.pp", "dir.pp"]
+    assert report.stats.total_resources == 1
+
+
+def test_unreadable_manifest_aborts_under_abort_policy(tmp_path):
+    _tree_with_unreadable_manifests(tmp_path)
+    with pytest.raises(ScanError):
+        run_scan([tmp_path], on_parse_error="abort")
+
+
 def test_missing_input_raises():
     with pytest.raises(FileNotFoundError):
         run_scan(["does/not/exist"])
@@ -281,6 +300,16 @@ def test_cli_abort_on_parse_error_exits_2(tmp_path, capsys):
     code = main(["scan", str(tmp_path), "--on-parse-error", "abort"])
     assert code == 2
     capsys.readouterr()
+
+
+def test_cli_skips_manifest_with_non_ascii_digit(tmp_path, capsys):
+    (tmp_path / "good.pp").write_text("$x = 'ok'\nfile { 'f': content => $x }\n")
+    (tmp_path / "digit.pp").write_text("$x = \u00b2\n", encoding="utf-8")
+    code = main(["scan", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert "digit.pp:1:6: unexpected character '\u00b2'" in err
+    assert json.loads(out)["stats"]["total_resources"] == 1
 
 
 def test_cli_entrypoint_via_module(tmp_path):

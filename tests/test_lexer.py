@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_lexer
 from pupsec.errors import ParseError, UnsupportedConstruct
 from pupsec.lexer import TokenKind, tokenize
+from pupsec.parser import parse_manifest
+from pupsec.synth import generate_manifest_text
+
+from conftest import FIXTURES
 
 
 def kinds(text):
@@ -58,6 +65,8 @@ def test_variable_with_top_scope_prefix_is_stripped():
 def test_single_quote_escapes():
     toks = tokenize(r"$x = 'it\'s \\ fine'", "x.pp")
     assert toks[2].value == "it's \\ fine"
+    # Any other backslash is kept as it stands.
+    assert tokenize(r"'a\nb'", "x.pp")[0].value == "a\\nb"
 
 
 def test_double_quoted_body_is_raw():
@@ -92,3 +101,123 @@ def test_recognized_but_unsupported_syntax(source, construct):
 def test_unknown_character_is_a_parse_error():
     with pytest.raises(ParseError):
         tokenize("$x = 1 & 2", "x.pp")
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
+def test_non_ascii_digit_is_a_parse_error(digit):
+    with pytest.raises(ParseError) as exc:
+        tokenize(f"$x = {digit}", "x.pp")
+    assert (exc.value.location.line, exc.value.location.column) == (1, 6)
+    assert exc.value.message == f"unexpected character {digit!r}"
+
+
+@pytest.mark.parametrize(
+    "source,line,column,message",
+    [
+        ("$x = ::1", 1, 6, "unexpected character ':'"),
+        ("$x = caf\u00e9", 1, 9, "unexpected character '\u00e9'"),
+        ("$x = $ + 1", 1, 6, "invalid variable name"),
+        ("$a = 1\n  $b = 'open\nstill open", 2, 8, "unterminated string"),
+        ('$a = "x ${y[\'k\']} z', 1, 6, "unterminated string"),
+        ("$a = 1 /* open\ncomment", 1, 8, "unterminated block comment"),
+    ],
+)
+def test_errors_are_reported_where_the_token_starts(source, line, column, message):
+    with pytest.raises(ParseError) as exc:
+        tokenize(source, "x.pp")
+    assert (exc.value.location.line, exc.value.location.column) == (line, column)
+    assert exc.value.message == message
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        'plain \\" escaped',
+        '${"}"} quote hides a brace',
+        '${ {1 => "}"}[1] } nested braces',
+        "${x\\}} backslash inside",
+    ],
+)
+def test_double_quoted_body_ends_at_the_right_quote(body):
+    toks = tokenize(f'$x = "{body}"\n$y', "x.pp")
+    assert toks[2].value == body
+    assert (toks[3].kind, toks[3].line, toks[3].column) == (TokenKind.VARIABLE, 2, 1)
+
+
+def test_eof_token_follows_trailing_trivia():
+    toks = tokenize("$x = 1 # done\n/* c\n*/  \n\t", "x.pp")
+    assert (toks[-1].kind, toks[-1].line, toks[-1].column) == (TokenKind.EOF, 4, 2)
+
+
+# -- differential tests against the replaced character-at-a-time scanner --------
+
+FIXTURE_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.rglob("*.pp"))]
+SNIPPETS = list("'\"$\\{}[]()#/*:@|.-~<=>!+?%,;\n\t\r _aZ09") + [
+    "${", "${'", '"${x}"', '"}"', "${h['k']}", "${f(1)}", "::", "$::", "/*", "*/", "<<|",
+    "@(", "1.5", "'\\'", "\\\\", " \u00b2 ", "\u0663", "\u00e9",
+]
+
+
+@st.composite
+def mutated_fixtures(draw) -> str:
+    """A fixture manifest with one to four snippets inserted, deleted or
+    written over at random offsets."""
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        pos = draw(st.integers(min_value=0, max_value=len(text)))
+        snippet = draw(st.sampled_from(SNIPPETS))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        if op == "insert":
+            text = text[:pos] + snippet + text[pos:]
+        elif op == "delete":
+            text = text[:pos] + text[pos + len(snippet) :]
+        else:
+            text = text[:pos] + snippet + text[pos + 1 :]
+    return text
+
+
+def _lex(tokenize_fn, text):
+    """The tokens as comparable tuples, or the exception raised."""
+    try:
+        return [(t.kind, t.text, type(t.value), t.value, t.line, t.column) for t in tokenize_fn(text, "m.pp")]
+    except Exception as exc:
+        return exc
+
+
+def assert_same_as_reference(text):
+    expected, actual = _lex(reference_lexer.tokenize, text), _lex(tokenize, text)
+    if isinstance(expected, AttributeError):
+        # The reference takes a non-ASCII digit for a number and crashes.
+        assert isinstance(actual, ParseError)
+        char = text.split("\n")[actual.location.line - 1][actual.location.column - 1]
+        assert char.isdigit() and not char.isascii()
+        assert actual.message == f"unexpected character {char!r}"
+    elif isinstance(expected, Exception):
+        assert (type(actual), str(actual)) == (type(expected), str(expected))
+    else:
+        assert actual == expected
+
+
+def test_fixture_tokens_match_reference():
+    for text in FIXTURE_TEXTS:
+        assert_same_as_reference(text)
+
+
+def test_generated_manifest_tokens_match_reference():
+    for seed in range(40):
+        assert_same_as_reference(generate_manifest_text(seed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_fixtures())
+def test_mutated_fixture_tokens_match_reference(text):
+    assert_same_as_reference(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_fixtures())
+def test_parse_manifest_raises_only_declared_errors_on_mutated_fixtures(text):
+    try:
+        parse_manifest(text, "m.pp")
+    except (ParseError, UnsupportedConstruct):
+        pass

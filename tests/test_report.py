@@ -223,3 +223,10 @@ def test_findings_sorted_in_output():
     doc = json.loads(render_report(findings, empty_stats(), "json"))
     keys = [(f["manifest"], f["line"]) for f in doc["findings"]]
     assert keys == [("a.pp", 2), ("a.pp", 7), ("z.pp", 1)]
+
+
+def test_package_version_is_the_report_version():
+    import pupsec
+    import pupsec.report
+
+    assert pupsec.__version__ == pupsec.report.VERSION
