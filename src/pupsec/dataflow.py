@@ -125,13 +125,13 @@ class DataflowAnalysis:
 
     # -- construction --------------------------------------------------
 
-    def _define(self, var: str, node, loc, state: _State, is_parameter: bool) -> _State:
+    def _define(self, var: str, node, loc, state: _State, is_parameter: bool) -> None:
+        """Record a definition and make it the only one of *var* in
+        *state*, in place: branches copy the state before they diverge."""
         d = Definition(len(self.definitions), var, node, loc, is_parameter)
         self.definitions.append(d)
         self._def_by_node[id(node)] = d
-        new_state = dict(state)
-        new_state[var] = frozenset((d.index,))
-        return new_state
+        state[var] = frozenset((d.index,))
 
     def _use(self, expr, node, kind: str, loc, state: _State) -> None:
         names = uses_of(expr) if expr is not None else set()
@@ -154,24 +154,25 @@ class DataflowAnalysis:
             # RHS uses see the state before the assignment, so a
             # self-referencing definition reads the previous one.
             self._use(stmt.value, stmt, "rhs", stmt.loc, state)
-            return self._define(stmt.var_name, stmt, stmt.loc, state, is_parameter=False)
+            self._define(stmt.var_name, stmt, stmt.loc, state, is_parameter=False)
+            return state
         if isinstance(stmt, (ClassDef, DefinedTypeDef)):
             for param in stmt.parameters:
                 if param.default is not None:
                     self._use(param.default, param, "default", param.loc, state)
-                state = self._define(param.name, param, param.loc, state, is_parameter=True)
+                self._define(param.name, param, param.loc, state, is_parameter=True)
             return self._walk(stmt.body, state)
         if isinstance(stmt, IfStatement):
             self._use(stmt.condition, stmt, "condition", stmt.loc, state)
-            then_out = self._walk(stmt.then_body, state)
-            else_out = self._walk(stmt.else_body, state) if stmt.else_body else state
+            then_out = self._walk(stmt.then_body, dict(state))
+            else_out = self._walk(stmt.else_body, dict(state)) if stmt.else_body else state
             return _merge(then_out, else_out)
         if isinstance(stmt, CaseStatement):
             self._use(stmt.scrutinee, stmt, "scrutinee", stmt.loc, state)
             for arm in stmt.arms:
                 for m in arm.matches:
                     self._use(m, stmt, "scrutinee", stmt.loc, state)
-            outs = [self._walk(arm.body, state) for arm in stmt.arms]
+            outs = [self._walk(arm.body, dict(state)) for arm in stmt.arms]
             if not any(arm.is_default for arm in stmt.arms):
                 outs.append(state)  # no arm may match at all
             return _merge(*outs) if outs else state

@@ -171,19 +171,24 @@ def build_ddg(
     )
 
 
+_KIND_RANK = {TaintNode: 0, IntermediateNode: 1, SinkNode: 2}
+
+
 def _node_order_key(node: DdgNode):
-    rank = {TaintNode: 0, IntermediateNode: 1, SinkNode: 2}[type(node)]
-    return (node.loc.line, node.loc.column, rank)
+    return (node.loc.line, node.loc.column, _KIND_RANK[type(node)])
 
 
 def collect_propagations(ddg: DataDependenceGraph) -> list[PropagationResult]:
     """For every taint node, the sinks it reaches and one witness path per
-    sink (shortest; ties broken by the textual order of the next node)."""
+    sink (shortest; ties broken by the textual order of the next node).
+
+    A FIFO BFS that visits each node's successors in textual order first
+    discovers every node from the predecessor whose own witness path comes
+    first, so walking first-discoverer parents back from a sink yields its
+    witness path."""
     succ: dict[int, list[int]] = {}
-    pred: dict[int, list[int]] = {}
     for a, b in ddg.edges:
         succ.setdefault(a, []).append(b)
-        pred.setdefault(b, []).append(a)
     for neighbors in succ.values():
         neighbors.sort(key=lambda i: _node_order_key(ddg.nodes[i]))
 
@@ -191,64 +196,33 @@ def collect_propagations(ddg: DataDependenceGraph) -> list[PropagationResult]:
     for start, node in enumerate(ddg.nodes):
         if not isinstance(node, TaintNode):
             continue
-        reachable = _bfs_from(start, succ)
-        sinks = {
-            ddg.nodes[i].attribute: i
-            for i in reachable
-            if isinstance(ddg.nodes[i], SinkNode)
-        }
+        parent = {start: start}
+        queue = [start]
+        for n in queue:  # the loop also visits nodes appended while it runs
+            for m in succ.get(n, ()):
+                if m not in parent:
+                    parent[m] = n
+                    queue.append(m)
+        sinks = sorted(
+            (i for i in queue if isinstance(ddg.nodes[i], SinkNode)),
+            key=lambda i: _node_order_key(ddg.nodes[i]),
+        )
         if not sinks:
             continue
         paths: dict[AttributeId, tuple[DdgNode, ...]] = {}
-        for attr_id, sink_i in sorted(
-            sinks.items(), key=lambda kv: _node_order_key(ddg.nodes[kv[1]])
-        ):
-            indices = _witness_path(start, sink_i, succ, pred)
-            paths[attr_id] = tuple(ddg.nodes[i] for i in indices)
+        for sink_i in sinks:
+            indices = [sink_i]
+            while indices[-1] != start:
+                indices.append(parent[indices[-1]])
+            paths[ddg.nodes[sink_i].attribute] = tuple(ddg.nodes[i] for i in reversed(indices))
         results.append(
             PropagationResult(
                 taint=node.candidate,
-                sinks=frozenset(sinks),
+                sinks=frozenset(paths),
                 paths=paths,
             )
         )
     return results
-
-
-def _bfs_from(start: int, succ: dict[int, list[int]]) -> set[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        n = frontier.pop()
-        for m in succ.get(n, ()):
-            if m not in seen:
-                seen.add(m)
-                frontier.append(m)
-    return seen
-
-
-def _witness_path(
-    start: int, sink: int, succ: dict[int, list[int]], pred: dict[int, list[int]]
-) -> tuple[int, ...]:
-    # Distance-to-sink via reverse BFS, then walk forward greedily taking
-    # the textually first successor that stays on a shortest path.
-    dist = {sink: 0}
-    frontier = [sink]
-    while frontier:
-        nxt: list[int] = []
-        for n in frontier:
-            for m in pred.get(n, ()):
-                if m not in dist:
-                    dist[m] = dist[n] + 1
-                    nxt.append(m)
-        frontier = nxt
-    path = [start]
-    current = start
-    while current != sink:
-        remaining = dist[current]
-        current = next(i for i in succ[current] if dist.get(i, -1) == remaining - 1)
-        path.append(current)
-    return tuple(path)
 
 
 def _path_step(node: DdgNode) -> PathStep:

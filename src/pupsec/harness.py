@@ -75,6 +75,7 @@ class _FileResult:
     findings: tuple[Finding, ...]
     resources: tuple[ResourceInfo, ...]
     error: Optional[str]
+    unreadable: bool = False  # the error came from reading the file, not parsing it
 
 
 def _gather_manifests(inputs: tuple[str, ...]) -> list[str]:
@@ -94,7 +95,9 @@ def _analyze_file(path: str, mode: str, patterns: PatternSet) -> _FileResult:
     try:
         text = Path(path).read_text(encoding="utf-8")
         manifest = parse_manifest(text, path)
-    except (ScanError, UnicodeDecodeError, OSError) as exc:
+    except OSError as exc:
+        return _FileResult(path, (), (), str(exc), unreadable=True)
+    except (ScanError, UnicodeDecodeError) as exc:
         return _FileResult(path, (), (), str(exc))
     classified = classify_expressions(manifest)
     index = build_membership_index(manifest)
@@ -153,7 +156,8 @@ def scan(config: RunConfig) -> Report:
     for result in results:  # already in sorted path order
         if result.error is not None:
             if config.on_parse_error == "abort":
-                raise ScanError(f"parse failure in {result.path}: {result.error}")
+                what = "cannot read" if result.unreadable else "parse failure in"
+                raise ScanError(f"{what} {result.path}: {result.error}")
             skipped.append((result.path, result.error))
             continue
         findings.extend(result.findings)

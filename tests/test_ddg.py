@@ -210,17 +210,21 @@ def test_intermediate_with_no_sink_is_kept_but_contributes_nothing():
         assert all("magnum_url" not in step.label for step in f.path)
 
 
-def _random_dag(rng):
+def _random_dag(rng, tied=False):
     """A synthetic 10-node DDG: 2 taints, 5 intermediates, 3 sinks, with
-    random forward edges."""
+    random forward edges.  With *tied*, intermediates and sinks draw their
+    lines from a narrow range, so several of them share a position and
+    their textual order ties."""
     m = parse("$seed_password = 'x'\n$other_password = 'y'")
     candidates = detect_candidates(classify_expressions(m), collect_function_calls(m))
     nodes = [TaintNode(c, c.location) for c in candidates]
     for i in range(5):
-        nodes.append(IntermediateNode(f"v{i}", SourceLocation("dag.pp", i + 3, 1)))
+        line = rng.randint(3, 5) if tied else i + 3
+        nodes.append(IntermediateNode(f"v{i}", SourceLocation("dag.pp", line, 1)))
     for i in range(3):
         attr = AttributeId("dag.pp", "file", f"r{i}", "content", i)
-        nodes.append(SinkNode(attr, SourceLocation("dag.pp", i + 8, 1)))
+        line = rng.randint(3, 5) if tied else i + 8
+        nodes.append(SinkNode(attr, SourceLocation("dag.pp", line, 1)))
     edges = set()
     for a in range(10):
         for b in range(max(a + 1, 2), 10):
@@ -263,6 +267,54 @@ def test_random_dag_propagations_match_bruteforce_closure():
             prop = props.get(id(node.candidate))
             got = prop.sinks if prop is not None else frozenset()
             assert got == frozenset(expected_sinks)
+
+
+_KIND_RANK = {TaintNode: 0, IntermediateNode: 1, SinkNode: 2}
+
+
+def _bruteforce_witnesses(ddg, start):
+    """The witness path to every sink reachable from *start*, chosen from
+    all paths: the shortest, and among equal lengths the one whose steps
+    come first by position in the predecessor's successor list.  Successors
+    are listed in text order (line, column, taint < intermediate < sink),
+    equal positions keeping node index order."""
+
+    def text_order(i):
+        node = ddg.nodes[i]
+        return (node.loc.line, node.loc.column, _KIND_RANK[type(node)])
+
+    succ = {}
+    for a, b in ddg.edges:
+        succ.setdefault(a, []).append(b)
+    for neighbors in succ.values():
+        neighbors.sort(key=text_order)
+    best = {}  # sink index -> (length, positions, path)
+    stack = [((start,), ())]
+    while stack:
+        path, positions = stack.pop()
+        if isinstance(ddg.nodes[path[-1]], SinkNode):
+            ranked = (len(path), positions, path)
+            if path[-1] not in best or ranked < best[path[-1]]:
+                best[path[-1]] = ranked
+        for pos, nxt in enumerate(succ.get(path[-1], ())):
+            stack.append((path + (nxt,), positions + (pos,)))
+    return {
+        ddg.nodes[sink].attribute: tuple(ddg.nodes[i] for i in path)
+        for sink, (_, _, path) in best.items()
+    }
+
+
+def test_random_dag_witness_paths_match_bruteforce_enumeration():
+    rng = random.Random(7)
+    for trial in range(400):
+        ddg = _random_dag(rng, tied=trial % 2 == 1)
+        props = {id(p.taint): p for p in collect_propagations(ddg)}
+        for start, node in enumerate(ddg.nodes):
+            if not isinstance(node, TaintNode):
+                continue
+            expected = _bruteforce_witnesses(ddg, start)
+            prop = props.get(id(node.candidate))
+            assert (prop.paths if prop is not None else {}) == expected
 
 
 # -- confirm_findings -------------------------------------------------------------

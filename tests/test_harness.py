@@ -83,6 +83,17 @@ def test_unreadable_manifest_aborts_under_abort_policy(tmp_path):
         run_scan([tmp_path], on_parse_error="abort")
 
 
+def test_abort_message_tells_read_errors_from_parse_errors(tmp_path):
+    (tmp_path / "dangling.pp").symlink_to(tmp_path / "no-such-target.pp")
+    with pytest.raises(ScanError, match=r"^cannot read .*dangling\.pp: \[Errno 2\]"):
+        run_scan([tmp_path], on_parse_error="abort")
+    (tmp_path / "bad.pp").write_text("$x = = broken")  # sorts before dangling.pp
+    with pytest.raises(ScanError, match=r"^parse failure in .*bad\.pp: "):
+        run_scan([tmp_path], on_parse_error="abort")
+    skipped = run_scan([tmp_path], on_parse_error="skip").skipped
+    assert [reason.startswith("[Errno 2]") for _, reason in skipped] == [False, True]
+
+
 def test_missing_input_raises():
     with pytest.raises(FileNotFoundError):
         run_scan(["does/not/exist"])
