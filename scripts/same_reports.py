@@ -1,0 +1,51 @@
+#!/usr/bin/env python3
+"""Check that two pupsec source trees produce byte-identical reports.
+
+For each PATH, runs `python -m pupsec scan PATH --jobs 1` once with
+OLD_SRC and once with NEW_SRC on PYTHONPATH, in taint and pattern mode
+and in json, sarif and text format, and compares the exit code, stdout
+and stderr of each pair.  Prints every pair that differs, then
+`N compared, M differ`.  Exits 1 if any pair differs.
+
+Usage: python scripts/same_reports.py OLD_SRC NEW_SRC PATH...
+  (OLD_SRC and NEW_SRC are the `src` directories of the two trees)
+"""
+
+import os
+import subprocess
+import sys
+
+MODES = ("taint", "pattern")
+FORMATS = ("json", "sarif", "text")
+
+
+def run(src: str, args: list[str]) -> tuple[int, bytes, bytes]:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-m", "pupsec", *args], env=env, capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def main() -> int:
+    if len(sys.argv) < 4:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    old_src, new_src, paths = sys.argv[1], sys.argv[2], sys.argv[3:]
+    for src in (old_src, new_src):
+        if not os.path.isfile(os.path.join(src, "pupsec", "__init__.py")):
+            print(f"not a pupsec source tree: {src}", file=sys.stderr)
+            return 2
+    compared = differ = 0
+    for path in paths:
+        for mode in MODES:
+            for fmt in FORMATS:
+                args = ["scan", path, "--mode", mode, "--format", fmt, "--jobs", "1"]
+                compared += 1
+                if run(old_src, args) != run(new_src, args):
+                    differ += 1
+                    print("differs:", " ".join(args))
+    print(f"{compared} compared, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

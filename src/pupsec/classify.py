@@ -34,6 +34,7 @@ from .nodes import (
     Statement,
     StrLiteral,
     UndefLiteral,
+    iter_nodes,
 )
 from .printer import expr_text
 
@@ -185,42 +186,43 @@ def _title_text(title: Expr) -> str:
 
 
 class _Collector:
+    """One walk over the statements of a manifest.  Expressions are not
+    entered: each is recorded with the owner that receives its value, and
+    only ``collect_function_calls`` searches them."""
+
     def __init__(self, manifest: Manifest):
         self.manifest = manifest
         self.resources: list[ResourceInfo] = []
         self.attributes: list[tuple[AttributeNode, AttributeId]] = []
         self.assignments: list[Assignment] = []
         self.parameters: list[tuple[str, Parameter]] = []
-        self.call_sites: list[FunctionCallSite] = []
+        # (expression or None, owner or None, owner node or None), textual order
+        self.exprs: list[tuple] = []
         self._walk(manifest.statements)
 
     def _walk(self, statements: tuple[Statement, ...]) -> None:
         for stmt in statements:
             if isinstance(stmt, Assignment):
                 self.assignments.append(stmt)
-                owner = VariableOwner(stmt.var_name)
-                self._collect_calls(stmt.value, owner, stmt)
+                self.exprs.append((stmt.value, VariableOwner(stmt.var_name), stmt))
             elif isinstance(stmt, (ResourceDecl, ResourceOverride)):
                 self._resource(stmt)
             elif isinstance(stmt, (ClassDef, DefinedTypeDef)):
                 for param in stmt.parameters:
                     self.parameters.append((stmt.name, param))
-                    if param.default is not None:
-                        owner = ParameterOwner(stmt.name, param.name)
-                        self._collect_calls(param.default, owner, param)
+                    self.exprs.append((param.default, ParameterOwner(stmt.name, param.name), param))
                 self._walk(stmt.body)
             elif isinstance(stmt, IfStatement):
-                self._collect_calls(stmt.condition, None, None)
+                self.exprs.append((stmt.condition, None, None))
                 self._walk(stmt.then_body)
                 self._walk(stmt.else_body)
             elif isinstance(stmt, CaseStatement):
-                self._collect_calls(stmt.scrutinee, None, None)
+                self.exprs.append((stmt.scrutinee, None, None))
                 for arm in stmt.arms:
-                    for m in arm.matches:
-                        self._collect_calls(m, None, None)
+                    self.exprs.extend((m, None, None) for m in arm.matches)
                     self._walk(arm.body)
             elif isinstance(stmt, ExprStatement):
-                self._collect_calls(stmt.expr, None, None)
+                self.exprs.append((stmt.expr, None, None))
 
     def _resource(self, stmt) -> None:
         ordinal = len(self.resources)
@@ -232,7 +234,7 @@ class _Collector:
             loc=stmt.loc,
         )
         self.resources.append(info)
-        self._collect_calls(stmt.title, None, None)
+        self.exprs.append((stmt.title, None, None))
         for attr in stmt.attributes:
             attr_id = AttributeId(
                 manifest_path=info.manifest_path,
@@ -242,47 +244,7 @@ class _Collector:
                 ordinal=ordinal,
             )
             self.attributes.append((attr, attr_id))
-            self._collect_calls(attr.value, AttributeOwner(attr_id), attr)
-
-    def _collect_calls(self, expr, owner, owner_node) -> None:
-        if expr is None:
-            return
-        if isinstance(expr, FunctionCall):
-            self.call_sites.append(
-                FunctionCallSite(expr.name, expr.loc, owner, owner_node, expr)
-            )
-            for arg in expr.args:
-                self._collect_calls(arg, owner, owner_node)
-            return
-        for child in _children(expr):
-            self._collect_calls(child, owner, owner_node)
-
-
-def _children(expr):
-    if isinstance(expr, InterpolatedString):
-        return [p for p in expr.parts if not isinstance(p, str)]
-    if isinstance(expr, ArrayLiteral):
-        return list(expr.items)
-    if isinstance(expr, HashLiteral):
-        return [e for pair in expr.entries for e in pair]
-    if hasattr(expr, "__dataclass_fields__"):
-        out = []
-        for name in expr.__dataclass_fields__:
-            v = getattr(expr, name)
-            if isinstance(v, Expr):
-                out.append(v)
-            elif isinstance(v, tuple):
-                for item in v:
-                    if isinstance(item, Expr):
-                        out.append(item)
-                    elif hasattr(item, "__dataclass_fields__"):
-                        out.extend(
-                            getattr(item, f)
-                            for f in item.__dataclass_fields__
-                            if isinstance(getattr(item, f), Expr)
-                        )
-        return out
-    return []
+            self.exprs.append((attr.value, AttributeOwner(attr_id), attr))
 
 
 # --- public operations ------------------------------------------------------
@@ -336,7 +298,12 @@ def classify_expressions(manifest: Manifest) -> list[ClassifiedExpression]:
 def collect_function_calls(manifest: Manifest) -> list[FunctionCallSite]:
     """All function-call sites in the manifest, with the variable,
     attribute, or parameter that receives the call result (if any)."""
-    return _Collector(manifest).call_sites
+    return [
+        FunctionCallSite(node.name, node.loc, owner, owner_node, node)
+        for expr, owner, owner_node in _Collector(manifest).exprs
+        for node in iter_nodes(expr)
+        if isinstance(node, FunctionCall)
+    ]
 
 
 def build_membership_index(manifest: Manifest) -> MembershipIndex:

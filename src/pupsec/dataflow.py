@@ -15,73 +15,27 @@ from dataclasses import dataclass
 from typing import Union
 
 from .nodes import (
-    AccessExpr,
-    ArrayLiteral,
     Assignment,
-    AttributeNode,
-    BinaryOp,
     CaseStatement,
     ClassDef,
     DefinedTypeDef,
     Expr,
     ExprStatement,
-    FunctionCall,
-    HashLiteral,
     IfStatement,
-    InterpolatedString,
     Manifest,
     Parameter,
     ResourceDecl,
     ResourceOverride,
-    ResourceRef,
-    SelectorExpr,
     SourceLocation,
     Statement,
-    UnaryOp,
     VarRef,
+    iter_nodes,
 )
 
 
 def uses_of(expr: Expr) -> set[str]:
     """All variable names referenced anywhere inside *expr*."""
-    out: set[str] = set()
-    _collect_uses(expr, out)
-    return out
-
-
-def _collect_uses(expr, out: set[str]) -> None:
-    if isinstance(expr, VarRef):
-        out.add(expr.name)
-    elif isinstance(expr, InterpolatedString):
-        for part in expr.parts:
-            if not isinstance(part, str):
-                _collect_uses(part, out)
-    elif isinstance(expr, FunctionCall):
-        for arg in expr.args:
-            _collect_uses(arg, out)
-    elif isinstance(expr, ArrayLiteral):
-        for item in expr.items:
-            _collect_uses(item, out)
-    elif isinstance(expr, HashLiteral):
-        for key, value in expr.entries:
-            _collect_uses(key, out)
-            _collect_uses(value, out)
-    elif isinstance(expr, AccessExpr):
-        _collect_uses(expr.base, out)
-        _collect_uses(expr.key, out)
-    elif isinstance(expr, SelectorExpr):
-        _collect_uses(expr.scrutinee, out)
-        for arm in expr.arms:
-            if arm.match is not None:
-                _collect_uses(arm.match, out)
-            _collect_uses(arm.value, out)
-    elif isinstance(expr, ResourceRef):
-        _collect_uses(expr.title, out)
-    elif isinstance(expr, BinaryOp):
-        _collect_uses(expr.left, out)
-        _collect_uses(expr.right, out)
-    elif isinstance(expr, UnaryOp):
-        _collect_uses(expr.operand, out)
+    return {node.name for node in iter_nodes(expr) if isinstance(node, VarRef)}
 
 
 @dataclass(frozen=True)
@@ -134,7 +88,7 @@ class DataflowAnalysis:
         state[var] = frozenset((d.index,))
 
     def _use(self, expr, node, kind: str, loc, state: _State) -> None:
-        names = uses_of(expr) if expr is not None else set()
+        names = uses_of(expr)
         record = self._uses_by_node.get(id(node))
         if record is None:
             record = UseRecord(node, kind, loc, {})

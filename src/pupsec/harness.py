@@ -75,7 +75,7 @@ class _FileResult:
     findings: tuple[Finding, ...]
     resources: tuple[ResourceInfo, ...]
     error: Optional[str]
-    unreadable: bool = False  # the error came from reading the file, not parsing it
+    abort_as: str = "parse failure in"  # what the error is called under on_parse_error='abort'
 
 
 def _gather_manifests(inputs: tuple[str, ...]) -> list[str]:
@@ -96,8 +96,10 @@ def _analyze_file(path: str, mode: str, patterns: PatternSet) -> _FileResult:
         text = Path(path).read_text(encoding="utf-8")
         manifest = parse_manifest(text, path)
     except OSError as exc:
-        return _FileResult(path, (), (), str(exc), unreadable=True)
-    except (ScanError, UnicodeDecodeError) as exc:
+        return _FileResult(path, (), (), str(exc), abort_as="cannot read")
+    except UnicodeDecodeError as exc:
+        return _FileResult(path, (), (), str(exc), abort_as="cannot decode")
+    except ScanError as exc:
         return _FileResult(path, (), (), str(exc))
     classified = classify_expressions(manifest)
     index = build_membership_index(manifest)
@@ -156,8 +158,7 @@ def scan(config: RunConfig) -> Report:
     for result in results:  # already in sorted path order
         if result.error is not None:
             if config.on_parse_error == "abort":
-                what = "cannot read" if result.unreadable else "parse failure in"
-                raise ScanError(f"{what} {result.path}: {result.error}")
+                raise ScanError(f"{result.abort_as} {result.path}: {result.error}")
             skipped.append((result.path, result.error))
             continue
         findings.extend(result.findings)

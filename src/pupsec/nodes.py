@@ -230,24 +230,58 @@ class Manifest:
 # --- helpers -------------------------------------------------------------
 
 
+# One entry per node type that can hold other nodes; every other type is
+# a leaf.  Optional children (a selector's default arm, a parameter
+# without a default) are left out rather than given as None.
+_CHILDREN = {
+    InterpolatedString: lambda n: tuple(p for p in n.parts if not isinstance(p, str)),
+    FunctionCall: lambda n: n.args,
+    ArrayLiteral: lambda n: n.items,
+    HashLiteral: lambda n: tuple(e for pair in n.entries for e in pair),
+    AccessExpr: lambda n: (n.base, n.key),
+    SelectorArm: lambda n: (n.value,) if n.match is None else (n.match, n.value),
+    SelectorExpr: lambda n: (n.scrutinee, *n.arms),
+    ResourceRef: lambda n: (n.title,),
+    BinaryOp: lambda n: (n.left, n.right),
+    UnaryOp: lambda n: (n.operand,),
+    Assignment: lambda n: (n.value,),
+    AttributeNode: lambda n: (n.value,),
+    ResourceDecl: lambda n: (n.title, *n.attributes),
+    ResourceOverride: lambda n: (n.title, *n.attributes),
+    Parameter: lambda n: () if n.default is None else (n.default,),
+    ClassDef: lambda n: (*n.parameters, *n.body),
+    DefinedTypeDef: lambda n: (*n.parameters, *n.body),
+    IfStatement: lambda n: (n.condition, *n.then_body, *n.else_body),
+    CaseArm: lambda n: (*n.matches, *n.body),
+    CaseStatement: lambda n: (n.scrutinee, *n.arms),
+    ExprStatement: lambda n: (n.expr,),
+    Manifest: lambda n: n.statements,
+}
+
+
+def children(node) -> tuple:
+    """The direct child nodes of *node*, in field order.
+
+    Children are expressions, statements and the attribute, parameter,
+    selector-arm and case-arm records; text fragments of an interpolated
+    string, names, literal values and locations are not nodes.  A leaf,
+    ``None`` or any non-node value has no children."""
+    get = _CHILDREN.get(type(node))
+    return () if get is None else get(node)
+
+
 def iter_nodes(obj):
     """Yield every AST node (statements, expressions, attribute/parameter
-    records) contained in *obj*, pre-order."""
+    records) in *obj*, pre-order: a Manifest's statements and their
+    descendants, or any other node and its descendants."""
     if isinstance(obj, Manifest):
-        for s in obj.statements:
-            yield from iter_nodes(s)
-        return
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return
-    if isinstance(obj, tuple):
-        for item in obj:
-            yield from iter_nodes(item)
-        return
-    if isinstance(obj, SourceLocation):
-        return
-    yield obj
-    for f in fields(obj):
-        yield from iter_nodes(getattr(obj, f.name))
+        stack = list(reversed(obj.statements))
+    else:
+        stack = [] if obj is None else [obj]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
 
 
 def structurally_equal(a, b) -> bool:

@@ -87,11 +87,17 @@ def test_abort_message_tells_read_errors_from_parse_errors(tmp_path):
     (tmp_path / "dangling.pp").symlink_to(tmp_path / "no-such-target.pp")
     with pytest.raises(ScanError, match=r"^cannot read .*dangling\.pp: \[Errno 2\]"):
         run_scan([tmp_path], on_parse_error="abort")
-    (tmp_path / "bad.pp").write_text("$x = = broken")  # sorts before dangling.pp
+    (tmp_path / "cp1252.pp").write_bytes(b"$x = '\xff'\n")  # sorts before dangling.pp
+    with pytest.raises(ScanError, match=r"^cannot decode .*cp1252\.pp: 'utf-8' codec can't decode"):
+        run_scan([tmp_path], on_parse_error="abort")
+    (tmp_path / "bad.pp").write_text("$x = = broken")  # sorts before cp1252.pp
     with pytest.raises(ScanError, match=r"^parse failure in .*bad\.pp: "):
         run_scan([tmp_path], on_parse_error="abort")
     skipped = run_scan([tmp_path], on_parse_error="skip").skipped
-    assert [reason.startswith("[Errno 2]") for _, reason in skipped] == [False, True]
+    reasons = [reason for _, reason in skipped]  # the bare error text, whatever the cause
+    assert reasons[0].endswith("bad.pp:1:6: expected expression, found '='")
+    assert reasons[1].startswith("'utf-8' codec can't decode byte 0xff in position 6")
+    assert reasons[2].startswith("[Errno 2]")
 
 
 def test_missing_input_raises():
