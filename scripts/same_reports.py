@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that two pupsec source trees produce byte-identical reports.
 
-For each PATH, runs `python -m pupsec scan PATH --jobs 1` once with
+For each PATH, runs `python -m pupsec scan PATH` once with
 OLD_SRC and once with NEW_SRC on PYTHONPATH, in taint and pattern mode
 and in json, sarif and text format, and compares the exit code, stdout
 and stderr of each pair.  Prints every pair that differs, then
@@ -38,7 +38,7 @@ def main() -> int:
     for path in paths:
         for mode in MODES:
             for fmt in FORMATS:
-                args = ["scan", path, "--mode", mode, "--format", fmt, "--jobs", "1"]
+                args = ["scan", path, "--mode", mode, "--format", fmt]
                 compared += 1
                 if run(old_src, args) != run(new_src, args):
                     differ += 1

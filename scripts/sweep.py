@@ -3,7 +3,7 @@
 
 Writes one `chain` and one `branchy` manifest (the benchmark's templates,
 from perfbench/workloads.py) at each of 1k, 2k, 4k, 8k and 16k lines, and
-times one in-process taint-mode `scan()` of each at `--jobs 1` by CPU time.
+times one in-process taint-mode `scan()` of each by CPU time.
 Prints CPU seconds and microseconds per line for every size, then, per
 template, how much the time per line grew from the smallest size to the
 largest.  A flat time per line means linear cost.
@@ -42,7 +42,7 @@ TEMPLATES = {"chain": chain_text, "branchy": branchy_text}
 
 def timed_scan(path: Path, expected_findings: int) -> float:
     start = time.process_time()
-    report = scan(RunConfig(inputs=(str(path),), jobs=1))
+    report = scan(RunConfig(inputs=(str(path),)))
     elapsed = time.process_time() - start
     if report.skipped or len(report.findings) != expected_findings:
         raise SystemExit(

@@ -7,13 +7,11 @@ Exit codes: 0 clean run, 1 findings present with --fail-on-findings,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional
 
 from .errors import ScanError
 from .harness import (
-    JOBS_ENV_VAR,
     RunConfig,
     evaluate,
     load_ground_truth,
@@ -42,44 +40,31 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="labeled weaknesses CSV for precision/recall evaluation")
     scan_p.add_argument("--fail-on-findings", action="store_true",
                         help="exit 1 when any finding is reported")
-    scan_p.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help=f"worker count; 0 = auto (default ${JOBS_ENV_VAR} or 0)")
+    scan_p.add_argument("--jobs", type=int, metavar="N",
+                        help="accepted for compatibility; has no effect, "
+                        "files are scanned one at a time")
     scan_p.add_argument("--on-parse-error", choices=["skip", "abort"], default="skip")
     scan_p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
     return parser
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     config = RunConfig(
         inputs=tuple(args.paths),
         mode=args.mode,
-        fmt=args.format,
         taxonomy_path=args.taxonomy,
         patterns_path=args.patterns,
-        ground_truth_path=args.ground_truth,
-        fail_on_findings=args.fail_on_findings,
-        jobs=jobs,
         on_parse_error=args.on_parse_error,
-        out_path=args.out,
     )
     try:
         report = scan(config)
         evaluation = None
-        if config.ground_truth_path:
-            truth = load_ground_truth(config.ground_truth_path)
+        if args.ground_truth:
+            truth = load_ground_truth(args.ground_truth)
             evaluation = metrics_to_dict(evaluate(report, truth))
         payload = render_report(
-            list(report.findings), report.stats, config.fmt,
+            list(report.findings), report.stats, args.format,
             mode=report.mode, evaluation=evaluation,
         )
     except (ScanError, OSError, ValueError) as exc:
@@ -89,14 +74,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     for path, reason in report.skipped:
         print(f"pupsec: skipped {path}: {reason}", file=sys.stderr)
 
-    if config.out_path:
-        with open(config.out_path, "wb") as fh:
+    if args.out:
+        with open(args.out, "wb") as fh:
             fh.write(payload)
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
 
-    if config.fail_on_findings and report.findings:
+    if args.fail_on_findings and report.findings:
         return 1
     return 0
 

@@ -1,16 +1,14 @@
 """Batch scanning and ground-truth evaluation.
 
 ``scan`` runs the per-file pipeline (parse, classify, rule match, and in
-taint mode DDG confirmation) over directories of ``.pp`` files.  Files
-are analyzed independently, so the worker pool only shares immutable
-configuration and the merged report does not depend on scheduling.
+taint mode DDG confirmation) over directories of ``.pp`` files, one file
+at a time in sorted path order.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -42,21 +40,15 @@ from .rules import (
     load_pattern_overrides,
 )
 
-JOBS_ENV_VAR = "PUPSEC_JOBS"
-
 
 @dataclass(frozen=True)
 class RunConfig:
     inputs: tuple[str, ...]
     mode: str = "taint"  # 'taint' | 'pattern'
-    fmt: str = "json"  # 'json' | 'text' | 'sarif'
     taxonomy_path: Optional[str] = None
     patterns_path: Optional[str] = None
-    ground_truth_path: Optional[str] = None
-    fail_on_findings: bool = False
-    jobs: int = 0  # 0 = one worker per CPU
     on_parse_error: str = "skip"  # 'skip' | 'abort'
-    out_path: Optional[str] = None
+    jobs: int = 0  # accepted for compatibility; has no effect
 
 
 @dataclass(frozen=True)
@@ -131,8 +123,8 @@ def _analyze_file(path: str, mode: str, patterns: PatternSet) -> _FileResult:
 def scan(config: RunConfig) -> Report:
     """Scan all manifests named by the config and aggregate one report.
 
-    Results are merged in sorted path order, so reports are byte-identical
-    regardless of worker count."""
+    Files are analyzed one at a time in sorted path order.  Under
+    ``on_parse_error='abort'`` the first file that fails stops the scan."""
     if config.mode not in ("taint", "pattern"):
         raise ValueError(f"unknown mode: {config.mode!r}")
     if config.on_parse_error not in ("skip", "abort"):
@@ -143,19 +135,12 @@ def scan(config: RunConfig) -> Report:
         else DEFAULT_PATTERNS
     )
     taxonomy = load_taxonomy(config.taxonomy_path) if config.taxonomy_path else DEFAULT_TAXONOMY
-    paths = _gather_manifests(config.inputs)
-
-    jobs = config.jobs if config.jobs > 0 else (os.cpu_count() or 1)
-    if paths:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda p: _analyze_file(p, config.mode, patterns), paths))
-    else:
-        results = []
 
     findings: list[Finding] = []
     resources: list[ResourceInfo] = []
     skipped: list[tuple[str, str]] = []
-    for result in results:  # already in sorted path order
+    for path in _gather_manifests(config.inputs):
+        result = _analyze_file(path, config.mode, patterns)
         if result.error is not None:
             if config.on_parse_error == "abort":
                 raise ScanError(f"{result.abort_as} {result.path}: {result.error}")

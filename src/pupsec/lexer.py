@@ -259,7 +259,11 @@ def tokenize(text: str, path: str) -> list[Token]:
             continue
         if group == "number":
             s = m.group(group)
-            append(Token(TokenKind.NUMBER, s, float(s) if "." in s else int(s), line, column))
+            try:
+                value = float(s) if "." in s else int(s)
+            except ValueError:  # beyond Python's int-string digit limit
+                raise ParseError(SourceLocation(path, line, column), "number literal too long") from None
+            append(Token(TokenKind.NUMBER, s, value, line, column))
             continue
         if group == "sq":
             body = text[start + 1 : pos - 1]

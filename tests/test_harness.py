@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,29 @@ def test_parse_error_abort_policy(tmp_path):
     (tmp_path / "bad.pp").write_text("$x = = broken")
     with pytest.raises(ScanError):
         run_scan([tmp_path], on_parse_error="abort")
+
+
+def test_scan_analyzes_files_serially_in_sorted_order(tmp_path, monkeypatch):
+    import pupsec.harness as harness_mod
+
+    calls = []
+    real_analyze = harness_mod._analyze_file
+
+    def spy(path, *rest):
+        calls.append((threading.get_ident(), Path(path).name))
+        return real_analyze(path, *rest)
+
+    monkeypatch.setattr(harness_mod, "_analyze_file", spy)
+    for name in ("c.pp", "a.pp", "b.pp"):
+        (tmp_path / name).write_text("$x = 'ok'\nfile { 'f': content => $x }\n")
+    assert run_scan([tmp_path]).stats.total_resources == 3
+    assert calls == [(threading.get_ident(), name) for name in ("a.pp", "b.pp", "c.pp")]
+
+    calls.clear()
+    (tmp_path / "a.pp").write_text("$x = = broken")
+    with pytest.raises(ScanError, match=r"^parse failure in .*a\.pp: "):
+        run_scan([tmp_path], on_parse_error="abort")
+    assert [name for _, name in calls] == ["a.pp"]
 
 
 def test_unsupported_construct_is_skippable(tmp_path):
@@ -272,24 +296,16 @@ def test_cli_ground_truth_evaluation(capsys):
     assert doc["evaluation"]["overall"]["fp"] == 6
 
 
-def test_cli_jobs_default_comes_from_environment(monkeypatch, capsys):
-    seen = {}
-    import pupsec.cli as cli_mod
-
-    real_scan = cli_mod.scan
-
-    def spy(config):
-        seen["jobs"] = config.jobs
-        return real_scan(config)
-
-    monkeypatch.setattr(cli_mod, "scan", spy)
-    monkeypatch.setenv("PUPSEC_JOBS", "3")
+def test_cli_jobs_flag_and_environment_do_not_change_output(monkeypatch, capsys):
+    monkeypatch.delenv("PUPSEC_JOBS", raising=False)
     assert main(["scan", str(CORPUS)]) == 0
-    assert seen["jobs"] == 3
-    # an explicit flag wins over the environment
+    plain = capsys.readouterr().out
     assert main(["scan", str(CORPUS), "--jobs", "2"]) == 0
-    assert seen["jobs"] == 2
-    capsys.readouterr()
+    assert capsys.readouterr().out == plain
+    for value in ("3", "x"):
+        monkeypatch.setenv("PUPSEC_JOBS", value)
+        assert main(["scan", str(CORPUS)]) == 0
+        assert capsys.readouterr().out == plain
 
 
 def test_evaluate_reports_per_category_rows():
@@ -319,13 +335,21 @@ def test_cli_abort_on_parse_error_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_skips_manifest_with_non_ascii_digit(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        ("$x = \u00b2\n", "unexpected character '\u00b2'"),
+        ("$n = " + "7" * 5000 + "\n", "number literal too long"),
+    ],
+    ids=["non_ascii_digit", "long_literal"],
+)
+def test_cli_skips_manifest_with_unlexable_number(tmp_path, capsys, source, message):
     (tmp_path / "good.pp").write_text("$x = 'ok'\nfile { 'f': content => $x }\n")
-    (tmp_path / "digit.pp").write_text("$x = \u00b2\n", encoding="utf-8")
+    (tmp_path / "number.pp").write_text(source, encoding="utf-8")
     code = main(["scan", str(tmp_path)])
     out, err = capsys.readouterr()
     assert code == 0
-    assert "digit.pp:1:6: unexpected character '\u00b2'" in err
+    assert f"number.pp:1:6: {message}" in err
     assert json.loads(out)["stats"]["total_resources"] == 1
 
 

@@ -120,6 +120,7 @@ def test_non_ascii_digit_is_a_parse_error(digit):
         ("$a = 1\n  $b = 'open\nstill open", 2, 8, "unterminated string"),
         ('$a = "x ${y[\'k\']} z', 1, 6, "unterminated string"),
         ("$a = 1 /* open\ncomment", 1, 8, "unterminated block comment"),
+        pytest.param("$x = " + "7" * 5000, 1, 6, "number literal too long", id="long-number"),
     ],
 )
 def test_errors_are_reported_where_the_token_starts(source, line, column, message):
