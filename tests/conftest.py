@@ -1,11 +1,37 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 FIXTURES = Path(__file__).parent / "fixtures"
 WEAKNESS_SUITE = FIXTURES / "weakness_suite"
 CORPUS = FIXTURES / "corpus"
 CORPUS_TRUTH = FIXTURES / "corpus_truth.csv"
+
+
+FIXTURE_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.rglob("*.pp"))]
+SNIPPETS = list("'\"$\\{}[]()#/*:@|.-~<=>!+?%,;\n\t\r _aZ09") + [
+    "${", "${'", '"${x}"', '"}"', "${h['k']}", "${f(1)}", "::", "$::", "/*", "*/", "<<|",
+    "@(", "1.5", "'\\'", "\\\\", " \u00b2 ", "\u0663", "\u00e9",
+]
+
+
+@st.composite
+def mutated_fixtures(draw, snippets: list[str] = SNIPPETS) -> str:
+    """A fixture manifest with one to four *snippets* inserted, deleted or
+    written over at random offsets."""
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        pos = draw(st.integers(min_value=0, max_value=len(text)))
+        snippet = draw(st.sampled_from(snippets))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        if op == "insert":
+            text = text[:pos] + snippet + text[pos:]
+        elif op == "delete":
+            text = text[:pos] + text[pos + len(snippet) :]
+        else:
+            text = text[:pos] + snippet + text[pos + 1 :]
+    return text
 
 
 @pytest.fixture

@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import reference_lexer
 from pupsec.errors import ParseError, UnsupportedConstruct
@@ -8,7 +7,7 @@ from pupsec.lexer import TokenKind, tokenize
 from pupsec.parser import parse_manifest
 from pupsec.synth import generate_manifest_text
 
-from conftest import FIXTURES
+from conftest import FIXTURE_TEXTS, mutated_fixtures
 
 
 def kinds(text):
@@ -151,31 +150,6 @@ def test_eof_token_follows_trailing_trivia():
 
 
 # -- differential tests against the replaced character-at-a-time scanner --------
-
-FIXTURE_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.rglob("*.pp"))]
-SNIPPETS = list("'\"$\\{}[]()#/*:@|.-~<=>!+?%,;\n\t\r _aZ09") + [
-    "${", "${'", '"${x}"', '"}"', "${h['k']}", "${f(1)}", "::", "$::", "/*", "*/", "<<|",
-    "@(", "1.5", "'\\'", "\\\\", " \u00b2 ", "\u0663", "\u00e9",
-]
-
-
-@st.composite
-def mutated_fixtures(draw) -> str:
-    """A fixture manifest with one to four snippets inserted, deleted or
-    written over at random offsets."""
-    text = draw(st.sampled_from(FIXTURE_TEXTS))
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        pos = draw(st.integers(min_value=0, max_value=len(text)))
-        snippet = draw(st.sampled_from(SNIPPETS))
-        op = draw(st.sampled_from(("insert", "delete", "replace")))
-        if op == "insert":
-            text = text[:pos] + snippet + text[pos:]
-        elif op == "delete":
-            text = text[:pos] + text[pos + len(snippet) :]
-        else:
-            text = text[:pos] + snippet + text[pos + 1 :]
-    return text
-
 
 def _lex(tokenize_fn, text):
     """The tokens as comparable tuples, or the exception raised."""

@@ -1,18 +1,24 @@
+import itertools
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pupsec.parser
+import reference_parser
 from pupsec.errors import ParseError, UnsupportedConstruct
+from pupsec.harness import _analyze_file
 from pupsec.nodes import (
     Assignment,
+    BinaryOp,
     ClassDef,
     Manifest,
     ResourceDecl,
     ResourceOverride,
     SourceLocation,
     StrLiteral,
+    UnaryOp,
     UndefLiteral,
     VarRef,
     iter_nodes,
@@ -20,9 +26,10 @@ from pupsec.nodes import (
 )
 from pupsec.parser import parse_interpolation, parse_manifest
 from pupsec.printer import manifest_source
+from pupsec.rules import DEFAULT_PATTERNS
 from pupsec.synth import generate_manifest_text
 
-from conftest import WEAKNESS_SUITE, load_fixture
+from conftest import FIXTURE_TEXTS, SNIPPETS, WEAKNESS_SUITE, load_fixture, mutated_fixtures
 
 
 def parse(src: str) -> Manifest:
@@ -256,8 +263,9 @@ def test_print_reparse_roundtrip_on_generated_manifests():
 
 
 def test_deep_nesting_is_a_parse_error_not_a_crash():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse("$x = " + "[" * 4000 + "]" * 4000)
+    assert exc.value.message == "nesting too deep"
 
 
 @settings(max_examples=300, deadline=None)
@@ -277,3 +285,159 @@ def test_parser_totality_on_arbitrary_text(text):
 def test_parser_totality_on_generated_manifests(seed):
     manifest = parse_manifest(generate_manifest_text(seed), "gen.pp")
     assert isinstance(manifest, Manifest)
+
+
+# -- precedence and nesting limits ---------------------------------------------
+
+# Binding power of each binary operator, tightest last; written out here so
+# the test does not read the parser's own table.
+PRECEDENCE = {
+    "or": 1,
+    "and": 2,
+    **dict.fromkeys(["==", "!=", "<", "<=", ">", ">=", "in"], 3),
+    **dict.fromkeys(["+", "-"], 4),
+    **dict.fromkeys(["*", "/", "%"], 5),
+}
+
+
+def _shape(expr) -> str:
+    """An expression tree written with a parenthesis around every operator."""
+    if isinstance(expr, BinaryOp):
+        return f"({_shape(expr.left)} {expr.op} {_shape(expr.right)})"
+    if isinstance(expr, UnaryOp):
+        return f"({expr.op}{_shape(expr.operand)})"
+    return expr.name
+
+
+@pytest.mark.parametrize("first,second", list(itertools.product(PRECEDENCE, PRECEDENCE)))
+def test_binary_operator_precedence_and_left_associativity(first, second):
+    tree = parse(f"$x = $p {first} $q {second} $r").statements[0].value
+    if PRECEDENCE[first] >= PRECEDENCE[second]:
+        assert _shape(tree) == f"((p {first} q) {second} r)"
+    else:
+        assert _shape(tree) == f"(p {first} (q {second} r))"
+
+
+def test_unary_operators_bind_tightest():
+    assert _shape(parse("$x = !$a == $b").statements[0].value) == "((!a) == b)"
+    assert _shape(parse("$x = -$a * $b").statements[0].value) == "((-a) * b)"
+
+
+def test_deeply_nested_statements_are_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse("if $a { " * 400 + "}" * 400)
+    assert exc.value.message == "nesting too deep"
+    assert (exc.value.location.line, exc.value.location.column) == (1, 1)
+
+
+NESTED_FORMS = {
+    "parens": lambda n: "$x = " + "(" * n + "1" + ")" * n,
+    "arrays": lambda n: "$x = " + "[" * n + "]" * n,
+    "calls": lambda n: "$x = " + "f(" * n + ")" * n,
+    "hashes": lambda n: "$x = " + "{1 => " * n + "1" + "}" * n,
+    "unary": lambda n: "$x = " + "!" * n + "$y",
+    "if": lambda n: "if $a { " * n + "}" * n,
+}
+
+
+def _deepest_accepted(parse_fn, form) -> int:
+    """The largest nesting depth of *form* that *parse_fn* parses."""
+
+    def accepts(depth):
+        try:
+            parse_fn(form(depth), "deep.pp")
+        except ParseError:
+            return False
+        return True
+
+    low, high = 1, 2
+    while accepts(high):
+        low, high = high, high * 2
+    while high - low > 1:
+        mid = (low + high) // 2
+        if accepts(mid):
+            low = mid
+        else:
+            high = mid
+    return low
+
+
+@pytest.mark.parametrize("form", NESTED_FORMS)
+def test_nesting_limit_is_no_lower_than_the_reference(form, tmp_path):
+    make = NESTED_FORMS[form]
+    depth = _deepest_accepted(reference_parser.parse_manifest, make)
+    parse_manifest(make(depth), "deep.pp")
+    path = tmp_path / "deep.pp"
+    path.write_text(make(depth), encoding="utf-8")
+    for mode in ("taint", "pattern"):
+        assert _analyze_file(str(path), mode, DEFAULT_PATTERNS).error is None
+    # Whatever the parser now accepts, the later stages must survive.
+    path.write_text(make(_deepest_accepted(parse_manifest, make)), encoding="utf-8")
+    for mode in ("taint", "pattern"):
+        _analyze_file(str(path), mode, DEFAULT_PATTERNS)
+
+
+# -- differential tests against the replaced precedence-ladder parser ----------
+
+
+def _parsed(module, text):
+    """The manifest *module* parses from *text*, or the error it raises as
+    (type, message, location)."""
+    try:
+        return module.parse_manifest(text, "m.pp")
+    except (ParseError, UnsupportedConstruct) as exc:
+        message = str(exc)
+        if module is reference_parser:
+            message = message.replace("expression nesting too deep", "nesting too deep")
+        return type(exc), message, exc.location
+
+
+def assert_same_tree_as_reference(text):
+    assert _parsed(pupsec.parser, text) == _parsed(reference_parser, text)
+
+
+def test_fixture_trees_match_reference():
+    for text in FIXTURE_TEXTS:
+        assert_same_tree_as_reference(text)
+
+
+def test_generated_manifest_trees_match_reference():
+    for seed in range(300):
+        assert_same_tree_as_reference(generate_manifest_text(seed))
+
+
+GRAMMAR_SNIPPETS = SNIPPETS + [
+    "if ", "elsif ", "else ", "case ", "default", "class ", "define ", " or ", " and ",
+    " in ", "==", "=>", "f(", "[1, ", "{'k' => ", " ? {", "File[",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_fixtures(GRAMMAR_SNIPPETS))
+def test_mutated_fixture_trees_match_reference(text):
+    assert_same_tree_as_reference(text)
+
+
+INTERPOLATION_PIECES = [
+    "\\", "\\n", "\\t", "\\$", '\\"', "\\\\", "\\q", "\\\n", "$x", "$::a::b", "$a::", "$1", "$", "$::",
+    "${", "${x}", "${ y }", "${::z}", "${h['k']}", "${f(1)}", "${'}'}", "${}", "{", "}", "'", '"',
+    "\n", "a", " ",
+]
+
+
+def _interpolated(module, body, location):
+    try:
+        return module.parse_interpolation(body, location)
+    except (ParseError, UnsupportedConstruct) as exc:
+        return type(exc), str(exc), exc.location
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.sampled_from(INTERPOLATION_PIECES), max_size=10).map("".join),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=40),
+)
+def test_interpolation_matches_reference(body, line, column):
+    location = SourceLocation("m.pp", line, column)
+    assert _interpolated(pupsec.parser, body, location) == _interpolated(reference_parser, body, location)
