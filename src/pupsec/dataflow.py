@@ -7,10 +7,15 @@ Class and defined-type bodies are analyzed inline at their declaration
 point: the manifest shares one flat variable namespace, with parameters
 defined just before the body.  There are no loops in the subset, so
 definition-use edges always point forward in textual order.
+
+``if`` and ``case`` share one join: each arm walks its own overlay of the
+state, then each variable that some arm wrote gets the union over all arms
+of its value there.  A missing ``else`` or ``default`` is one more, empty, arm.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass
 from typing import Union
 
@@ -55,15 +60,7 @@ class UseRecord:
     reaching: dict[str, frozenset[int]]  # var -> definition indices that may reach
 
 
-_State = dict[str, frozenset[int]]
-
-
-def _merge(*states: _State) -> _State:
-    merged: _State = {}
-    for state in states:
-        for var, defs in state.items():
-            merged[var] = merged.get(var, frozenset()) | defs
-    return merged
+_State = ChainMap[str, frozenset[int]]
 
 
 class DataflowAnalysis:
@@ -75,13 +72,14 @@ class DataflowAnalysis:
         self.use_records: list[UseRecord] = []
         self._def_by_node: dict[int, Definition] = {}
         self._uses_by_node: dict[int, UseRecord] = {}
-        self._walk(manifest.statements, {})
+        state: _State = ChainMap()
+        for stmt in manifest.statements:
+            self._walk_statement(stmt, state)
 
     # -- construction --------------------------------------------------
 
     def _define(self, var: str, node, loc, state: _State, is_parameter: bool) -> None:
-        """Record a definition and make it the only one of *var* in
-        *state*, in place: branches copy the state before they diverge."""
+        """Record a definition and make it the only one of *var* in *state*."""
         d = Definition(len(self.definitions), var, node, loc, is_parameter)
         self.definitions.append(d)
         self._def_by_node[id(node)] = d
@@ -98,47 +96,49 @@ class DataflowAnalysis:
             reaching = state.get(name, frozenset())
             record.reaching[name] = record.reaching.get(name, frozenset()) | reaching
 
-    def _walk(self, statements: tuple[Statement, ...], state: _State) -> _State:
-        for stmt in statements:
-            state = self._walk_statement(stmt, state)
-        return state
-
-    def _walk_statement(self, stmt: Statement, state: _State) -> _State:
+    def _walk_statement(self, stmt: Statement, state: _State) -> None:
         if isinstance(stmt, Assignment):
             # RHS uses see the state before the assignment, so a
             # self-referencing definition reads the previous one.
             self._use(stmt.value, stmt, "rhs", stmt.loc, state)
             self._define(stmt.var_name, stmt, stmt.loc, state, is_parameter=False)
-            return state
-        if isinstance(stmt, (ClassDef, DefinedTypeDef)):
+        elif isinstance(stmt, (ClassDef, DefinedTypeDef)):
             for param in stmt.parameters:
                 if param.default is not None:
                     self._use(param.default, param, "default", param.loc, state)
                 self._define(param.name, param, param.loc, state, is_parameter=True)
-            return self._walk(stmt.body, state)
-        if isinstance(stmt, IfStatement):
+            for inner in stmt.body:
+                self._walk_statement(inner, state)
+        elif isinstance(stmt, IfStatement):
             self._use(stmt.condition, stmt, "condition", stmt.loc, state)
-            then_out = self._walk(stmt.then_body, dict(state))
-            else_out = self._walk(stmt.else_body, dict(state)) if stmt.else_body else state
-            return _merge(then_out, else_out)
-        if isinstance(stmt, CaseStatement):
+            self._branch((stmt.then_body, stmt.else_body), state)
+        elif isinstance(stmt, CaseStatement):
             self._use(stmt.scrutinee, stmt, "scrutinee", stmt.loc, state)
             for arm in stmt.arms:
                 for m in arm.matches:
                     self._use(m, stmt, "scrutinee", stmt.loc, state)
-            outs = [self._walk(arm.body, dict(state)) for arm in stmt.arms]
+            bodies = [arm.body for arm in stmt.arms]
             if not any(arm.is_default for arm in stmt.arms):
-                outs.append(state)  # no arm may match at all
-            return _merge(*outs) if outs else state
-        if isinstance(stmt, (ResourceDecl, ResourceOverride)):
+                bodies.append(())  # no arm may match at all
+            self._branch(bodies, state)
+        elif isinstance(stmt, (ResourceDecl, ResourceOverride)):
             self._use(stmt.title, stmt, "title", stmt.loc, state)
             for attr in stmt.attributes:
                 self._use(attr.value, attr, "attribute", attr.loc, state)
-            return state
-        if isinstance(stmt, ExprStatement):
+        elif isinstance(stmt, ExprStatement):
             self._use(stmt.expr, stmt, "stmt", stmt.loc, state)
-            return state
-        raise TypeError(f"unknown statement node: {stmt!r}")
+        else:
+            raise TypeError(f"unknown statement node: {stmt!r}")
+
+    def _branch(self, bodies, state: _State) -> None:
+        """Walk each body over a flat new_child() overlay of *state* (a nested
+        ChainMap({}, state) recurses per enclosing branch), then join."""
+        arms = [state.new_child() for _ in bodies]
+        for body, arm in zip(bodies, arms):
+            for stmt in body:
+                self._walk_statement(stmt, arm)
+        for var in set().union(*(arm.maps[0] for arm in arms)):
+            state[var] = frozenset().union(*(arm.get(var, ()) for arm in arms))
 
     # -- queries ---------------------------------------------------------
 

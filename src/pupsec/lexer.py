@@ -15,8 +15,8 @@ contain a newline.
 Double-quoted bodies are kept raw for the parser.  The ``dq`` alternative
 covers bodies whose ``${...}`` parts hold no quote, brace or backslash.
 Any other ``"`` falls to ``dq_open``, and ``_dq_end`` scans for the end of
-that string: a backslash skips two characters, and a quote inside
-``${...}`` does not end the string.
+that string: a backslash skips two characters, and ``interpolation_end``
+(shared with the parser) skips each ``${...}``, quotes inside included.
 
 Comments (``# ...`` and ``/* ... */``) are discarded here, so the parser
 only ever sees code tokens.  Constructs that are recognizably Puppet but
@@ -197,34 +197,43 @@ _MASTER = re.compile(
     re.DOTALL,
 )
 _SQ_ESCAPE = re.compile(r"\\([\\'])")
+_INTERPOLATION_STOP = re.compile(r"\\.|['\"{}]", re.DOTALL)  # an escape, a quote or a brace
+_DQ_STOP = re.compile(r'\\.|"|\$\{', re.DOTALL)  # an escape, the closing quote or a `${`
+
+
+def interpolation_end(text: str, pos: int) -> int:
+    """Offset of the ``}`` that closes the ``${`` whose content starts at
+    *pos*, or -1 if there is none.  A backslash skips the next character,
+    and braces inside quotes do not count."""
+    depth = 1
+    quote = ""
+    while (m := _INTERPOLATION_STOP.search(text, pos)) is not None:
+        c, pos = m.group(), m.end()
+        if quote:
+            if c == quote:
+                quote = ""
+        elif c in ("'", '"'):
+            quote = c
+        elif c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth == 0:
+                return m.start()
+    return -1
 
 
 def _dq_end(text: str, pos: int) -> int:
     """Offset of the quote that ends the double-quoted string whose body
     starts at *pos*, or -1 if the string is unterminated."""
-    depth = 0
-    inner_quote = ""
-    while pos < len(text):
-        c = text[pos]
-        if c == "\\":
-            pos += 2
-            continue
-        if inner_quote:
-            if c == inner_quote:
-                inner_quote = ""
-        elif depth == 0 and c == '"':
-            return pos
-        elif c == "$" and text.startswith("{", pos + 1):
-            depth += 1
-            pos += 1
-        elif depth > 0:
-            if c in ("'", '"'):
-                inner_quote = c
-            elif c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-        pos += 1
+    while (m := _DQ_STOP.search(text, pos)) is not None:
+        pos = m.end()
+        if m.group() == '"':
+            return m.start()
+        if m.group() == "${":
+            pos = interpolation_end(text, pos) + 1
+            if pos == 0:
+                return -1
     return -1
 
 

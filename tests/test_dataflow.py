@@ -1,8 +1,13 @@
 import random
+import sys
 
+import pupsec.dataflow
 from pupsec.dataflow import DataflowAnalysis, reaches, uses_of
-from pupsec.nodes import Assignment, IfStatement, ResourceDecl
+from pupsec.harness import _analyze_file
+from pupsec.nodes import Assignment, IfStatement, Manifest, ResourceDecl, VarRef
 from pupsec.parser import parse_manifest
+from pupsec.printer import manifest_source
+from pupsec.rules import DEFAULT_PATTERNS
 from pupsec.synth import generate_manifest_text
 
 from conftest import load_fixture
@@ -180,6 +185,112 @@ def test_inserting_reassignment_flips_reachability():
         assert reaches(definition2, attr2, m2) is False
         checked += 1
     assert checked == 40
+
+
+def _sink_keys(text, tmp_path):
+    path = tmp_path / "m.pp"
+    path.write_text(text, encoding="utf-8")
+    result = _analyze_file(str(path), "taint", DEFAULT_PATTERNS)
+    assert result.error is None
+    return {
+        (f.category, f.weakness_name, f.sink.resource_type, f.sink.resource_title,
+         f.sink.attribute_name, f.sink.ordinal)
+        for f in result.findings
+    }
+
+
+def test_wrapping_statements_in_an_if_keeps_every_finding(tmp_path):
+    # A may-reach join only adds definitions, so putting a run of top-level
+    # assignments and resources under a condition can add (weakness, sink)
+    # pairs but never lose one.
+    rng = random.Random(7)
+    checked = 0
+    for seed in range(400):
+        text = generate_manifest_text(seed)
+        statements = parse(text).statements
+        runs = [
+            (start, end)
+            for start in range(len(statements))
+            for end in range(start + 1, len(statements) + 1)
+            if all(isinstance(s, (Assignment, ResourceDecl)) for s in statements[start:end])
+        ]
+        if not runs:
+            continue
+        start, end = rng.choice(runs)
+        wrapped = IfStatement(VarRef("zz_cond", statements[start].loc), statements[start:end], (),
+                              statements[start].loc)
+        new_statements = statements[:start] + (wrapped,) + statements[end:]
+        wrapped_text = manifest_source(Manifest("m.pp", new_statements, ""))
+        missing = _sink_keys(text, tmp_path) - _sink_keys(wrapped_text, tmp_path)
+        assert not missing, (seed, start, end, missing)
+        checked += 1
+    assert checked >= 300
+
+
+def _trace_dataflow(manifest, tracer):
+    """Run DataflowAnalysis on *manifest* with *tracer* as sys.settrace."""
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        DataflowAnalysis(manifest)
+    finally:
+        sys.settrace(previous)
+
+
+def _dataflow_line_events(blocks):
+    """Lines of dataflow.py run while analyzing a branchy manifest of
+    *blocks* if/else blocks."""
+    lines = []
+    for k in range(blocks):
+        lines += [
+            "if $c {", "  $password = 'p'", f"  $cfg{k} = 'a'", "} else {",
+            "  $password = 's'", f"  $cfg{k} = 'b'", "}",
+            f"file {{ 'f{k}': content => $password, path => $cfg{k} }}",
+        ]
+    filename = pupsec.dataflow.__file__
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    _trace_dataflow(parse("\n".join(lines)),
+                    lambda frame, event, arg: local if frame.f_code.co_filename == filename else None)
+    return count
+
+
+def _deepest_stack(manifest):
+    """The most frames on the stack at any call during DataflowAnalysis."""
+    deepest = 0
+
+    def tracer(frame, event, arg):
+        nonlocal deepest
+        depth = 0
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        deepest = max(deepest, depth)
+
+    _trace_dataflow(manifest, tracer)
+    return deepest
+
+
+def test_dataflow_takes_two_frames_per_nesting_level():
+    # The dataflow runs deeper in the stack than the parser, which takes
+    # three frames per `if` or `case` level; at two it survives every nest
+    # the parser accepts.  A lookup that recursed through nested overlays
+    # would add frames per level too.
+    body = "$password = 'x'\nfile { 'f': content => $password }\n"
+    for head, tail in (("if $a { ", "}"), ("case $a { 'v': { ", "} }")):
+        shallow, deep = (parse(head * n + body + tail * n) for n in (20, 40))
+        assert _deepest_stack(deep) - _deepest_stack(shallow) <= 2 * 20
+
+
+def test_dataflow_work_grows_linearly_with_branchy_manifests():
+    # Every block leaves one more live variable behind, so a join that
+    # touches every live variable makes the work quadratic.  Counting the
+    # lines executed is exact where a timing would be noisy.
+    assert _dataflow_line_events(500) / _dataflow_line_events(125) <= 4.4
 
 
 # -- oracle agreement ----------------------------------------------------------

@@ -266,6 +266,15 @@ def test_deep_nesting_is_a_parse_error_not_a_crash():
     with pytest.raises(ParseError) as exc:
         parse("$x = " + "[" * 4000 + "]" * 4000)
     assert exc.value.message == "nesting too deep"
+    deep_body = "${" + "[" * 2000 + "]" * 2000 + "}"
+    with pytest.raises(ParseError) as exc:
+        parse_interpolation(deep_body, loc())
+    assert (exc.value.message, exc.value.location) == ("nesting too deep", loc())
+    # Inside a manifest the skip reason still points at the file's start.
+    with pytest.raises(ParseError) as exc:
+        parse(f'\n$x = "{deep_body}"')
+    assert exc.value.message == "nesting too deep"
+    assert (exc.value.location.line, exc.value.location.column) == (1, 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -330,6 +339,7 @@ def test_deeply_nested_statements_are_a_parse_error():
     assert (exc.value.location.line, exc.value.location.column) == (1, 1)
 
 
+TAINTED_BODY = "$password = 'x'\nfile { 'f': content => $password }\n"
 NESTED_FORMS = {
     "parens": lambda n: "$x = " + "(" * n + "1" + ")" * n,
     "arrays": lambda n: "$x = " + "[" * n + "]" * n,
@@ -337,6 +347,9 @@ NESTED_FORMS = {
     "hashes": lambda n: "$x = " + "{1 => " * n + "1" + "}" * n,
     "unary": lambda n: "$x = " + "!" * n + "$y",
     "if": lambda n: "if $a { " * n + "}" * n,
+    # A weakness that reaches a sink, so that build_ddg runs the dataflow.
+    "if_taint": lambda n: "if $a { " * n + TAINTED_BODY + "}" * n,
+    "case_taint": lambda n: "case $a { 'v': { " * n + TAINTED_BODY + "} }" * n,
 }
 
 
