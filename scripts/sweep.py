@@ -3,7 +3,8 @@
 
 Writes one `chain` and one `branchy` manifest (the benchmark's templates,
 from perfbench/workloads.py) at each of 1k, 2k, 4k, 8k and 16k lines, and
-times one in-process taint-mode `scan()` of each by CPU time.
+times in-process taint-mode `scan()`s of each by CPU time, keeping the
+best of three so that one noisy run does not read as growth.
 Prints CPU seconds and microseconds per line for every size, then, per
 template, how much the time per line grew from the smallest size to the
 largest.  A flat time per line means linear cost.
@@ -25,6 +26,7 @@ from pupsec.harness import RunConfig, scan  # noqa: E402
 from workloads import _branchy_text, _chain_text  # noqa: E402
 
 SIZES = (1000, 2000, 4000, 8000, 16000)  # target line counts
+REPEATS = 3  # scans per size; the fastest is reported
 
 
 def chain_text(lines: int, expected: list) -> str:
@@ -57,14 +59,13 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="pupsec-sweep-") as tmp:
         for name, template in TEMPLATES.items():
             per_line = []
-            for i, size in enumerate(SIZES):
+            for size in SIZES:
                 expected: list = []
                 text = template(size, expected)
                 path = Path(tmp) / f"{name}_{size:05d}.pp"
                 path.write_text(text, encoding="utf-8")
-                if i == 0:
-                    timed_scan(path, len(expected))  # warm-up, untimed
-                cpu_s = timed_scan(path, len(expected))
+                # the first run of the first size also warms up imports and caches
+                cpu_s = min(timed_scan(path, len(expected)) for _ in range(REPEATS))
                 lines = text.count("\n")
                 per_line.append(cpu_s / lines * 1e6)
                 print(f"{name:<8} {lines:>6} {cpu_s:>8.3f} {per_line[-1]:>8.1f}", flush=True)

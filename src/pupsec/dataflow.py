@@ -93,7 +93,13 @@ class DataflowAnalysis:
             self.use_records.append(record)
             self._uses_by_node[id(node)] = record
         for name in names:
-            reaching = state.get(name, frozenset())
+            # ChainMap.get would test every layer through a Python-level any()
+            for layer in state.maps:
+                reaching = layer.get(name)
+                if reaching is not None:
+                    break
+            else:
+                reaching = frozenset()
             record.reaching[name] = record.reaching.get(name, frozenset()) | reaching
 
     def _walk_statement(self, stmt: Statement, state: _State) -> None:

@@ -1,4 +1,6 @@
+import gc
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -16,6 +18,7 @@ from pupsec.harness import (
     metrics_to_dict,
     scan,
 )
+from pupsec.report import sorted_findings
 from pupsec.rules import WeaknessCategory
 
 from conftest import CORPUS, CORPUS_TRUTH, FIXTURES, WEAKNESS_SUITE
@@ -127,6 +130,104 @@ def test_abort_message_tells_read_errors_from_parse_errors(tmp_path):
 def test_missing_input_raises():
     with pytest.raises(FileNotFoundError):
         run_scan(["does/not/exist"])
+
+
+# -- inputs: a scan of several inputs is the union of their scans ------------------
+
+
+def test_disjoint_inputs_scan_to_the_union():
+    for mode in ("taint", "pattern"):
+        a = run_scan([CORPUS], mode=mode)
+        b = run_scan([WEAKNESS_SUITE], mode=mode)
+        both = run_scan([CORPUS, WEAKNESS_SUITE], mode=mode)
+        assert both.findings == tuple(sorted_findings([*a.findings, *b.findings]))
+        assert both.skipped == tuple(sorted(a.skipped + b.skipped))
+        assert both.stats.total_resources == a.stats.total_resources + b.stats.total_resources
+
+
+def test_overlapping_inputs_scan_each_file_once(monkeypatch):
+    monkeypatch.chdir(FIXTURES.parent.parent)
+    relative = os.path.relpath(CORPUS)
+    alone = run_scan([relative])
+    assert alone.findings and alone.stats.total_resources
+    # the same directory spelled twice reads as the shorter spelling alone
+    assert run_scan([relative, CORPUS]) == alone
+    assert run_scan([CORPUS, relative]) == alone
+    # a directory and its parent: the parent's scan, with each file counted once
+    parent = run_scan([FIXTURES])
+    overlapping = run_scan([CORPUS, CORPUS / ".."])
+    assert overlapping.stats == parent.stats
+    assert sorted(os.path.abspath(f.manifest_path) for f in overlapping.findings) == sorted(
+        f.manifest_path for f in parent.findings
+    )
+
+
+# -- the cyclic garbage collector is paused while files are analyzed ---------------
+
+
+def _awkward_tree(root):
+    """A clean manifest beside ones that fail to parse, to decode, on an
+    unsupported construct and on the nesting limits."""
+    (root / "a_good.pp").write_text("$x = 'ok'\nfile { 'f': content => $x }\n")
+    (root / "broken.pp").write_text("$x = = broken")
+    (root / "cp1252.pp").write_bytes(b"$x = '\xff'\n")
+    (root / "heredoc.pp").write_text("$x = @(EOT)\ntext\nEOT\n")
+    (root / "deep_array.pp").write_text("$x = " + "[" * 3000 + "]" * 3000 + "\n")
+    depth = 400
+    (root / "deep_if.pp").write_text(
+        "$p = 'secret'\n" + "if $c {\n" * depth + "file { 'f': content => $p }\n" + "}\n" * depth
+    )
+    return root
+
+
+def test_scan_pauses_the_collector_while_analyzing(tmp_path, monkeypatch):
+    import pupsec.harness as harness_mod
+
+    seen = []
+    real_analyze = harness_mod._analyze_file
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return real_analyze(*args)
+
+    monkeypatch.setattr(harness_mod, "_analyze_file", spy)
+    run_scan([FIXTURES, _awkward_tree(tmp_path)])
+    assert seen and not any(seen)
+
+
+def test_scan_restores_the_callers_collector_state(tmp_path):
+    assert gc.isenabled()
+    try:
+        run_scan([CORPUS])
+        assert gc.isenabled()
+        gc.disable()
+        run_scan([CORPUS])
+        assert not gc.isenabled()
+        gc.enable()
+        (tmp_path / "bad.pp").write_text("$x = = broken")
+        with pytest.raises(ScanError):
+            run_scan([tmp_path], on_parse_error="abort")
+        assert gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_scan_leaves_no_cyclic_garbage(tmp_path):
+    """The collector pause is safe only while this holds: whatever the
+    pipeline frees, reference counting frees it."""
+    tree = _awkward_tree(tmp_path)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for mode in ("taint", "pattern"):
+            run_scan([FIXTURES, tree], mode=mode)
+        with pytest.raises(ScanError):
+            run_scan([tree], on_parse_error="abort")
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def test_mode_subset_on_fixture_tree():
@@ -355,7 +456,7 @@ def test_cli_skips_manifest_with_unlexable_number(tmp_path, capsys, source, mess
 
 def test_cli_entrypoint_via_module(tmp_path):
     result = subprocess.run(
-        [sys.executable, "-m", "pupsec", "scan", str(WEAKNESS_SUITE / "sha1_unused.pp")],
+        [sys.executable, "-B", "-m", "pupsec", "scan", str(WEAKNESS_SUITE / "sha1_unused.pp")],
         capture_output=True,
         cwd=str(Path(__file__).parent.parent),
         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin:/usr/local/bin"},
