@@ -48,23 +48,23 @@ class ExpressionKind(Enum):
 # --- value views ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StringValue:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FunctionValue:
     function_name: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UndefValue:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CompositeValue:
     """Interpolated string, array, or hash.  For interpolated strings the
     literal text fragments are kept for value-pattern matching."""
@@ -72,7 +72,7 @@ class CompositeValue:
     literal_fragments: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OtherValue:
     pass
 
@@ -100,17 +100,17 @@ def value_view(expr: Expr) -> ValueView:
 # --- owners and identifiers ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VariableOwner:
     var_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AttributeOwner:
     attribute_id: "AttributeId"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ParameterOwner:
     class_name: str
     param_name: str
@@ -119,7 +119,7 @@ class ParameterOwner:
 Owner = Union[VariableOwner, AttributeOwner, ParameterOwner]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AttributeId:
     manifest_path: str
     resource_type: str
@@ -132,7 +132,7 @@ class AttributeId:
         return (self.manifest_path, self.resource_type, self.resource_title, self.ordinal)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ResourceInfo:
     manifest_path: str
     resource_type: str
@@ -145,7 +145,7 @@ class ResourceInfo:
         return (self.manifest_path, self.resource_type, self.resource_title, self.ordinal)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MembershipIndex:
     attr_to_resource: dict[AttributeId, tuple[str, str, str]]
     resource_list: tuple[ResourceInfo, ...]
@@ -154,7 +154,7 @@ class MembershipIndex:
     attribute_nodes: tuple[tuple[AttributeNode, AttributeId], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ClassifiedExpression:
     id: int
     owner: Owner
@@ -165,7 +165,7 @@ class ClassifiedExpression:
     node: object = field(compare=False, repr=False)  # Assignment | AttributeNode | Parameter
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FunctionCallSite:
     name: str
     location: SourceLocation

@@ -75,8 +75,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"pupsec: skipped {path}: {reason}", file=sys.stderr)
 
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"pupsec: error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()

@@ -43,7 +43,7 @@ def uses_of(expr: Expr) -> set[str]:
     return {node.name for node in iter_nodes(expr) if isinstance(node, VarRef)}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Definition:
     index: int
     var: str
@@ -52,7 +52,7 @@ class Definition:
     is_parameter: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class UseRecord:
     node: object  # statement or AttributeNode the use belongs to
     kind: str  # 'rhs' | 'attribute' | 'condition' | 'scrutinee' | 'title' | 'stmt' | 'default'

@@ -25,19 +25,19 @@ from .report import Finding, PathStep
 from .rules import WeaknessCandidate
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TaintNode:
     candidate: WeaknessCandidate
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntermediateNode:
     var_name: str
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SinkNode:
     attribute: AttributeId
     loc: SourceLocation
@@ -46,14 +46,14 @@ class SinkNode:
 DdgNode = Union[TaintNode, IntermediateNode, SinkNode]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DataDependenceGraph:
     manifest_path: str
     nodes: tuple[DdgNode, ...]
     edges: tuple[tuple[int, int], ...]  # (from, to): from's value is used to define to
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PropagationResult:
     taint: WeaknessCandidate
     sinks: frozenset[AttributeId]

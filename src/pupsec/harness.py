@@ -42,7 +42,7 @@ from .rules import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RunConfig:
     inputs: tuple[str, ...]
     mode: str = "taint"  # 'taint' | 'pattern'
@@ -52,7 +52,7 @@ class RunConfig:
     jobs: int = 0  # accepted for compatibility; has no effect
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Report:
     version: str
     mode: str
@@ -62,7 +62,7 @@ class Report:
     skipped: tuple[tuple[str, str], ...] = ()  # (path, reason) for skipped files
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class _FileResult:
     path: str
     findings: tuple[Finding, ...]
@@ -182,14 +182,14 @@ def scan(config: RunConfig) -> Report:
 # --- ground truth evaluation --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GroundTruthEntry:
     manifest_path: str
     category: WeaknessCategory
     line: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MetricRow:
     tp: int
     fp: int
@@ -199,7 +199,7 @@ class MetricRow:
     f_measure: Optional[float]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EvalMetrics:
     overall: MetricRow
     per_category: dict[str, MetricRow]

@@ -98,7 +98,7 @@ KEYWORDS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: TokenKind
     text: str

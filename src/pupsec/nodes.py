@@ -1,8 +1,11 @@
 """AST node types for the supported Puppet manifest subset.
 
-All nodes are frozen dataclasses; once a manifest is parsed its tree is
-immutable and can be shared freely across threads.  Child sequences are
-tuples so structural equality (``==``) works on whole subtrees.
+All nodes are slotted value records: equality and hashing go by field
+values, and no instance carries a ``__dict__``.  They are not frozen, but
+no pipeline stage assigns to a node once the parser has built it;
+``test_pipeline_never_mutates_its_inputs`` in ``tests/test_records.py``
+pins that.  Child sequences are tuples so structural equality (``==``)
+works on whole subtrees.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass, fields
 from typing import Union
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SourceLocation:
     path: str
     line: int  # 1-based
@@ -21,21 +24,25 @@ class SourceLocation:
 class Expr:
     """Marker base class for expression nodes."""
 
+    __slots__ = ()
+
 
 class Statement:
     """Marker base class for statement nodes."""
+
+    __slots__ = ()
 
 
 # --- expressions ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StrLiteral(Expr):
     value: str
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class InterpolatedString(Expr):
     # Parts are literal text fragments (plain str, escapes already resolved)
     # or embedded expressions.
@@ -43,56 +50,56 @@ class InterpolatedString(Expr):
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VarRef(Expr):
     name: str  # without the '$' sigil, leading '::' stripped
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FunctionCall(Expr):
     name: str
     args: tuple[Expr, ...]
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ArrayLiteral(Expr):
     items: tuple[Expr, ...]
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class HashLiteral(Expr):
     entries: tuple[tuple[Expr, Expr], ...]
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AccessExpr(Expr):
     base: Expr
     key: Expr
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UndefLiteral(Expr):
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BoolLiteral(Expr):
     value: bool
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NumberLiteral(Expr):
     value: Union[int, float]
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SelectorArm:
     match: Union[Expr, None]  # None for the 'default' arm
     value: Expr
@@ -100,14 +107,14 @@ class SelectorArm:
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SelectorExpr(Expr):
     scrutinee: Expr
     arms: tuple[SelectorArm, ...]
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ResourceRef(Expr):
     """A reference to a declared resource, e.g. ``File['motd']``."""
 
@@ -116,7 +123,7 @@ class ResourceRef(Expr):
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BinaryOp(Expr):
     op: str
     left: Expr
@@ -124,7 +131,7 @@ class BinaryOp(Expr):
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UnaryOp(Expr):
     op: str
     operand: Expr
@@ -134,14 +141,14 @@ class UnaryOp(Expr):
 # --- statements ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Assignment(Statement):
     var_name: str
     value: Expr
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AttributeNode:
     """One ``name => value`` pair inside a resource body."""
 
@@ -150,7 +157,7 @@ class AttributeNode:
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ResourceDecl(Statement):
     type_name: str
     title: Expr
@@ -158,7 +165,7 @@ class ResourceDecl(Statement):
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ResourceOverride(Statement):
     """Attribute override on a resource reference, e.g. ``File['x'] {...}``."""
 
@@ -168,14 +175,14 @@ class ResourceOverride(Statement):
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Parameter:
     name: str
     default: Union[Expr, None]
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ClassDef(Statement):
     name: str
     parameters: tuple[Parameter, ...]
@@ -183,7 +190,7 @@ class ClassDef(Statement):
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DefinedTypeDef(Statement):
     name: str
     parameters: tuple[Parameter, ...]
@@ -191,7 +198,7 @@ class DefinedTypeDef(Statement):
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IfStatement(Statement):
     condition: Expr
     then_body: tuple[Statement, ...]
@@ -199,7 +206,7 @@ class IfStatement(Statement):
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CaseArm:
     matches: tuple[Expr, ...]
     body: tuple[Statement, ...]
@@ -207,20 +214,20 @@ class CaseArm:
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CaseStatement(Statement):
     scrutinee: Expr
     arms: tuple[CaseArm, ...]
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ExprStatement(Statement):
     expr: Expr
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Manifest:
     path: str
     statements: tuple[Statement, ...]

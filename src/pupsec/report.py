@@ -14,7 +14,7 @@ from .rules import RULE_SEMANTICS, WeaknessCategory
 VERSION = "0.1.0"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PathStep:
     kind: str  # 'taint' | 'intermediate' | 'sink'
     label: str
@@ -22,7 +22,7 @@ class PathStep:
     column: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Finding:
     category: WeaknessCategory
     manifest_path: str
@@ -37,7 +37,7 @@ class Finding:
 # --- resource taxonomy ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ResourceTaxonomy:
     categories: tuple[tuple[str, tuple[str, ...]], ...]
     fallback: str = "Unknown"
@@ -115,14 +115,14 @@ def resources_per_weakness_stats(
     return (counts[0], median, counts[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CategoryStat:
     name: str
     impacted_resources: int
     pct_of_impacted: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CorpusStats:
     total_resources: int
     impacted_resources: int

@@ -40,7 +40,7 @@ class WeaknessCategory(Enum):
     WEAK_CRYPTO_ALGORITHM = "weak_crypto_algorithm"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PatternSet:
     """Per-predicate match lists.  All entries are plain substrings except
     ``is_pvt_key``, whose entries are regular expressions."""
@@ -114,7 +114,7 @@ def evaluate_predicate(predicate: str, text: str, patterns: PatternSet = DEFAULT
     raise UnknownPredicate(predicate)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WeaknessCandidate:
     category: WeaknessCategory
     element: Union[ClassifiedExpression, FunctionCallSite] = field(repr=False)

@@ -8,6 +8,15 @@ WEAKNESS_SUITE = FIXTURES / "weakness_suite"
 CORPUS = FIXTURES / "corpus"
 CORPUS_TRUTH = FIXTURES / "corpus_truth.csv"
 
+# Node types that neither the fixtures nor the generator emit: a defined
+# type and unary and binary operators.
+RARE_FORMS = """\
+define app::vhost($port, $docroot = "/srv/${name}") {
+  $open = !$closed and ($port > 1024 or $port == 80)
+  $mode = $facts['os'] ? { 'Linux' => "-${port}", default => lookup('mode') }
+  file { $docroot: ensure => directory, require => File[$parent] }
+}
+"""
 
 FIXTURE_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.rglob("*.pp"))]
 SNIPPETS = list("'\"$\\{}[]()#/*:@|.-~<=>!+?%,;\n\t\r _aZ09") + [

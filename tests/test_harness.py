@@ -429,6 +429,14 @@ def test_cli_bad_input_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "r.json", tmp_path):
+        code = main(["scan", str(CORPUS), "--fail-on-findings", "--out", str(target)])
+        assert code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"pupsec: error: cannot write {target}: [Errno ")
+
+
 def test_cli_abort_on_parse_error_exits_2(tmp_path, capsys):
     (tmp_path / "bad.pp").write_text("$x = = nope")
     code = main(["scan", str(tmp_path), "--on-parse-error", "abort"])

@@ -10,17 +10,7 @@ from pupsec.nodes import FunctionCall, children, iter_nodes
 from pupsec.parser import parse_manifest
 from pupsec.synth import generate_manifest_text
 
-from conftest import FIXTURES
-
-# Node types that neither the fixtures nor the generator emit: a defined
-# type and unary and binary operators.
-RARE_FORMS = """\
-define app::vhost($port, $docroot = "/srv/${name}") {
-  $open = !$closed and ($port > 1024 or $port == 80)
-  $mode = $facts['os'] ? { 'Linux' => "-${port}", default => lookup('mode') }
-  file { $docroot: ensure => directory, require => File[$parent] }
-}
-"""
+from conftest import FIXTURES, RARE_FORMS
 
 
 @functools.cache

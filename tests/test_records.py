@@ -1,0 +1,172 @@
+"""The rules every pupsec record type keeps.
+
+Records are slotted dataclasses, not frozen ones: a frozen ``__init__``
+sets each field through ``object.__setattr__``, which made building
+nodes, locations and the per-file records the largest cost of a scan.
+Value equality and value hashing stay as they were; the immutability
+that ``frozen=True`` enforced at run time is pinned here instead, as a
+property of the pipeline.
+"""
+
+import dataclasses
+import functools
+import importlib
+import pkgutil
+
+import pupsec
+import pupsec.harness as harness_mod
+from pupsec.classify import (
+    MembershipIndex,
+    build_membership_index,
+    classify_expressions,
+    collect_function_calls,
+)
+from pupsec.dataflow import DataflowAnalysis, UseRecord
+from pupsec.ddg import PropagationResult, build_ddg, collect_propagations, confirm_findings
+from pupsec.harness import EvalMetrics, RunConfig, evaluate, load_ground_truth, scan
+from pupsec.lexer import Token, tokenize
+from pupsec.nodes import Manifest
+from pupsec.parser import parse_manifest
+from pupsec.report import DEFAULT_TAXONOMY, ResourceTaxonomy
+from pupsec.rules import DEFAULT_PATTERNS, PatternSet, detect_candidates
+from pupsec.synth import generate_manifest_text
+
+from conftest import CORPUS, CORPUS_TRUTH, FIXTURES, RARE_FORMS
+
+
+def _record_types() -> set:
+    found = set()
+    for info in pkgutil.iter_modules(pupsec.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"pupsec.{info.name}")
+        found.update(
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+            and dataclasses.is_dataclass(obj)
+        )
+    return found
+
+
+RECORDS = _record_types()
+# Mutable while they are built, and unhashable, as they always were.
+UNHASHABLE = {Token, UseRecord}
+# Their classes hash by value, but a dict field makes hashing an instance raise.
+HOLDS_DICT = {MembershipIndex, PropagationResult, EvalMetrics}
+
+
+@functools.cache
+def _texts() -> tuple:
+    """(text, path) of every fixture, RARE_FORMS and 300 generated manifests."""
+    texts = [(p.read_text(encoding="utf-8"), str(p)) for p in sorted(FIXTURES.rglob("*.pp"))]
+    texts.append((RARE_FORMS, "rare.pp"))
+    texts.extend((generate_manifest_text(seed), f"synthetic_{seed}.pp") for seed in range(300))
+    return tuple(texts)
+
+
+def test_every_record_type_is_slotted_and_not_frozen():
+    assert {Manifest, Token, UseRecord, RunConfig, PatternSet} <= RECORDS
+    for cls in RECORDS:
+        assert "__slots__" in vars(cls), cls
+        assert cls.__dictoffset__ == 0, f"{cls} instances have a __dict__"
+        assert not cls.__dataclass_params__.frozen, cls
+
+
+def test_records_keep_value_hashing():
+    assert {cls for cls in RECORDS if cls.__hash__ is None} == UNHASHABLE
+    for cls in RECORDS - UNHASHABLE:
+        assert cls.__hash__ is not object.__hash__, cls
+
+
+def _results() -> list:
+    """Every kind of record the package builds, from fresh objects."""
+    out = []
+    for text, path in _texts()[:60]:
+        manifest = parse_manifest(text, path)
+        classified = classify_expressions(manifest)
+        calls = collect_function_calls(manifest)
+        index = build_membership_index(manifest)
+        candidates = detect_candidates(classified, calls, PatternSet())
+        analysis = DataflowAnalysis(manifest)
+        ddg = build_ddg(manifest, candidates, index)
+        propagations = collect_propagations(ddg) if ddg is not None else []
+        findings = confirm_findings(candidates, propagations, index)
+        out.append((
+            tokenize(text, path), manifest, classified, calls, index, candidates,
+            analysis.definitions, analysis.use_records, ddg, propagations, findings,
+        ))
+    config = RunConfig(inputs=(str(CORPUS),))
+    report = scan(config)
+    truth = load_ground_truth(str(CORPUS_TRUTH))
+    first = str(min(CORPUS.rglob("*.pp")))
+    out.append((
+        config, report, truth, evaluate(report, truth),
+        harness_mod._analyze_file(first, "taint", PatternSet()),
+        PatternSet(), ResourceTaxonomy(DEFAULT_TAXONOMY.categories),
+    ))
+    return out
+
+
+def _pairs(a, b):
+    """The corresponding records of two equal structures, pre-order."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if dataclasses.is_dataclass(x):
+            yield x, y
+            stack.extend((getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x))
+        elif isinstance(x, (tuple, list)):
+            assert len(x) == len(y)
+            stack.extend(zip(x, y))
+        elif isinstance(x, dict):
+            stack.extend(zip(x.items(), y.items()))
+
+
+def test_equal_records_hash_equal_and_carry_no_dict():
+    seen = set()
+    for a, b in _pairs(_results(), _results()):
+        if a is b:
+            continue
+        seen.add(type(a))
+        assert a == b
+        assert not hasattr(a, "__dict__"), type(a)
+        if type(a) not in UNHASHABLE | HOLDS_DICT:
+            assert hash(a) == hash(b), a
+    assert seen == RECORDS
+
+
+def test_pipeline_never_mutates_its_inputs(tmp_path, monkeypatch):
+    """Each stage of ``_analyze_file`` reads the tree and the records of
+    the stages before it and builds new ones; none assigns to them."""
+    built = {}
+
+    def record(name):
+        real = getattr(harness_mod, name)
+
+        def spy(*args, **kwargs):
+            built[name] = result = real(*args, **kwargs)
+            return result
+
+        monkeypatch.setattr(harness_mod, name, spy)
+
+    for name in ("parse_manifest", "classify_expressions", "build_membership_index",
+                 "collect_function_calls", "detect_candidates"):
+        record(name)
+
+    for text, path in _texts():
+        if not path.startswith(str(FIXTURES)):
+            path = str(tmp_path / path)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        kept = parse_manifest(text, path)
+        for mode in ("taint", "pattern"):
+            result = harness_mod._analyze_file(path, mode, DEFAULT_PATTERNS)
+            assert result.error is None, path
+            assert built["parse_manifest"] is not kept
+            assert built["parse_manifest"] == kept, path
+            classified = classify_expressions(kept)
+            calls = collect_function_calls(kept)
+            assert built["classify_expressions"] == classified, path
+            assert built["collect_function_calls"] == calls, path
+            assert built["build_membership_index"] == build_membership_index(kept), path
+            assert built["detect_candidates"] == detect_candidates(classified, calls), path
