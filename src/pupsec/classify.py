@@ -27,7 +27,6 @@ from .nodes import (
     IfStatement,
     InterpolatedString,
     Manifest,
-    Parameter,
     ResourceDecl,
     ResourceOverride,
     SourceLocation,
@@ -147,7 +146,6 @@ class ResourceInfo:
 
 @dataclass(slots=True, unsafe_hash=True)
 class MembershipIndex:
-    attr_to_resource: dict[AttributeId, tuple[str, str, str]]
     resource_list: tuple[ResourceInfo, ...]
     # (attribute node, id) pairs in textual order; lets the taint tracker
     # resolve AST attribute nodes to their identifiers.
@@ -188,14 +186,13 @@ def _title_text(title: Expr) -> str:
 class _Collector:
     """One walk over the statements of a manifest.  Expressions are not
     entered: each is recorded with the owner that receives its value, and
-    only ``collect_function_calls`` searches them."""
+    only ``collect_function_calls`` searches them.  ``exprs`` is in textual
+    order, which is the order ``classify_expressions`` gives its entries."""
 
     def __init__(self, manifest: Manifest):
         self.manifest = manifest
         self.resources: list[ResourceInfo] = []
         self.attributes: list[tuple[AttributeNode, AttributeId]] = []
-        self.assignments: list[Assignment] = []
-        self.parameters: list[tuple[str, Parameter]] = []
         # (expression or None, owner or None, owner node or None), textual order
         self.exprs: list[tuple] = []
         self._walk(manifest.statements)
@@ -203,13 +200,11 @@ class _Collector:
     def _walk(self, statements: tuple[Statement, ...]) -> None:
         for stmt in statements:
             if isinstance(stmt, Assignment):
-                self.assignments.append(stmt)
                 self.exprs.append((stmt.value, VariableOwner(stmt.var_name), stmt))
             elif isinstance(stmt, (ResourceDecl, ResourceOverride)):
                 self._resource(stmt)
             elif isinstance(stmt, (ClassDef, DefinedTypeDef)):
                 for param in stmt.parameters:
-                    self.parameters.append((stmt.name, param))
                     self.exprs.append((param.default, ParameterOwner(stmt.name, param.name), param))
                 self._walk(stmt.body)
             elif isinstance(stmt, IfStatement):
@@ -262,36 +257,24 @@ def _classify_value(owner: Owner, view: ValueView) -> Optional[ExpressionKind]:
 
 def classify_expressions(manifest: Manifest) -> list[ClassifiedExpression]:
     """One classified entry per variable assignment, resource attribute,
-    and class/defined-type parameter with a default value."""
-    collector = _Collector(manifest)
+    and class/defined-type parameter with a default value, in textual
+    order; each entry's ``id`` is its position."""
     out: list[ClassifiedExpression] = []
-
-    def add(owner: Owner, name: str, expr: Expr, loc: SourceLocation, node) -> None:
+    for expr, owner, node in _Collector(manifest).exprs:
+        if owner is None or expr is None:
+            continue
         view = value_view(expr)
         out.append(
             ClassifiedExpression(
                 id=len(out),
                 owner=owner,
                 kind=_classify_value(owner, view),
-                name=name,
+                name=node.var_name if isinstance(node, Assignment) else node.name,
                 value=view,
-                location=loc,
+                location=node.loc,
                 node=node,
             )
         )
-
-    entries: list[tuple[SourceLocation, int, tuple]] = []
-    for stmt in collector.assignments:
-        entries.append((stmt.loc, 0, (VariableOwner(stmt.var_name), stmt.var_name, stmt.value, stmt.loc, stmt)))
-    for attr, attr_id in collector.attributes:
-        entries.append((attr.loc, 1, (AttributeOwner(attr_id), attr.name, attr.value, attr.loc, attr)))
-    for class_name, param in collector.parameters:
-        if param.default is not None:
-            owner = ParameterOwner(class_name, param.name)
-            entries.append((param.loc, 2, (owner, param.name, param.default, param.loc, param)))
-    entries.sort(key=lambda e: (e[0].line, e[0].column, e[1]))
-    for _, _, args in entries:
-        add(*args)
     return out
 
 
@@ -307,14 +290,10 @@ def collect_function_calls(manifest: Manifest) -> list[FunctionCallSite]:
 
 
 def build_membership_index(manifest: Manifest) -> MembershipIndex:
-    """Map every attribute of every resource to its resource and manifest."""
+    """Every resource of the manifest, and every attribute node with the
+    id that names its resource and manifest."""
     collector = _Collector(manifest)
-    attr_to_resource = {
-        attr_id: (attr_id.resource_type, attr_id.resource_title, attr_id.manifest_path)
-        for _, attr_id in collector.attributes
-    }
     return MembershipIndex(
-        attr_to_resource=attr_to_resource,
         resource_list=tuple(collector.resources),
         attribute_nodes=tuple(collector.attributes),
     )

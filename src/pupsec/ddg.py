@@ -53,10 +53,9 @@ class DataDependenceGraph:
     edges: tuple[tuple[int, int], ...]  # (from, to): from's value is used to define to
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class PropagationResult:
     taint: WeaknessCandidate
-    sinks: frozenset[AttributeId]
     paths: dict[AttributeId, tuple[DdgNode, ...]]  # one witness path per sink
 
 
@@ -179,8 +178,9 @@ def _node_order_key(node: DdgNode):
 
 
 def collect_propagations(ddg: DataDependenceGraph) -> list[PropagationResult]:
-    """For every taint node, the sinks it reaches and one witness path per
-    sink (shortest; ties broken by the textual order of the next node).
+    """For every taint node that reaches a sink, in node order (which
+    ``build_ddg`` makes the candidate order), one witness path per sink
+    (shortest; ties broken by the textual order of the next node).
 
     A FIFO BFS that visits each node's successors in textual order first
     discovers every node from the predecessor whose own witness path comes
@@ -215,13 +215,7 @@ def collect_propagations(ddg: DataDependenceGraph) -> list[PropagationResult]:
             while indices[-1] != start:
                 indices.append(parent[indices[-1]])
             paths[ddg.nodes[sink_i].attribute] = tuple(ddg.nodes[i] for i in reversed(indices))
-        results.append(
-            PropagationResult(
-                taint=node.candidate,
-                sinks=frozenset(paths),
-                paths=paths,
-            )
-        )
+        results.append(PropagationResult(taint=node.candidate, paths=paths))
     return results
 
 
@@ -235,30 +229,21 @@ def _path_step(node: DdgNode) -> PathStep:
     return PathStep("sink", label, node.loc.line, node.loc.column)
 
 
-def confirm_findings(
-    candidates: list[WeaknessCandidate],
-    propagations: list[PropagationResult],
-    index: MembershipIndex,
-) -> list[Finding]:
-    """One finding per (candidate, sink) pair.  Candidates that reach no
-    sink are dropped."""
-    by_candidate = {id(p.taint): p for p in propagations}
-    findings: list[Finding] = []
-    for candidate in candidates:
-        prop = by_candidate.get(id(candidate))
-        if prop is None:
-            continue
-        for attr_id, node_path in prop.paths.items():
-            assert attr_id in index.attr_to_resource
-            findings.append(
-                Finding(
-                    category=candidate.category,
-                    manifest_path=attr_id.manifest_path,
-                    weakness_location=candidate.location,
-                    weakness_name=candidate.display_name,
-                    sink=attr_id,
-                    sink_location=node_path[-1].loc,
-                    path=tuple(_path_step(n) for n in node_path),
-                )
-            )
-    return findings
+def confirm_findings(propagations: list[PropagationResult]) -> list[Finding]:
+    """One finding per (candidate, sink) pair, in the order of
+    ``propagations``.  ``collect_propagations`` lists them in candidate
+    order and leaves out candidates that reach no sink, so these are
+    dropped here too."""
+    return [
+        Finding(
+            category=prop.taint.category,
+            manifest_path=attr_id.manifest_path,
+            weakness_location=prop.taint.location,
+            weakness_name=prop.taint.display_name,
+            sink=attr_id,
+            sink_location=node_path[-1].loc,
+            path=tuple(_path_step(n) for n in node_path),
+        )
+        for prop in propagations
+        for attr_id, node_path in prop.paths.items()
+    ]

@@ -90,6 +90,9 @@ def _gather_manifests(inputs: tuple[str, ...]) -> list[str]:
 
 
 def _analyze_file(path: str, mode: str, patterns: PatternSet) -> _FileResult:
+    """One file's findings and resources, or the reason it is skipped.  An
+    exception after parsing is a fault of the scanner, not of the file: it
+    skips the file as an internal error instead of ending the scan."""
     try:
         text = Path(path).read_text(encoding="utf-8")
         manifest = parse_manifest(text, path)
@@ -99,30 +102,30 @@ def _analyze_file(path: str, mode: str, patterns: PatternSet) -> _FileResult:
         return _FileResult(path, (), (), str(exc), abort_as="cannot decode")
     except ScanError as exc:
         return _FileResult(path, (), (), str(exc))
-    classified = classify_expressions(manifest)
-    index = build_membership_index(manifest)
-    calls = collect_function_calls(manifest)
-    candidates = detect_candidates(classified, calls, patterns)
-    if mode == "pattern":
-        findings = tuple(
-            Finding(
-                category=c.category,
-                manifest_path=path,
-                weakness_location=c.location,
-                weakness_name=c.display_name,
-                sink=None,
-                sink_location=None,
-                path=(),
+    try:
+        classified = classify_expressions(manifest)
+        index = build_membership_index(manifest)
+        calls = collect_function_calls(manifest)
+        candidates = detect_candidates(classified, calls, patterns)
+        if mode == "pattern":
+            findings = tuple(
+                Finding(
+                    category=c.category,
+                    manifest_path=path,
+                    weakness_location=c.location,
+                    weakness_name=c.display_name,
+                    sink=None,
+                    sink_location=None,
+                    path=(),
+                )
+                for c in candidates
             )
-            for c in candidates
-        )
-    else:
-        ddg = build_ddg(manifest, candidates, index)
-        if ddg is None:
-            findings = ()
         else:
-            propagations = collect_propagations(ddg)
-            findings = tuple(confirm_findings(candidates, propagations, index))
+            ddg = build_ddg(manifest, candidates, index)
+            findings = () if ddg is None else tuple(confirm_findings(collect_propagations(ddg)))
+    except Exception as exc:
+        reason = f"internal error: {type(exc).__name__}: {exc}"
+        return _FileResult(path, (), (), reason, abort_as="internal error in")
     return _FileResult(path, findings, tuple(index.resource_list), None)
 
 
@@ -199,7 +202,7 @@ class MetricRow:
     f_measure: Optional[float]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class EvalMetrics:
     overall: MetricRow
     per_category: dict[str, MetricRow]

@@ -36,7 +36,7 @@ def analyze(manifest, mode="taint"):
     ddg = build_ddg(manifest, candidates, index)
     if ddg is None:
         return []
-    return confirm_findings(candidates, collect_propagations(ddg), index)
+    return confirm_findings(collect_propagations(ddg))
 
 
 def test_criterion_1_fixture_suite_runs_the_documented_behaviors():
@@ -105,7 +105,7 @@ def test_criterion_1_fixture_suite_runs_the_documented_behaviors():
     props = collect_propagations(build_ddg(manifest, candidates, index))
     assert len(props) == 1
     assert props[0].taint.category is WeaknessCategory.INVALID_IP_BINDING
-    assert len(props[0].sinks) == 2
+    assert len(props[0].paths) == 2
 
     # Hard-coded password reaching an exec command through three
     # intermediate definitions.

@@ -11,11 +11,13 @@ from pupsec.classify import (
     build_membership_index,
     classify_expressions,
     collect_function_calls,
+    value_view,
 )
+from pupsec.nodes import Assignment, AttributeNode, ClassDef, DefinedTypeDef, iter_nodes
 from pupsec.parser import parse_manifest
 from pupsec.synth import generate_manifest_text
 
-from conftest import load_fixture
+from conftest import FIXTURES, RARE_FORMS, load_fixture
 
 
 def parse(src):
@@ -26,6 +28,10 @@ def entry_for(entries, name):
     matches = [e for e in entries if e.name == name]
     assert len(matches) == 1, f"expected one entry for {name}, got {matches}"
     return matches[0]
+
+
+def attribute_ids(index):
+    return [attr_id for _, attr_id in index.attribute_nodes]
 
 
 def test_string_expression():
@@ -103,23 +109,23 @@ def test_attribute_ids_resolve_in_membership_index():
         index = build_membership_index(m)
         for e in classify_expressions(m):
             if isinstance(e.owner, AttributeOwner):
-                assert e.owner.attribute_id in index.attr_to_resource
+                assert e.owner.attribute_id in attribute_ids(index)
 
 
 def test_membership_index_maps_attributes_to_resource():
     m = load_fixture("sha1_password_file.pp")
     index = build_membership_index(m)
     assert len(index.resource_list) == 1
-    for attr_id, (rtype, rtitle, path) in index.attr_to_resource.items():
-        assert rtype == "file_line"
-        assert rtitle == "pw_file"
-        assert path == m.path
-    assert {a.attribute_name for a in index.attr_to_resource} == {"ensure", "path", "line"}
+    for attr_id in attribute_ids(index):
+        assert attr_id.resource_type == "file_line"
+        assert attr_id.resource_title == "pw_file"
+        assert attr_id.manifest_path == m.path
+    assert {a.attribute_name for a in attribute_ids(index)} == {"ensure", "path", "line"}
 
 
 def test_membership_index_empty_manifest():
     index = build_membership_index(parse("$x = 1"))
-    assert index.attr_to_resource == {}
+    assert attribute_ids(index) == []
     assert index.resource_list == ()
 
 
@@ -128,7 +134,7 @@ def test_same_typed_resources_get_distinct_ordinals():
     index = build_membership_index(m)
     services = [r for r in index.resource_list if r.resource_type == "rjil::haproxy_service"]
     assert [(r.resource_title, r.ordinal) for r in services] == [("api", 0), ("discovery", 1)]
-    vip_ids = [a for a in index.attr_to_resource if a.attribute_name == "vip"]
+    vip_ids = [a for a in attribute_ids(index) if a.attribute_name == "vip"]
     assert len(vip_ids) == 2
     assert len({a.ordinal for a in vip_ids}) == 2
 
@@ -166,7 +172,7 @@ def test_classification_is_a_pure_function_of_the_ast():
         assert classify_expressions(m) == classify_expressions(m)
         first = build_membership_index(m)
         second = build_membership_index(m)
-        assert first.attr_to_resource == second.attr_to_resource
+        assert attribute_ids(first) == attribute_ids(second)
         assert first.resource_list == second.resource_list
 
 
@@ -181,3 +187,40 @@ def test_collect_function_calls_tracks_owner():
 def test_statement_position_call_has_no_owner():
     calls = collect_function_calls(parse("notice('hello')"))
     assert calls[0].owner is None
+
+
+def _sorted_by_position(manifest):
+    """(owner, name, location, value, node) of every assignment, attribute
+    and parameter default, sorted by (line, column, kind) with assignments
+    before attributes before parameters: the order the classifier's output
+    had when it sorted its entries."""
+    index = build_membership_index(manifest)
+    attr_id_of = {id(node): attr_id for node, attr_id in index.attribute_nodes}
+    entries = []
+    for node in iter_nodes(manifest):
+        if isinstance(node, Assignment):
+            owner = VariableOwner(node.var_name)
+            entries.append((node.loc, 0, owner, node.var_name, node.value, node))
+        elif isinstance(node, AttributeNode):
+            owner = AttributeOwner(attr_id_of[id(node)])
+            entries.append((node.loc, 1, owner, node.name, node.value, node))
+        elif isinstance(node, (ClassDef, DefinedTypeDef)):
+            for param in node.parameters:
+                if param.default is not None:
+                    owner = ParameterOwner(node.name, param.name)
+                    entries.append((param.loc, 2, owner, param.name, param.default, param))
+    entries.sort(key=lambda e: (e[0].line, e[0].column, e[1]))
+    return [(owner, name, loc, value_view(expr), id(node))
+            for loc, _, owner, name, expr, node in entries]
+
+
+def test_classification_keeps_the_position_order_it_was_sorted_into():
+    texts = [(p.read_text(encoding="utf-8"), str(p)) for p in sorted(FIXTURES.rglob("*.pp"))]
+    texts.append((RARE_FORMS, "rare.pp"))
+    texts.extend((generate_manifest_text(seed), f"gen_{seed}.pp") for seed in range(300))
+    for text, path in texts:
+        m = parse_manifest(text, path)
+        entries = classify_expressions(m)
+        assert [e.id for e in entries] == list(range(len(entries))), path
+        got = [(e.owner, e.name, e.location, e.value, id(e.node)) for e in entries]
+        assert got == _sorted_by_position(m), path

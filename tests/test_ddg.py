@@ -36,7 +36,7 @@ def findings_of(manifest):
     candidates, index, ddg = pipeline(manifest)
     if ddg is None:
         return []
-    return confirm_findings(candidates, collect_propagations(ddg), index)
+    return confirm_findings(collect_propagations(ddg))
 
 
 def parse(src):
@@ -94,7 +94,7 @@ def test_edges_point_at_valid_nodes_and_paths_are_walkable():
         assert all(0 <= a < n and 0 <= b < n for a, b in ddg.edges)
         edge_pairs = set(ddg.edges)
         for prop in collect_propagations(ddg):
-            assert prop.sinks
+            assert prop.paths
             for attr_id, path in prop.paths.items():
                 assert isinstance(path[0], TaintNode)
                 assert isinstance(path[-1], SinkNode)
@@ -137,7 +137,7 @@ def test_one_taint_two_sinks():
     assert [c.category for c in candidates] == [WeaknessCategory.INVALID_IP_BINDING]
     props = collect_propagations(ddg)
     assert len(props) == 1
-    sinks = props[0].sinks
+    sinks = set(props[0].paths)
     assert len(sinks) == 2
     assert {(s.resource_title, s.attribute_name) for s in sinks} == {
         ("api", "vip"),
@@ -265,7 +265,7 @@ def test_random_dag_propagations_match_bruteforce_closure():
                 if isinstance(ddg.nodes[i], SinkNode)
             }
             prop = props.get(id(node.candidate))
-            got = prop.sinks if prop is not None else frozenset()
+            got = frozenset(prop.paths) if prop is not None else frozenset()
             assert got == frozenset(expected_sinks)
 
 
@@ -349,7 +349,7 @@ def test_filter_is_monotone_against_candidates():
         m = parse_manifest(generate_manifest_text(seed), "gen.pp")
         candidates, index, ddg = pipeline(m)
         findings = (
-            confirm_findings(candidates, collect_propagations(ddg), index) if ddg else []
+            confirm_findings(collect_propagations(ddg)) if ddg else []
         )
         candidate_keys = {(c.category, c.location.line, c.location.column) for c in candidates}
         finding_keys = {

@@ -165,9 +165,15 @@ def test_overlapping_inputs_scan_each_file_once(monkeypatch):
 # -- the cyclic garbage collector is paused while files are analyzed ---------------
 
 
+# Parses, since the parser climbs precedence in a loop, but printing the
+# title recurses once per operator: past Python's default recursion limit.
+LONG_TITLE = "file { " + " + ".join(["'a'"] * 999 + ["'x'"]) + ": ensure => present }\n"
+
+
 def _awkward_tree(root):
     """A clean manifest beside ones that fail to parse, to decode, on an
-    unsupported construct and on the nesting limits."""
+    unsupported construct and on the nesting limits, and one that the
+    scanner fails on after parsing it."""
     (root / "a_good.pp").write_text("$x = 'ok'\nfile { 'f': content => $x }\n")
     (root / "broken.pp").write_text("$x = = broken")
     (root / "cp1252.pp").write_bytes(b"$x = '\xff'\n")
@@ -177,6 +183,7 @@ def _awkward_tree(root):
     (root / "deep_if.pp").write_text(
         "$p = 'secret'\n" + "if $c {\n" * depth + "file { 'f': content => $p }\n" + "}\n" * depth
     )
+    (root / "long_title.pp").write_text(LONG_TITLE)
     return root
 
 
@@ -267,6 +274,67 @@ def test_text_report_names_resource_attribute_and_category():
     assert "file_line" in finding_line
     assert ".line" in finding_line
     assert "weak_crypto_algorithm" in finding_line
+
+
+def test_readme_library_example_finds_what_scan_finds(tmp_path, monkeypatch):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    found = 0
+    for fixture in sorted(WEAKNESS_SUITE.glob("*.pp")):
+        source_text = fixture.read_text(encoding="utf-8")
+        Path("site.pp").write_text(source_text, encoding="utf-8")
+        namespace = {"source_text": source_text}
+        exec(example, namespace)
+        assert sorted_findings(namespace["findings"]) == list(run_scan(["site.pp"]).findings), fixture
+        found += len(namespace["findings"])
+    assert found > 10
+
+
+# -- an exception after parsing skips its file ---------------------------------------
+
+
+def _tree_with_long_title(root):
+    (root / "good.pp").write_text((WEAKNESS_SUITE / "sha1_password_file.pp").read_text())
+    (root / "long_title.pp").write_text(LONG_TITLE)
+    return root
+
+
+def test_internal_error_skips_only_its_file(tmp_path, capsys):
+    tree = _tree_with_long_title(tmp_path)
+    assert main(["scan", str(tree / "good.pp")]) == 0
+    alone = json.loads(capsys.readouterr().out)["findings"]
+    code = main(["scan", str(tree)])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["findings"] == alone
+    assert [f["category"] for f in alone] == ["weak_crypto_algorithm"]
+    assert f"skipped {tree / 'long_title.pp'}: internal error: RecursionError: " in err
+
+
+def test_internal_error_aborts_under_abort_policy(tmp_path, capsys):
+    tree = _tree_with_long_title(tmp_path)
+    code = main(["scan", str(tree), "--on-parse-error", "abort"])
+    assert code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"pupsec: error: internal error in {tree / 'long_title.pp'}: ")
+
+
+def test_an_exception_in_any_stage_after_parsing_skips_the_file(monkeypatch):
+    import pupsec.harness as harness_mod
+
+    def broken_build_ddg(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness_mod, "build_ddg", broken_build_ddg)
+    good = WEAKNESS_SUITE / "sha1_password_file.pp"
+    report = run_scan([good])
+    assert report.findings == ()
+    assert report.skipped == ((str(good), "internal error: RuntimeError: boom"),)
+    assert len(run_scan([good], mode="pattern").findings) == 1
+    message = r"^internal error in .*sha1_password_file\.pp: internal error: RuntimeError: boom$"
+    with pytest.raises(ScanError, match=message):
+        run_scan([good], on_parse_error="abort")
 
 
 # -- evaluation -------------------------------------------------------------------

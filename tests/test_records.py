@@ -16,7 +16,6 @@ import pkgutil
 import pupsec
 import pupsec.harness as harness_mod
 from pupsec.classify import (
-    MembershipIndex,
     build_membership_index,
     classify_expressions,
     collect_function_calls,
@@ -49,10 +48,9 @@ def _record_types() -> set:
 
 
 RECORDS = _record_types()
-# Mutable while they are built, and unhashable, as they always were.
-UNHASHABLE = {Token, UseRecord}
-# Their classes hash by value, but a dict field makes hashing an instance raise.
-HOLDS_DICT = {MembershipIndex, PropagationResult, EvalMetrics}
+# Unhashable: tokens and use records are mutable while they are built,
+# and a propagation result and the evaluation metrics each hold a dict.
+UNHASHABLE = {Token, UseRecord, PropagationResult, EvalMetrics}
 
 
 @functools.cache
@@ -90,7 +88,7 @@ def _results() -> list:
         analysis = DataflowAnalysis(manifest)
         ddg = build_ddg(manifest, candidates, index)
         propagations = collect_propagations(ddg) if ddg is not None else []
-        findings = confirm_findings(candidates, propagations, index)
+        findings = confirm_findings(propagations)
         out.append((
             tokenize(text, path), manifest, classified, calls, index, candidates,
             analysis.definitions, analysis.use_records, ddg, propagations, findings,
@@ -130,7 +128,7 @@ def test_equal_records_hash_equal_and_carry_no_dict():
         seen.add(type(a))
         assert a == b
         assert not hasattr(a, "__dict__"), type(a)
-        if type(a) not in UNHASHABLE | HOLDS_DICT:
+        if type(a) not in UNHASHABLE:
             assert hash(a) == hash(b), a
     assert seen == RECORDS
 
