@@ -233,7 +233,16 @@ def confirm_findings(propagations: list[PropagationResult]) -> list[Finding]:
     """One finding per (candidate, sink) pair, in the order of
     ``propagations``.  ``collect_propagations`` lists them in candidate
     order and leaves out candidates that reach no sink, so these are
-    dropped here too."""
+    dropped here too.  Each DDG node's ``PathStep`` is built once and
+    shared by every path through the node."""
+    steps: dict[int, PathStep] = {}  # keyed by id: the propagations keep every node alive
+
+    def step(node: DdgNode) -> PathStep:
+        made = steps.get(id(node))
+        if made is None:
+            made = steps[id(node)] = _path_step(node)
+        return made
+
     return [
         Finding(
             category=prop.taint.category,
@@ -242,7 +251,7 @@ def confirm_findings(propagations: list[PropagationResult]) -> list[Finding]:
             weakness_name=prop.taint.display_name,
             sink=attr_id,
             sink_location=node_path[-1].loc,
-            path=tuple(_path_step(n) for n in node_path),
+            path=tuple(map(step, node_path)),
         )
         for prop in propagations
         for attr_id, node_path in prop.paths.items()

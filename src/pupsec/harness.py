@@ -69,6 +69,7 @@ class _FileResult:
     resources: tuple[ResourceInfo, ...]
     error: Optional[str]
     abort_as: str = "parse failure in"  # what the error is called under on_parse_error='abort'
+    skip_as: str = ""  # what the skip reason puts before the error
 
 
 def _gather_manifests(inputs: tuple[str, ...]) -> list[str]:
@@ -124,8 +125,10 @@ def _analyze_file(path: str, mode: str, patterns: PatternSet) -> _FileResult:
             ddg = build_ddg(manifest, candidates, index)
             findings = () if ddg is None else tuple(confirm_findings(collect_propagations(ddg)))
     except Exception as exc:
-        reason = f"internal error: {type(exc).__name__}: {exc}"
-        return _FileResult(path, (), (), reason, abort_as="internal error in")
+        error = f"{type(exc).__name__}: {exc}"
+        return _FileResult(
+            path, (), (), error, abort_as="internal error in", skip_as="internal error: "
+        )
     return _FileResult(path, findings, tuple(index.resource_list), None)
 
 
@@ -163,7 +166,7 @@ def scan(config: RunConfig) -> Report:
             if result.error is not None:
                 if config.on_parse_error == "abort":
                     raise ScanError(f"{result.abort_as} {result.path}: {result.error}")
-                skipped.append((result.path, result.error))
+                skipped.append((result.path, result.skip_as + result.error))
                 continue
             findings.extend(result.findings)
             resources.extend(result.resources)

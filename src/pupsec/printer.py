@@ -85,7 +85,13 @@ def expr_text(expr: Expr) -> str:
     if isinstance(expr, ResourceRef):
         return f"{expr.type_name}[{expr_text(expr.title)}]"
     if isinstance(expr, BinaryOp):
-        return f"({expr_text(expr.left)} {expr.op} {expr_text(expr.right)})"
+        # A left-nested chain such as 'a' + 'b' + 'c' is walked in a loop,
+        # so its length is not bounded by the recursion limit.
+        tails = []
+        while isinstance(expr, BinaryOp):
+            tails.append(f" {expr.op} {expr_text(expr.right)})")
+            expr = expr.left
+        return "(" * len(tails) + expr_text(expr) + "".join(reversed(tails))
     if isinstance(expr, UnaryOp):
         return f"{expr.op}{expr_text(expr.operand)}"
     raise TypeError(f"unknown expression node: {expr!r}")

@@ -1,8 +1,21 @@
-"""Findings, resource taxonomy, corpus statistics, and report rendering."""
+"""Findings, resource taxonomy, corpus statistics, and report rendering.
+
+The JSON and SARIF reports are written by fixed-schema emitters, not by
+encoding a dict: each finding's text is joined from literal indented
+fragments, strings go through ``json.encoder.encode_basestring_ascii`` and
+ints through ``repr``.  The bytes are the same as ``json.dumps(doc,
+indent=2)`` of the report as a dict (``tests/reference_report.py`` keeps
+that renderer as the oracle).  Each distinct path step's text block is
+built once per render and reused by every path through it, so a step that
+many witness paths share costs one encoding.  The header, ``stats``,
+``evaluation`` and the SARIF ``tool`` block still go through
+``json.dumps``.
+"""
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _str
 from dataclasses import dataclass
 from typing import Optional
 
@@ -181,29 +194,6 @@ def sorted_findings(findings: list[Finding]) -> list[Finding]:
     return sorted(findings, key=_finding_sort_key)
 
 
-def _finding_to_dict(f: Finding) -> dict:
-    sink = None
-    if f.sink is not None:
-        sink = {
-            "resource_type": f.sink.resource_type,
-            "resource_title": f.sink.resource_title,
-            "attribute": f.sink.attribute_name,
-            "line": f.sink_location.line if f.sink_location else None,
-        }
-    return {
-        "category": f.category.value,
-        "manifest": f.manifest_path,
-        "line": f.weakness_location.line,
-        "column": f.weakness_location.column,
-        "name": f.weakness_name,
-        "sink": sink,
-        "path": [
-            {"kind": s.kind, "label": s.label, "line": s.line, "column": s.column}
-            for s in f.path
-        ],
-    }
-
-
 def _stats_to_dict(stats: CorpusStats) -> dict:
     per_weakness = None
     if stats.per_weakness is not None:
@@ -243,17 +233,84 @@ def render_report(
     raise UnknownFormat(fmt)
 
 
+def _put_array(out: list[str], items: list[str], indent: str) -> None:
+    """Append to *out* a JSON array of already indented items, laid out as
+    ``json.dumps(indent=2)`` lays out an array whose key sits at *indent*."""
+    if not items:
+        out.append("[]")
+        return
+    inner = indent + "  "
+    out += (f"[\n{inner}", f",\n{inner}".join(items), f"\n{indent}]")
+
+
+def _step_blocks(path, blocks: dict, build, *context) -> list[str]:
+    """Each step's text, built by ``build(step, *context)`` the first time
+    the step is seen.  *blocks* is keyed by ``id``: the findings being
+    rendered keep every step alive."""
+    texts = list(map(blocks.get, map(id, path)))
+    if None in texts:
+        for step in path:
+            if id(step) not in blocks:
+                blocks[id(step)] = build(step, *context)
+        texts = list(map(blocks.__getitem__, map(id, path)))
+    return texts
+
+
+def _json_step(s: PathStep) -> str:
+    return (
+        "{\n"
+        f'          "kind": {_str(s.kind)},\n'
+        f'          "label": {_str(s.label)},\n'
+        f'          "line": {s.line!r},\n'
+        f'          "column": {s.column!r}\n'
+        "        }"
+    )
+
+
+def _json_finding(f: Finding) -> str:
+    """A finding's text up to its path, which the caller appends."""
+    sink = "null"
+    if f.sink is not None:
+        line = "null" if f.sink_location is None else repr(f.sink_location.line)
+        sink = (
+            "{\n"
+            f'        "resource_type": {_str(f.sink.resource_type)},\n'
+            f'        "resource_title": {_str(f.sink.resource_title)},\n'
+            f'        "attribute": {_str(f.sink.attribute_name)},\n'
+            f'        "line": {line}\n'
+            "      }"
+        )
+    return (
+        "{\n"
+        f'      "category": {_str(f.category.value)},\n'
+        f'      "manifest": {_str(f.manifest_path)},\n'
+        f'      "line": {f.weakness_location.line!r},\n'
+        f'      "column": {f.weakness_location.column!r},\n'
+        f'      "name": {_str(f.weakness_name)},\n'
+        f'      "sink": {sink},\n'
+        '      "path": '
+    )
+
+
 def _render_json(findings, stats, mode, evaluation) -> bytes:
-    doc = {
-        "version": VERSION,
-        "mode": mode,
-        "rule_semantics": RULE_SEMANTICS,
-        "findings": [_finding_to_dict(f) for f in findings],
-        "stats": _stats_to_dict(stats),
-    }
+    head = json.dumps(
+        {"version": VERSION, "mode": mode, "rule_semantics": RULE_SEMANTICS, "findings": []},
+        indent=2,
+    )
+    tail = {"stats": _stats_to_dict(stats)}
     if evaluation is not None:
-        doc["evaluation"] = evaluation
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        tail["evaluation"] = evaluation
+    out = [head[: -len("[]\n}")]]  # up to '"findings": '
+    blocks: dict[int, str] = {}
+    separator = "[\n    "
+    for f in findings:
+        out += (separator, _json_finding(f))
+        _put_array(out, _step_blocks(f.path, blocks, _json_step), "      ")
+        out.append("\n    }")
+        separator = ",\n    "
+    out.append("\n  ]," if findings else "[],")
+    out.append(json.dumps(tail, indent=2)[1:] + "\n")  # from '\n  "stats"' on
+    return "".join(out).encode("utf-8")
 
 
 def _render_text(findings, stats, mode, evaluation) -> bytes:
@@ -295,44 +352,61 @@ _RULE_DESCRIPTIONS = {
 }
 
 
-def _render_sarif(findings, mode) -> bytes:
-    results = []
-    for f in findings:
-        related = [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {"uri": f.manifest_path},
-                    "region": {"startLine": step.line, "startColumn": step.column},
-                },
-                "message": {"text": f"{step.kind}: {step.label}"},
-            }
-            for step in f.path
-        ]
-        message = f"{_RULE_DESCRIPTIONS[f.category]}: {f.weakness_name}"
-        if f.sink is not None:
-            message += (
-                f" propagates into {f.sink.resource_type}"
-                f"[{f.sink.resource_title}].{f.sink.attribute_name}"
-            )
-        results.append(
-            {
-                "ruleId": f.category.value,
-                "level": "warning",
-                "message": {"text": message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": f.manifest_path},
-                            "region": {
-                                "startLine": f.weakness_location.line,
-                                "startColumn": f.weakness_location.column,
-                            },
-                        }
-                    }
-                ],
-                "relatedLocations": related,
-            }
+def _sarif_location(uri: str, line: int, column: int) -> str:
+    """A SARIF ``physicalLocation`` value whose key sits 14 spaces in."""
+    return (
+        "{\n"
+        '                "artifactLocation": {\n'
+        f'                  "uri": {uri}\n'
+        "                },\n"
+        '                "region": {\n'
+        f'                  "startLine": {line!r},\n'
+        f'                  "startColumn": {column!r}\n'
+        "                }\n"
+        "              }"
+    )
+
+
+def _sarif_step(s: PathStep, uri: str) -> str:
+    return (
+        "{\n"
+        f'              "physicalLocation": {_sarif_location(uri, s.line, s.column)},\n'
+        '              "message": {\n'
+        f'                "text": {_str(f"{s.kind}: {s.label}")}\n'
+        "              }\n"
+        "            }"
+    )
+
+
+def _sarif_result(f: Finding, uri: str) -> str:
+    """A result's text up to its related locations, which the caller appends."""
+    message = f"{_RULE_DESCRIPTIONS[f.category]}: {f.weakness_name}"
+    if f.sink is not None:
+        message += (
+            f" propagates into {f.sink.resource_type}"
+            f"[{f.sink.resource_title}].{f.sink.attribute_name}"
         )
+    where = _sarif_location(uri, f.weakness_location.line, f.weakness_location.column)
+    return (
+        "{\n"
+        f'          "ruleId": {_str(f.category.value)},\n'
+        '          "level": "warning",\n'
+        '          "message": {\n'
+        f'            "text": {_str(message)}\n'
+        "          },\n"
+        '          "locations": [\n'
+        "            {\n"
+        f'              "physicalLocation": {where}\n'
+        "            }\n"
+        "          ],\n"
+        '          "relatedLocations": '
+    )
+
+
+_SARIF_END = "[]\n    }\n  ]\n}"  # how an empty "results" array ends the document
+
+
+def _render_sarif(findings, mode) -> bytes:
     doc = {
         "$schema": "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json",
         "version": "2.1.0",
@@ -352,8 +426,19 @@ def _render_sarif(findings, mode) -> bytes:
                     }
                 },
                 "properties": {"mode": mode, "rule_semantics": RULE_SEMANTICS},
-                "results": results,
+                "results": [],
             }
         ],
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    out = [json.dumps(doc, indent=2)[: -len(_SARIF_END)]]  # up to '"results": '
+    blocks: dict[str, dict[int, str]] = {}  # per manifest, as _step_blocks keys them
+    separator = "[\n        "
+    for f in findings:
+        uri = _str(f.manifest_path)
+        out += (separator, _sarif_result(f, uri))
+        steps = blocks.setdefault(f.manifest_path, {})
+        _put_array(out, _step_blocks(f.path, steps, _sarif_step, uri), "          ")
+        out.append("\n        }")
+        separator = ",\n        "
+    out.append(("\n      ]" if findings else "[]") + _SARIF_END[2:] + "\n")
+    return "".join(out).encode("utf-8")

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from pupsec.classify import (
     AttributeId,
     build_membership_index,
@@ -342,6 +344,52 @@ def test_direct_attribute_candidate_is_its_own_sink():
     assert f.category is WeaknessCategory.EMPTY_PASSWORD
     assert f.sink.attribute_name == "password"
     assert [s.kind for s in f.path] == ["taint", "sink"]
+
+
+def _chain_shape(links):
+    """One secret that every link reads, beside the link before it; every
+    4th link is written to a file."""
+    lines = ["$db_password = 's3cret'"]
+    for i in range(links):
+        prev = f"-${{link_{i - 1}}}" if i else ""
+        lines.append(f'$link_{i} = "${{db_password}}{prev}"')
+        if i % 4 == 0:
+            lines.append(f"file {{ '/srv/{i}': content => $link_{i} }}")
+    return "\n".join(lines) + "\n"
+
+
+def _many_shape(links):
+    """A secret per link; each link reads its own secret and the link before
+    it, and every 4th link is written to a file."""
+    lines = []
+    for i in range(links):
+        prev = f"-${{link_{i - 1}}}" if i else ""
+        lines.append(f"$db_password_{i} = 's3cret-{i}'")
+        lines.append(f'$link_{i} = "${{db_password_{i}}}{prev}"')
+        if i % 4 == 0:
+            lines.append(f"file {{ '/srv/{i}': content => $link_{i} }}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text", [_chain_shape(40), _many_shape(40)], ids=["chain", "many"])
+def test_confirm_findings_builds_one_path_step_per_ddg_node(text, monkeypatch):
+    import pupsec.ddg as ddg_mod
+
+    built = []
+    real_path_step = ddg_mod.PathStep
+
+    def counting_path_step(*args):
+        built.append(real_path_step(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ddg_mod, "PathStep", counting_path_step)
+    _, _, ddg = pipeline(parse(text))
+    paths = [path for prop in collect_propagations(ddg) for path in prop.paths.values()]
+    assert sum(map(len, paths)) > len({id(n) for path in paths for n in path})  # nodes repeat
+    findings = confirm_findings(collect_propagations(ddg))
+    assert len(built) <= len(ddg.nodes)
+    assert len(set(built)) == len(built)  # no step is built twice
+    assert {id(s) for f in findings for s in f.path} == {id(s) for s in built}
 
 
 def test_filter_is_monotone_against_candidates():

@@ -13,13 +13,14 @@ from pupsec.errors import ScanError
 from pupsec.harness import (
     GroundTruthEntry,
     RunConfig,
+    _analyze_file,
     evaluate,
     load_ground_truth,
     metrics_to_dict,
     scan,
 )
 from pupsec.report import sorted_findings
-from pupsec.rules import WeaknessCategory
+from pupsec.rules import DEFAULT_PATTERNS, WeaknessCategory
 
 from conftest import CORPUS, CORPUS_TRUTH, FIXTURES, WEAKNESS_SUITE
 
@@ -165,15 +166,31 @@ def test_overlapping_inputs_scan_each_file_once(monkeypatch):
 # -- the cyclic garbage collector is paused while files are analyzed ---------------
 
 
-# Parses, since the parser climbs precedence in a loop, but printing the
-# title recurses once per operator: past Python's default recursion limit.
+# A title of 1,000 terms: longer than Python's default recursion limit, so
+# the parser and the printer must both walk the operator chain in a loop.
 LONG_TITLE = "file { " + " + ".join(["'a'"] * 999 + ["'x'"]) + ": ensure => present }\n"
 
 
-def _awkward_tree(root):
+def _add_internal_error(root, monkeypatch):
+    """Write ``internal.pp``, a manifest that parses, and make the classify
+    stage raise on it, as a fault of the scanner would."""
+    import pupsec.harness as harness_mod
+
+    (root / "internal.pp").write_text("$x = 'ok'\n")
+    real_classify = harness_mod.classify_expressions
+
+    def classify(manifest):
+        if Path(manifest.path).name == "internal.pp":
+            raise RecursionError("maximum recursion depth exceeded")
+        return real_classify(manifest)
+
+    monkeypatch.setattr(harness_mod, "classify_expressions", classify)
+
+
+def _awkward_tree(root, monkeypatch):
     """A clean manifest beside ones that fail to parse, to decode, on an
-    unsupported construct and on the nesting limits, and one that the
-    scanner fails on after parsing it."""
+    unsupported construct and on the nesting limits, a long operator chain,
+    and one that the scanner fails on after parsing it."""
     (root / "a_good.pp").write_text("$x = 'ok'\nfile { 'f': content => $x }\n")
     (root / "broken.pp").write_text("$x = = broken")
     (root / "cp1252.pp").write_bytes(b"$x = '\xff'\n")
@@ -184,6 +201,7 @@ def _awkward_tree(root):
         "$p = 'secret'\n" + "if $c {\n" * depth + "file { 'f': content => $p }\n" + "}\n" * depth
     )
     (root / "long_title.pp").write_text(LONG_TITLE)
+    _add_internal_error(root, monkeypatch)
     return root
 
 
@@ -198,7 +216,7 @@ def test_scan_pauses_the_collector_while_analyzing(tmp_path, monkeypatch):
         return real_analyze(*args)
 
     monkeypatch.setattr(harness_mod, "_analyze_file", spy)
-    run_scan([FIXTURES, _awkward_tree(tmp_path)])
+    run_scan([FIXTURES, _awkward_tree(tmp_path, monkeypatch)])
     assert seen and not any(seen)
 
 
@@ -219,10 +237,10 @@ def test_scan_restores_the_callers_collector_state(tmp_path):
         gc.enable()
 
 
-def test_scan_leaves_no_cyclic_garbage(tmp_path):
+def test_scan_leaves_no_cyclic_garbage(tmp_path, monkeypatch):
     """The collector pause is safe only while this holds: whatever the
     pipeline frees, reference counting frees it."""
-    tree = _awkward_tree(tmp_path)
+    tree = _awkward_tree(tmp_path, monkeypatch)
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
@@ -294,14 +312,14 @@ def test_readme_library_example_finds_what_scan_finds(tmp_path, monkeypatch):
 # -- an exception after parsing skips its file ---------------------------------------
 
 
-def _tree_with_long_title(root):
+def _tree_with_internal_error(root, monkeypatch):
     (root / "good.pp").write_text((WEAKNESS_SUITE / "sha1_password_file.pp").read_text())
-    (root / "long_title.pp").write_text(LONG_TITLE)
+    _add_internal_error(root, monkeypatch)
     return root
 
 
-def test_internal_error_skips_only_its_file(tmp_path, capsys):
-    tree = _tree_with_long_title(tmp_path)
+def test_internal_error_skips_only_its_file(tmp_path, capsys, monkeypatch):
+    tree = _tree_with_internal_error(tmp_path, monkeypatch)
     assert main(["scan", str(tree / "good.pp")]) == 0
     alone = json.loads(capsys.readouterr().out)["findings"]
     code = main(["scan", str(tree)])
@@ -309,15 +327,28 @@ def test_internal_error_skips_only_its_file(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["findings"] == alone
     assert [f["category"] for f in alone] == ["weak_crypto_algorithm"]
-    assert f"skipped {tree / 'long_title.pp'}: internal error: RecursionError: " in err
+    assert f"skipped {tree / 'internal.pp'}: internal error: RecursionError: " in err
 
 
-def test_internal_error_aborts_under_abort_policy(tmp_path, capsys):
-    tree = _tree_with_long_title(tmp_path)
+def test_internal_error_aborts_under_abort_policy(tmp_path, capsys, monkeypatch):
+    tree = _tree_with_internal_error(tmp_path, monkeypatch)
     code = main(["scan", str(tree), "--on-parse-error", "abort"])
     assert code == 2
     last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith(f"pupsec: error: internal error in {tree / 'long_title.pp'}: ")
+    assert last == (
+        f"pupsec: error: internal error in {tree / 'internal.pp'}:"
+        " RecursionError: maximum recursion depth exceeded"
+    )
+
+
+def test_a_long_operator_chain_in_a_title_scans(tmp_path):
+    (tmp_path / "long_title.pp").write_text(LONG_TITLE)
+    report = run_scan([tmp_path])
+    assert report.skipped == ()
+    assert report.stats.total_resources == 1
+    (resource,) = _analyze_file(str(tmp_path / "long_title.pp"), "taint", DEFAULT_PATTERNS).resources
+    assert resource.resource_type == "file"
+    assert resource.resource_title == "(" * 999 + "'a'" + " + 'a')" * 998 + " + 'x')"
 
 
 def test_an_exception_in_any_stage_after_parsing_skips_the_file(monkeypatch):
@@ -332,7 +363,7 @@ def test_an_exception_in_any_stage_after_parsing_skips_the_file(monkeypatch):
     assert report.findings == ()
     assert report.skipped == ((str(good), "internal error: RuntimeError: boom"),)
     assert len(run_scan([good], mode="pattern").findings) == 1
-    message = r"^internal error in .*sha1_password_file\.pp: internal error: RuntimeError: boom$"
+    message = r"^internal error in .*sha1_password_file\.pp: RuntimeError: boom$"
     with pytest.raises(ScanError, match=message):
         run_scan([good], on_parse_error="abort")
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 import string
 
 import pytest
@@ -25,7 +26,7 @@ from pupsec.nodes import (
     structurally_equal,
 )
 from pupsec.parser import parse_interpolation, parse_manifest
-from pupsec.printer import manifest_source
+from pupsec.printer import expr_text, manifest_source
 from pupsec.rules import DEFAULT_PATTERNS
 from pupsec.synth import generate_manifest_text
 
@@ -260,6 +261,27 @@ def test_print_reparse_roundtrip_on_generated_manifests():
         manifest = parse_manifest(text, "gen.pp")
         reparsed = parse_manifest(manifest_source(manifest), "gen.pp")
         assert structurally_equal(manifest, reparsed), f"seed={seed}"
+
+
+def _recursive_expr_text(expr) -> str:
+    """``expr_text`` of a binary operator as it was written before chains
+    were walked in a loop: one recursive call per operand."""
+    if isinstance(expr, BinaryOp):
+        return f"({_recursive_expr_text(expr.left)} {expr.op} {_recursive_expr_text(expr.right)})"
+    return expr_text(expr)
+
+
+def test_binary_chain_text_matches_the_recursive_printer():
+    terms = ["$a", "'b'", "f($c + 1)", "[1, $d - 2]", "($e * $f or $g)", "!$h", "3"]
+    for depth in range(1, 101):
+        rng = random.Random(depth)
+        source = " ".join(
+            f"{rng.choice(terms)} {rng.choice(list(PRECEDENCE))}" for _ in range(depth)
+        )
+        tree = parse(f"$x = {source} $z").statements[0].value
+        text = expr_text(tree)
+        assert text == _recursive_expr_text(tree), depth
+        assert structurally_equal(parse(f"$x = {text}").statements[0].value, tree), depth
 
 
 def test_deep_nesting_is_a_parse_error_not_a_crash():

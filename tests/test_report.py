@@ -1,9 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_report
 from pupsec.classify import AttributeId
 from pupsec.errors import UnknownFormat, ZeroTotal
+from pupsec.harness import RunConfig, evaluate, load_ground_truth, metrics_to_dict, scan
 from pupsec.nodes import SourceLocation
 from pupsec.report import (
     DEFAULT_TAXONOMY,
@@ -17,6 +21,9 @@ from pupsec.report import (
     resources_per_weakness_stats,
 )
 from pupsec.rules import WeaknessCategory
+from pupsec.synth import generate_manifest_text
+
+from conftest import CORPUS, CORPUS_TRUTH, FIXTURES
 
 
 def make_finding(manifest="m.pp", line=1, category=WeaknessCategory.HARD_CODED_SECRET,
@@ -230,3 +237,91 @@ def test_package_version_is_the_report_version():
     import pupsec.report
 
     assert pupsec.__version__ == pupsec.report.VERSION
+
+
+# -- the emitters write the bytes json.dumps(indent=2) writes ----------------------
+
+
+def assert_same_as_reference(findings, stats, mode="taint", evaluation=None):
+    assert render_report(findings, stats, "json", mode, evaluation) == reference_report.render_json(
+        findings, stats, mode, evaluation
+    )
+    assert render_report(findings, stats, "sarif", mode) == reference_report.render_sarif(
+        findings, mode
+    )
+
+
+@pytest.mark.parametrize("mode", ["taint", "pattern"])
+def test_reports_match_the_reference_on_the_fixtures(mode):
+    report = scan(RunConfig(inputs=(str(FIXTURES),), mode=mode))
+    assert report.findings
+    assert_same_as_reference(list(report.findings), report.stats, mode)
+
+
+@pytest.mark.parametrize("mode", ["taint", "pattern"])
+def test_reports_match_the_reference_on_generated_manifests(mode, tmp_path):
+    for seed in range(300):
+        (tmp_path / f"gen_{seed:03d}.pp").write_text(generate_manifest_text(seed))
+    report = scan(RunConfig(inputs=(str(tmp_path),), mode=mode))
+    assert report.findings and not report.skipped
+    assert_same_as_reference(list(report.findings), report.stats, mode)
+
+
+def test_empty_report_matches_the_reference():
+    for mode in ("taint", "pattern"):
+        assert_same_as_reference([], empty_stats(), mode)
+
+
+def test_report_with_evaluation_matches_the_reference():
+    report = scan(RunConfig(inputs=(str(CORPUS),)))
+    evaluation = metrics_to_dict(evaluate(report, load_ground_truth(str(CORPUS_TRUTH))))
+    assert_same_as_reference(list(report.findings), report.stats, "taint", evaluation)
+
+
+def test_finding_without_sink_location_matches_the_reference():
+    finding = make_finding()
+    finding.sink_location = None
+    assert_same_as_reference([finding, make_finding(line=3)], empty_stats())
+
+
+# Characters that JSON escapes, or that an encoder without ensure_ascii
+# would write through: quotes, backslashes, controls, non-ASCII letters,
+# line and paragraph separators, an astral character and lone surrogates.
+AWKWARD = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u00e9", "\u2028", "\u2029",
+           "\U0001f600", "\ud800", "\udfff", "/"]
+TEXTS = st.text(st.one_of(st.characters(), st.sampled_from(AWKWARD)), max_size=8)
+NUMBERS = st.integers(min_value=0, max_value=10**12)
+
+
+@st.composite
+def findings_sharing_steps(draw):
+    """Findings over a few manifests whose paths pick from one pool of
+    steps, so steps repeat within a finding, across findings and across
+    manifests."""
+    steps = draw(st.lists(st.builds(PathStep, TEXTS, TEXTS, NUMBERS, NUMBERS),
+                          min_size=1, max_size=5))
+    manifests = draw(st.lists(TEXTS, min_size=1, max_size=3))
+    findings = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        manifest = draw(st.sampled_from(manifests))
+        sink = draw(st.none() | st.builds(AttributeId, st.just(manifest), TEXTS, TEXTS, TEXTS,
+                                          NUMBERS))
+        sink_location = draw(st.none() | st.builds(SourceLocation, st.just(manifest), NUMBERS,
+                                                   NUMBERS))
+        findings.append(Finding(
+            category=draw(st.sampled_from(WeaknessCategory)),
+            manifest_path=manifest,
+            weakness_location=SourceLocation(manifest, draw(NUMBERS), draw(NUMBERS)),
+            weakness_name=draw(TEXTS),
+            sink=sink,
+            sink_location=sink_location,
+            path=tuple(draw(st.lists(st.sampled_from(steps), max_size=6))),
+        ))
+    return findings
+
+
+@settings(max_examples=100, deadline=None)
+@given(findings_sharing_steps(), TEXTS,
+       st.none() | st.dictionaries(TEXTS, st.none() | NUMBERS | TEXTS, max_size=3))
+def test_reports_with_awkward_text_match_the_reference(findings, mode, evaluation):
+    assert_same_as_reference(findings, compute_stats(findings, []), mode, evaluation)
