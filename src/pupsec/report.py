@@ -247,12 +247,12 @@ def _step_blocks(path, blocks: dict, build, *context) -> list[str]:
     """Each step's text, built by ``build(step, *context)`` the first time
     the step is seen.  *blocks* is keyed by ``id``: the findings being
     rendered keep every step alive."""
-    texts = list(map(blocks.get, map(id, path)))
-    if None in texts:
-        for step in path:
-            if id(step) not in blocks:
-                blocks[id(step)] = build(step, *context)
-        texts = list(map(blocks.__getitem__, map(id, path)))
+    texts = []
+    for step in path:
+        text = blocks.get(id(step))
+        if text is None:
+            text = blocks[id(step)] = build(step, *context)
+        texts.append(text)
     return texts
 
 

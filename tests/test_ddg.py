@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -346,34 +349,24 @@ def test_direct_attribute_candidate_is_its_own_sink():
     assert [s.kind for s in f.path] == ["taint", "sink"]
 
 
-def _chain_shape(links):
-    """One secret that every link reads, beside the link before it; every
-    4th link is written to a file."""
-    lines = ["$db_password = 's3cret'"]
-    for i in range(links):
-        prev = f"-${{link_{i - 1}}}" if i else ""
-        lines.append(f'$link_{i} = "${{db_password}}{prev}"')
-        if i % 4 == 0:
-            lines.append(f"file {{ '/srv/{i}': content => $link_{i} }}")
-    return "\n".join(lines) + "\n"
+def _sweep_templates(monkeypatch):
+    """The ``chain`` and ``many`` templates of ``scripts/sweep.py``: in both,
+    many witness paths run through the same DDG nodes.  The script puts
+    ``perfbench/`` on ``sys.path``; the test's copy of it is thrown away."""
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    path = Path(__file__).parent.parent / "scripts" / "sweep.py"
+    spec = importlib.util.spec_from_file_location("sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep.chain_text, sweep.many_text
 
 
-def _many_shape(links):
-    """A secret per link; each link reads its own secret and the link before
-    it, and every 4th link is written to a file."""
-    lines = []
-    for i in range(links):
-        prev = f"-${{link_{i - 1}}}" if i else ""
-        lines.append(f"$db_password_{i} = 's3cret-{i}'")
-        lines.append(f'$link_{i} = "${{db_password_{i}}}{prev}"')
-        if i % 4 == 0:
-            lines.append(f"file {{ '/srv/{i}': content => $link_{i} }}")
-    return "\n".join(lines) + "\n"
-
-
-@pytest.mark.parametrize("text", [_chain_shape(40), _many_shape(40)], ids=["chain", "many"])
-def test_confirm_findings_builds_one_path_step_per_ddg_node(text, monkeypatch):
+@pytest.mark.parametrize("shape", ["chain", "many"])
+def test_confirm_findings_builds_one_path_step_per_ddg_node(shape, monkeypatch):
     import pupsec.ddg as ddg_mod
+
+    chain_text, many_text = _sweep_templates(monkeypatch)
+    text, _ = chain_text(50) if shape == "chain" else many_text(90)  # 40 links each
 
     built = []
     real_path_step = ddg_mod.PathStep
