@@ -11,6 +11,11 @@ definition-use edges always point forward in textual order.
 ``if`` and ``case`` share one join: each arm walks its own overlay of the
 state, then each variable that some arm wrote gets the union over all arms
 of its value there.  A missing ``else`` or ``default`` is one more, empty, arm.
+
+The result is one def-use map: each ``UseRecord`` holds the indices of
+every definition that may reach a use at its node.  A definition index
+names its variable, so the set needs no per-variable split, and the DDG
+is built from these sets alone.
 """
 
 from __future__ import annotations
@@ -49,15 +54,13 @@ class Definition:
     var: str
     node: Union[Assignment, Parameter]
     loc: SourceLocation
-    is_parameter: bool
 
 
 @dataclass(slots=True)
 class UseRecord:
     node: object  # statement or AttributeNode the use belongs to
     kind: str  # 'rhs' | 'attribute' | 'condition' | 'scrutinee' | 'title' | 'stmt' | 'default'
-    loc: SourceLocation
-    reaching: dict[str, frozenset[int]]  # var -> definition indices that may reach
+    reaching: set[int]  # indices of the definitions that may reach a use here
 
 
 _State = ChainMap[str, frozenset[int]]
@@ -78,61 +81,57 @@ class DataflowAnalysis:
 
     # -- construction --------------------------------------------------
 
-    def _define(self, var: str, node, loc, state: _State, is_parameter: bool) -> None:
+    def _define(self, var: str, node, state: _State) -> None:
         """Record a definition and make it the only one of *var* in *state*."""
-        d = Definition(len(self.definitions), var, node, loc, is_parameter)
+        d = Definition(len(self.definitions), var, node, node.loc)
         self.definitions.append(d)
         self._def_by_node[id(node)] = d
         state[var] = frozenset((d.index,))
 
-    def _use(self, expr, node, kind: str, loc, state: _State) -> None:
-        names = uses_of(expr)
+    def _use(self, expr, node, kind: str, state: _State) -> None:
         record = self._uses_by_node.get(id(node))
         if record is None:
-            record = UseRecord(node, kind, loc, {})
+            record = self._uses_by_node[id(node)] = UseRecord(node, kind, set())
             self.use_records.append(record)
-            self._uses_by_node[id(node)] = record
-        for name in names:
+        for name in uses_of(expr):
             # ChainMap.get would test every layer through a Python-level any()
             for layer in state.maps:
                 reaching = layer.get(name)
                 if reaching is not None:
+                    record.reaching.update(reaching)
                     break
-            else:
-                reaching = frozenset()
-            record.reaching[name] = record.reaching.get(name, frozenset()) | reaching
 
     def _walk_statement(self, stmt: Statement, state: _State) -> None:
         if isinstance(stmt, Assignment):
             # RHS uses see the state before the assignment, so a
             # self-referencing definition reads the previous one.
-            self._use(stmt.value, stmt, "rhs", stmt.loc, state)
-            self._define(stmt.var_name, stmt, stmt.loc, state, is_parameter=False)
+            self._use(stmt.value, stmt, "rhs", state)
+            self._define(stmt.var_name, stmt, state)
         elif isinstance(stmt, (ClassDef, DefinedTypeDef)):
             for param in stmt.parameters:
                 if param.default is not None:
-                    self._use(param.default, param, "default", param.loc, state)
-                self._define(param.name, param, param.loc, state, is_parameter=True)
+                    self._use(param.default, param, "default", state)
+                self._define(param.name, param, state)
             for inner in stmt.body:
                 self._walk_statement(inner, state)
         elif isinstance(stmt, IfStatement):
-            self._use(stmt.condition, stmt, "condition", stmt.loc, state)
+            self._use(stmt.condition, stmt, "condition", state)
             self._branch((stmt.then_body, stmt.else_body), state)
         elif isinstance(stmt, CaseStatement):
-            self._use(stmt.scrutinee, stmt, "scrutinee", stmt.loc, state)
+            self._use(stmt.scrutinee, stmt, "scrutinee", state)
             for arm in stmt.arms:
                 for m in arm.matches:
-                    self._use(m, stmt, "scrutinee", stmt.loc, state)
+                    self._use(m, stmt, "scrutinee", state)
             bodies = [arm.body for arm in stmt.arms]
             if not any(arm.is_default for arm in stmt.arms):
                 bodies.append(())  # no arm may match at all
             self._branch(bodies, state)
         elif isinstance(stmt, (ResourceDecl, ResourceOverride)):
-            self._use(stmt.title, stmt, "title", stmt.loc, state)
+            self._use(stmt.title, stmt, "title", state)
             for attr in stmt.attributes:
-                self._use(attr.value, attr, "attribute", attr.loc, state)
+                self._use(attr.value, attr, "attribute", state)
         elif isinstance(stmt, ExprStatement):
-            self._use(stmt.expr, stmt, "stmt", stmt.loc, state)
+            self._use(stmt.expr, stmt, "stmt", state)
         else:
             raise TypeError(f"unknown statement node: {stmt!r}")
 
@@ -160,7 +159,7 @@ class DataflowAnalysis:
         record = self._uses_by_node.get(id(use_node))
         if record is None:
             return False
-        return definition.index in record.reaching.get(definition.var, frozenset())
+        return definition.index in record.reaching
 
 
 def reaches(def_stmt, use_site, manifest: Manifest) -> bool:

@@ -1,9 +1,11 @@
 """Per-manifest data dependence graphs and propagation confirmation.
 
-A graph is only built when it would contain at least one taint node and
-one sink node; a candidate whose value never flows into any resource
-attribute therefore produces no graph and no finding, which is exactly
-the false-positive filter.
+``build_ddg`` reads the reaching-definitions sets into one def-use map,
+from each definition to the definitions and attributes that read it, and
+walks it once from the tainted definitions.  A graph is only built when it
+would contain at least one taint node and one sink node; a candidate whose
+value never flows into any resource attribute therefore produces no graph
+and no finding, which is exactly the false-positive filter.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .classify import (
     ParameterOwner,
     VariableOwner,
 )
-from .dataflow import DataflowAnalysis
+from .dataflow import DataflowAnalysis, Definition
 from .nodes import Manifest, SourceLocation
 from .report import Finding, PathStep
 from .rules import WeaknessCandidate
@@ -60,20 +62,17 @@ class PropagationResult:
 
 
 def _seed_for(candidate: WeaknessCandidate, analysis: DataflowAnalysis):
-    """Where a candidate's tainted value lives: ('def', Definition),
-    ('attr', attribute node), or None when the value is never stored."""
+    """Where a candidate's tainted value lives: its ``Definition``, the
+    attribute node it is written to, or None when the value is never stored."""
     element = candidate.element
     if isinstance(element, FunctionCallSite):
         owner, node = element.owner, element.owner_node
     else:
         owner, node = element.owner, element.node
-    if owner is None:
-        return None
     if isinstance(owner, AttributeOwner):
-        return ("attr", node)
+        return node
     if isinstance(owner, (VariableOwner, ParameterOwner)):
-        definition = analysis.definition_for(node)
-        return ("def", definition) if definition is not None else None
+        return analysis.definition_for(node)
     return None
 
 
@@ -88,86 +87,57 @@ def build_ddg(
         return None
     analysis = DataflowAnalysis(manifest)
     attr_id_of = {id(node): attr_id for node, attr_id in index.attribute_nodes}
-    attr_node_of = {attr_id: node for node, attr_id in index.attribute_nodes}
+    attr_loc = {attr_id: node.loc for node, attr_id in index.attribute_nodes}
 
-    # Definition-level def-use adjacency.
-    def_succ: dict[int, set[int]] = {}
-    def_attrs: dict[int, set[AttributeId]] = {}
+    # The def-use map: definition index -> the index of each definition
+    # whose value reads it, or the AttributeId of each attribute that does.
+    readers: dict[int, list[Union[int, AttributeId]]] = {}
     for record in analysis.use_records:
         if record.kind in ("rhs", "default"):
-            target = analysis.definition_for(record.node)
-            for reaching in record.reaching.values():
-                for i in reaching:
-                    def_succ.setdefault(i, set()).add(target.index)
+            reader = analysis.definition_for(record.node).index
         elif record.kind == "attribute":
-            attr_id = attr_id_of[id(record.node)]
-            for reaching in record.reaching.values():
-                for i in reaching:
-                    def_attrs.setdefault(i, set()).add(attr_id)
+            reader = attr_id_of[id(record.node)]
+        else:
+            continue
+        for i in record.reaching:
+            readers.setdefault(i, []).append(reader)
 
-    seeds = [(c, _seed_for(c, analysis)) for c in candidates]
-    seed_defs = {seed[1].index for _, seed in seeds if seed is not None and seed[0] == "def"}
-
-    # Definitions strictly downstream of any tainted definition.
+    seeds = [_seed_for(c, analysis) for c in candidates]
+    # Definitions strictly downstream of a tainted one, and the attributes
+    # that a tainted or downstream definition reaches.
     downstream: set[int] = set()
-    frontier = list(seed_defs)
-    while frontier:
-        i = frontier.pop()
-        for j in def_succ.get(i, ()):
-            if j not in downstream:
-                downstream.add(j)
-                frontier.append(j)
-
-    sink_ids: set[AttributeId] = set()
-    for i in seed_defs | downstream:
-        sink_ids |= def_attrs.get(i, set())
-    for _, seed in seeds:
-        if seed is not None and seed[0] == "attr":
-            sink_ids.add(attr_id_of[id(seed[1])])
-    if not sink_ids:
+    sinks = {attr_id_of[id(s)] for s in seeds if s is not None and not isinstance(s, Definition)}
+    frontier = list({s.index for s in seeds if isinstance(s, Definition)})
+    for i in frontier:  # the loop also visits definitions appended while it runs
+        for reader in readers.get(i, ()):
+            if isinstance(reader, AttributeId):
+                sinks.add(reader)
+            elif reader not in downstream:
+                downstream.add(reader)
+                frontier.append(reader)
+    if not sinks:
         return None
 
+    # Taints in candidate order, so taint node i is candidate i; then
+    # intermediates and sinks, each by position.
     defs = analysis.definitions
-    nodes: list[DdgNode] = []
-    taint_idx: dict[int, int] = {}  # candidate position -> node index
-    for pos, (candidate, _) in enumerate(seeds):
-        taint_idx[pos] = len(nodes)
-        nodes.append(TaintNode(candidate, candidate.location))
-    inter_idx: dict[int, int] = {}  # definition index -> node index
+    nodes: list[DdgNode] = [TaintNode(c, c.location) for c in candidates]
+    node_of: dict[Union[int, AttributeId], int] = {}  # reader -> node index
     for i in sorted(downstream, key=lambda i: (defs[i].loc.line, defs[i].loc.column)):
-        inter_idx[i] = len(nodes)
+        node_of[i] = len(nodes)
         nodes.append(IntermediateNode(defs[i].var, defs[i].loc))
-    sink_idx: dict[AttributeId, int] = {}
-    sorted_sinks = sorted(
-        sink_ids, key=lambda a: (attr_node_of[a].loc.line, attr_node_of[a].loc.column)
-    )
-    for attr_id in sorted_sinks:
-        sink_idx[attr_id] = len(nodes)
-        nodes.append(SinkNode(attr_id, attr_node_of[attr_id].loc))
+    for attr_id in sorted(sinks, key=lambda a: (attr_loc[a].line, attr_loc[a].column)):
+        node_of[attr_id] = len(nodes)
+        nodes.append(SinkNode(attr_id, attr_loc[attr_id]))
 
-    edges: set[tuple[int, int]] = set()
+    edges = {(node_of[i], node_of[r]) for i in downstream for r in readers.get(i, ())}
+    for pos, seed in enumerate(seeds):
+        if isinstance(seed, Definition):
+            edges.update((pos, node_of[r]) for r in readers.get(seed.index, ()))
+        elif seed is not None:
+            edges.add((pos, node_of[attr_id_of[id(seed)]]))
 
-    def connect_def(from_node: int, def_index: int) -> None:
-        for j in def_succ.get(def_index, ()):
-            edges.add((from_node, inter_idx[j]))
-        for attr_id in def_attrs.get(def_index, ()):
-            edges.add((from_node, sink_idx[attr_id]))
-
-    for pos, (candidate, seed) in enumerate(seeds):
-        if seed is None:
-            continue
-        if seed[0] == "def":
-            connect_def(taint_idx[pos], seed[1].index)
-        else:
-            edges.add((taint_idx[pos], sink_idx[attr_id_of[id(seed[1])]]))
-    for i in downstream:
-        connect_def(inter_idx[i], i)
-
-    return DataDependenceGraph(
-        manifest_path=manifest.path,
-        nodes=tuple(nodes),
-        edges=tuple(sorted(edges)),
-    )
+    return DataDependenceGraph(manifest.path, tuple(nodes), tuple(sorted(edges)))
 
 
 _KIND_RANK = {TaintNode: 0, IntermediateNode: 1, SinkNode: 2}

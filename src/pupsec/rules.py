@@ -21,9 +21,7 @@ from .classify import (
     CompositeValue,
     ExpressionKind,
     FunctionCallSite,
-    ParameterOwner,
     StringValue,
-    VariableOwner,
 )
 from .errors import UnknownPredicate
 from .nodes import SourceLocation
@@ -42,8 +40,9 @@ class WeaknessCategory(Enum):
 
 @dataclass(slots=True, unsafe_hash=True)
 class PatternSet:
-    """Per-predicate match lists.  All entries are plain substrings except
-    ``is_pvt_key``, whose entries are regular expressions."""
+    """Per-predicate match lists.  All entries are lower-case substrings
+    except ``is_pvt_key``, whose entries are regular expressions kept as
+    written and matched case-insensitively."""
 
     is_admin: tuple[str, ...] = ("admin",)
     is_http: tuple[str, ...] = ("http:",)
@@ -71,7 +70,9 @@ _HTTP_WORD = re.compile(r"\bhttp\b")
 
 def load_pattern_overrides(path: str) -> PatternSet:
     """Load a JSON object mapping predicate names to pattern lists;
-    predicates not present keep their defaults."""
+    predicates not present keep their defaults.  Substrings are lowered;
+    ``isPvtKey`` regexes are kept as written, and one that does not
+    compile raises ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -82,7 +83,15 @@ def load_pattern_overrides(path: str) -> PatternSet:
             raise UnknownPredicate(key)
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ValueError(f"{path}: {key} must map to a list of strings")
-        overrides[_PREDICATE_FIELDS[key]] = tuple(v.lower() for v in value)
+        if key == "isPvtKey":
+            for v in value:
+                try:
+                    re.compile(v, re.IGNORECASE)
+                except re.error as exc:
+                    raise ValueError(f"{path}: {key} entry {v!r}: {exc}") from exc
+        else:
+            value = [v.lower() for v in value]
+        overrides[_PREDICATE_FIELDS[key]] = tuple(value)
     return replace(DEFAULT_PATTERNS, **overrides)
 
 
@@ -93,25 +102,18 @@ def _contains_any(text: str, patterns: tuple[str, ...]) -> bool:
 def evaluate_predicate(predicate: str, text: str, patterns: PatternSet = DEFAULT_PATTERNS) -> bool:
     """Case-insensitive predicate match over *text*."""
     lowered = text.lower()
-    if predicate == "isAdmin":
-        return _contains_any(lowered, patterns.is_admin)
-    if predicate == "isUser":
-        return _contains_any(lowered, patterns.is_user)
-    if predicate == "isPassword":
-        return _contains_any(lowered, patterns.is_password)
-    if predicate == "isInvalidBind":
-        return _contains_any(lowered, patterns.is_invalid_bind)
-    if predicate == "usesWeakAlgo":
-        return _contains_any(lowered, patterns.uses_weak_algo)
     if predicate == "isPvtKey":
-        return any(re.search(p, lowered) for p in patterns.is_pvt_key)
+        return any(re.search(p, lowered, re.IGNORECASE) for p in patterns.is_pvt_key)
     if predicate == "isHTTP":
         # Plain-http values only: 'http:' anywhere or 'http' as a whole
         # word, and never anything that is already https.
         if "https" in lowered:
             return False
         return _contains_any(lowered, patterns.is_http) or bool(_HTTP_WORD.search(lowered))
-    raise UnknownPredicate(predicate)
+    field_name = _PREDICATE_FIELDS.get(predicate)
+    if field_name is None:
+        raise UnknownPredicate(predicate)
+    return _contains_any(lowered, getattr(patterns, field_name))
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -154,7 +156,6 @@ def detect_candidates(
 
     for ce in classified:
         sv = _string_value(ce)
-        named_owner = isinstance(ce.owner, (VariableOwner, AttributeOwner, ParameterOwner))
 
         if (
             ce.kind is ExpressionKind.PARAMETER
@@ -167,8 +168,7 @@ def detect_candidates(
             )
 
         if (
-            named_owner
-            and sv is not None
+            sv is not None
             and len(sv) == 0
             and evaluate_predicate("isPassword", ce.name, patterns)
         ):
@@ -177,8 +177,7 @@ def detect_candidates(
             )
 
         if (
-            named_owner
-            and sv is not None
+            sv is not None
             and len(sv) > 0
             and (
                 evaluate_predicate("isUser", ce.name, patterns)
@@ -190,23 +189,18 @@ def detect_candidates(
                 WeaknessCandidate(WeaknessCategory.HARD_CODED_SECRET, ce, ce.name, ce.location)
             )
 
-        if named_owner:
-            for fragment in _value_fragments(ce):
-                if evaluate_predicate("isInvalidBind", fragment, patterns):
-                    out.append(
-                        WeaknessCandidate(
-                            WeaknessCategory.INVALID_IP_BINDING, ce, fragment, ce.location
-                        )
-                    )
-                    break
-            for fragment in _value_fragments(ce):
-                if evaluate_predicate("isHTTP", fragment, patterns):
-                    out.append(
-                        WeaknessCandidate(
-                            WeaknessCategory.HTTP_WITHOUT_TLS, ce, fragment, ce.location
-                        )
-                    )
-                    break
+        for fragment in _value_fragments(ce):
+            if evaluate_predicate("isInvalidBind", fragment, patterns):
+                out.append(
+                    WeaknessCandidate(WeaknessCategory.INVALID_IP_BINDING, ce, fragment, ce.location)
+                )
+                break
+        for fragment in _value_fragments(ce):
+            if evaluate_predicate("isHTTP", fragment, patterns):
+                out.append(
+                    WeaknessCandidate(WeaknessCategory.HTTP_WITHOUT_TLS, ce, fragment, ce.location)
+                )
+                break
 
     for site in function_calls:
         if evaluate_predicate("usesWeakAlgo", site.name, patterns):

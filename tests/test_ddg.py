@@ -25,7 +25,8 @@ from pupsec.parser import parse_manifest
 from pupsec.rules import WeaknessCategory, detect_candidates
 from pupsec.synth import generate_manifest_text
 
-from conftest import load_fixture
+import reference_ddg
+from conftest import FIXTURES, RARE_FORMS, load_fixture
 
 
 def pipeline(manifest):
@@ -349,24 +350,25 @@ def test_direct_attribute_candidate_is_its_own_sink():
     assert [s.kind for s in f.path] == ["taint", "sink"]
 
 
-def _sweep_templates(monkeypatch):
-    """The ``chain`` and ``many`` templates of ``scripts/sweep.py``: in both,
-    many witness paths run through the same DDG nodes.  The script puts
-    ``perfbench/`` on ``sys.path``; the test's copy of it is thrown away."""
+def _sweep(monkeypatch):
+    """``scripts/sweep.py``, whose ``chain``, ``relay`` and ``many``
+    templates run many witness paths through the same DDG nodes.  The
+    script puts ``perfbench/`` on ``sys.path``; the test's copy of it is
+    thrown away."""
     monkeypatch.setattr(sys, "path", sys.path[:])
     path = Path(__file__).parent.parent / "scripts" / "sweep.py"
     spec = importlib.util.spec_from_file_location("sweep", path)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    return sweep.chain_text, sweep.many_text
+    return sweep
 
 
 @pytest.mark.parametrize("shape", ["chain", "many"])
 def test_confirm_findings_builds_one_path_step_per_ddg_node(shape, monkeypatch):
     import pupsec.ddg as ddg_mod
 
-    chain_text, many_text = _sweep_templates(monkeypatch)
-    text, _ = chain_text(50) if shape == "chain" else many_text(90)  # 40 links each
+    sweep = _sweep(monkeypatch)
+    text, _ = sweep.chain_text(50) if shape == "chain" else sweep.many_text(90)  # 40 links each
 
     built = []
     real_path_step = ddg_mod.PathStep
@@ -398,3 +400,24 @@ def test_filter_is_monotone_against_candidates():
             for f in findings
         }
         assert finding_keys <= candidate_keys
+
+
+def test_build_ddg_equals_the_reference_on_every_input(monkeypatch):
+    # The old construction, with an adjacency map per reader kind and an
+    # index map per node kind, must give the same nodes in the same order
+    # and the same edges, or no graph where it gives none.
+    sweep = _sweep(monkeypatch)
+    texts = [(p.read_text(encoding="utf-8"), str(p)) for p in sorted(FIXTURES.rglob("*.pp"))]
+    texts.append((RARE_FORMS, "rare.pp"))
+    texts.extend((generate_manifest_text(seed), f"synthetic_{seed}.pp") for seed in range(300))
+    for template, lines in ((sweep.chain_text, 50), (sweep.relay_text, 50), (sweep.many_text, 90)):
+        texts.append((template(lines)[0], f"{template.__name__}.pp"))  # 40 links each
+    graphs = 0
+    for text, path in texts:
+        m = parse_manifest(text, path)
+        candidates = detect_candidates(classify_expressions(m), collect_function_calls(m))
+        index = build_membership_index(m)
+        ddg = build_ddg(m, candidates, index)
+        assert ddg == reference_ddg.build_ddg(m, candidates, index), path
+        graphs += ddg is not None
+    assert graphs > len(texts) // 3

@@ -522,6 +522,36 @@ def test_evaluate_reports_per_category_rows():
     assert total_tp == metrics.overall.tp == 12
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("x.pp", "row 3: no category, line"),
+        ("x.pp,empty_password", "row 3: no line"),
+        ("x.pp,empty_password,three", "row 3: line 'three' is not a number"),
+    ],
+    ids=["no_category", "no_line", "line_not_a_number"],
+)
+def test_cli_malformed_ground_truth_row_exits_2(tmp_path, capsys, row, message):
+    truth = tmp_path / "truth.csv"
+    truth.write_text(f"manifest_path,category,line\nx.pp,empty_password,3\n{row}\n")
+    code = main(["scan", str(CORPUS), "--ground-truth", str(truth)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"pupsec: error: {truth}: {message}"
+
+
+def test_cli_invalid_private_key_regex_exits_2(tmp_path, capsys):
+    patterns = tmp_path / "patterns.json"
+    patterns.write_text('{"isPvtKey": ["(unclosed"]}')
+    code = main(["scan", str(CORPUS), "--patterns", str(patterns)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"pupsec: error: {patterns}: isPvtKey entry '(unclosed': ")
+    assert "skipped" not in err
+
+
 def test_cli_bad_input_exits_2(capsys):
     code = main(["scan", "no/such/path"])
     assert code == 2

@@ -161,6 +161,25 @@ def test_pattern_override_file(tmp_path):
     assert patterns.is_user == DEFAULT_PATTERNS.is_user
 
 
+def test_pattern_override_keeps_private_key_regexes_as_written(tmp_path):
+    override = tmp_path / "patterns.json"
+    override.write_text(r'{"isPvtKey": ["PRIV\\S*KEY"], "isUser": ["LOGIN"]}')
+    patterns = load_pattern_overrides(str(override))
+    assert patterns.is_pvt_key == (r"PRIV\S*KEY",)
+    assert patterns.is_user == ("login",)  # substrings are still lowered
+    assert evaluate_predicate("isPvtKey", "priv_ssl_key", patterns) is True
+    assert evaluate_predicate("isPvtKey", "Priv_SSL_Key", patterns) is True
+    assert evaluate_predicate("isPvtKey", "priv key", patterns) is False
+
+
+def test_pattern_override_rejects_an_invalid_regex(tmp_path):
+    override = tmp_path / "patterns.json"
+    override.write_text('{"isPvtKey": ["priv.*key", "(unclosed"]}')
+    expected = r"patterns\.json: isPvtKey entry '\(unclosed': missing \)"
+    with pytest.raises(ValueError, match=expected):
+        load_pattern_overrides(str(override))
+
+
 def test_pattern_override_unknown_key(tmp_path):
     override = tmp_path / "patterns.json"
     override.write_text('{"isMystery": ["x"]}')
