@@ -5,6 +5,11 @@ or parameter expression (or left unclassified) and tied to its owner:
 a variable, a resource attribute, or a class/defined-type parameter.
 Attributes additionally get a corpus-unique identifier recording which
 resource and manifest they belong to.
+
+``build_membership_index`` is the one walk over a manifest's statements.
+Its index keeps the walk's table of expressions with their owners, and
+``classify_expressions`` and ``collect_function_calls`` read that table
+instead of walking the statements again.
 """
 
 from __future__ import annotations
@@ -146,10 +151,16 @@ class ResourceInfo:
 
 @dataclass(slots=True, unsafe_hash=True)
 class MembershipIndex:
+    """What one walk over a manifest's statements found: its resources,
+    its attribute nodes with their ids and, left out of comparison like
+    ``ClassifiedExpression.node``, every expression the statements hold."""
+
     resource_list: tuple[ResourceInfo, ...]
     # (attribute node, id) pairs in textual order; lets the taint tracker
     # resolve AST attribute nodes to their identifiers.
     attribute_nodes: tuple[tuple[AttributeNode, AttributeId], ...]
+    # (expression or None, owner or None, owner node or None), textual order
+    expressions: tuple[tuple, ...] = field(compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -184,9 +195,10 @@ def _title_text(title: Expr) -> str:
 
 
 class _Collector:
-    """One walk over the statements of a manifest.  Expressions are not
-    entered: each is recorded with the owner that receives its value, and
-    only ``collect_function_calls`` searches them.  ``exprs`` is in textual
+    """The walk over the statements of a manifest; only
+    ``build_membership_index`` runs it.  Expressions are not entered: each
+    is recorded with the owner that receives its value, and only
+    ``collect_function_calls`` searches them.  ``exprs`` is in textual
     order, which is the order ``classify_expressions`` gives its entries."""
 
     def __init__(self, manifest: Manifest):
@@ -255,12 +267,12 @@ def _classify_value(owner: Owner, view: ValueView) -> Optional[ExpressionKind]:
     return None
 
 
-def classify_expressions(manifest: Manifest) -> list[ClassifiedExpression]:
+def classify_expressions(index: MembershipIndex) -> list[ClassifiedExpression]:
     """One classified entry per variable assignment, resource attribute,
     and class/defined-type parameter with a default value, in textual
     order; each entry's ``id`` is its position."""
     out: list[ClassifiedExpression] = []
-    for expr, owner, node in _Collector(manifest).exprs:
+    for expr, owner, node in index.expressions:
         if owner is None or expr is None:
             continue
         view = value_view(expr)
@@ -278,22 +290,24 @@ def classify_expressions(manifest: Manifest) -> list[ClassifiedExpression]:
     return out
 
 
-def collect_function_calls(manifest: Manifest) -> list[FunctionCallSite]:
-    """All function-call sites in the manifest, with the variable,
+def collect_function_calls(index: MembershipIndex) -> list[FunctionCallSite]:
+    """All function-call sites in the indexed manifest, with the variable,
     attribute, or parameter that receives the call result (if any)."""
     return [
         FunctionCallSite(node.name, node.loc, owner, owner_node, node)
-        for expr, owner, owner_node in _Collector(manifest).exprs
+        for expr, owner, owner_node in index.expressions
         for node in iter_nodes(expr)
         if isinstance(node, FunctionCall)
     ]
 
 
 def build_membership_index(manifest: Manifest) -> MembershipIndex:
-    """Every resource of the manifest, and every attribute node with the
-    id that names its resource and manifest."""
+    """Every resource of the manifest, every attribute node with the id
+    that names its resource and manifest, and the expression table that
+    ``classify_expressions`` and ``collect_function_calls`` read."""
     collector = _Collector(manifest)
     return MembershipIndex(
         resource_list=tuple(collector.resources),
         attribute_nodes=tuple(collector.attributes),
+        expressions=tuple(collector.exprs),
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .nodes import SourceLocation
 
 
@@ -29,8 +31,9 @@ class UnsupportedConstruct(ScanError):
 
 
 class UnknownPredicate(ScanError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown rule predicate: {name!r}")
+    def __init__(self, name: str, path: Optional[str] = None):
+        where = f"{path}: " if path else ""  # the pattern file that names it
+        super().__init__(f"{where}unknown rule predicate: {name!r}")
         self.name = name
 
 

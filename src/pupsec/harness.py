@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,9 +105,9 @@ def _analyze_file(path: str, mode: str, patterns: PatternSet) -> _FileResult:
     except ScanError as exc:
         return _FileResult(path, (), (), str(exc))
     try:
-        classified = classify_expressions(manifest)
         index = build_membership_index(manifest)
-        calls = collect_function_calls(manifest)
+        classified = classify_expressions(index)
+        calls = collect_function_calls(index)
         candidates = detect_candidates(classified, calls, patterns)
         if mode == "pattern":
             findings = tuple(
@@ -213,36 +214,41 @@ class EvalMetrics:
 
 def load_ground_truth(path: str) -> list[GroundTruthEntry]:
     """Read a header-bearing CSV of labeled true weaknesses.  Manifest
-    paths are taken relative to the CSV file's own directory.  A malformed
-    row raises ``ValueError`` naming the file and the row's line."""
+    paths are taken relative to the CSV file's own directory.  A file that
+    is not UTF-8 or a malformed row raises ``ValueError`` naming the file
+    (and the row's line)."""
     base = Path(path).resolve().parent
     entries: list[GroundTruthEntry] = []
     seen: set[tuple[str, str, int]] = set()
     valid = {c.value: c for c in WeaknessCategory}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = ("manifest_path", "category", "line")
-        if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
-            raise ValueError(f"{path}: ground truth needs columns {sorted(required)}")
-        for row in reader:
-            where = f"{path}: row {reader.line_num}"
-            missing = [name for name in required if row[name] is None]
-            if missing:
-                raise ValueError(f"{where}: no {', '.join(missing)}")
-            category = valid.get(row["category"].strip())
-            if category is None:
-                raise ValueError(f"{where}: unknown category {row['category']!r}")
-            try:
-                line = int(row["line"])
-            except ValueError:
-                raise ValueError(f"{where}: line {row['line']!r} is not a number") from None
-            manifest = row["manifest_path"].strip()
-            resolved = manifest if os.path.isabs(manifest) else str((base / manifest).resolve())
-            key = (resolved, category.value, line)
-            if key in seen:
-                raise ValueError(f"{where}: duplicate ground truth entry {key}")
-            seen.add(key)
-            entries.append(GroundTruthEntry(resolved, category, line))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    required = ("manifest_path", "category", "line")
+    if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
+        raise ValueError(f"{path}: ground truth needs columns {sorted(required)}")
+    for row in reader:
+        where = f"{path}: row {reader.line_num}"
+        missing = [name for name in required if row[name] is None]
+        if missing:
+            raise ValueError(f"{where}: no {', '.join(missing)}")
+        category = valid.get(row["category"].strip())
+        if category is None:
+            raise ValueError(f"{where}: unknown category {row['category']!r}")
+        try:
+            line = int(row["line"])
+        except ValueError:
+            raise ValueError(f"{where}: line {row['line']!r} is not a number") from None
+        manifest = row["manifest_path"].strip()
+        resolved = manifest if os.path.isabs(manifest) else str((base / manifest).resolve())
+        key = (resolved, category.value, line)
+        if key in seen:
+            raise ValueError(f"{where}: duplicate ground truth entry {key}")
+        seen.add(key)
+        entries.append(GroundTruthEntry(resolved, category, line))
     return entries
 
 

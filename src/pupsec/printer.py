@@ -68,30 +68,38 @@ def expr_text(expr: Expr) -> str:
     if isinstance(expr, HashLiteral):
         entries = ", ".join(f"{expr_text(k)} => {expr_text(v)}" for k, v in expr.entries)
         return "{ " + entries + " }" if entries else "{}"
-    if isinstance(expr, AccessExpr):
-        return f"{expr_text(expr.base)}[{expr_text(expr.key)}]"
     if isinstance(expr, UndefLiteral):
         return "undef"
     if isinstance(expr, BoolLiteral):
         return "true" if expr.value else "false"
     if isinstance(expr, NumberLiteral):
         return repr(expr.value)
-    if isinstance(expr, SelectorExpr):
-        arms = ", ".join(
-            f"{'default' if arm.is_default else expr_text(arm.match)} => {expr_text(arm.value)}"
-            for arm in expr.arms
-        )
-        return f"{expr_text(expr.scrutinee)} ? {{ {arms} }}"
     if isinstance(expr, ResourceRef):
         return f"{expr.type_name}[{expr_text(expr.title)}]"
-    if isinstance(expr, BinaryOp):
-        # A left-nested chain such as 'a' + 'b' + 'c' is walked in a loop,
-        # so its length is not bounded by the recursion limit.
+    if isinstance(expr, (BinaryOp, AccessExpr, SelectorExpr)):
+        # A left-nested chain such as 'a' + 'b' + 'c', $h[1][2] or
+        # $x ? { ... } ? { ... } is walked in a loop, so its length is not
+        # bounded by the recursion limit.
+        opens = 0
         tails = []
-        while isinstance(expr, BinaryOp):
-            tails.append(f" {expr.op} {expr_text(expr.right)})")
-            expr = expr.left
-        return "(" * len(tails) + expr_text(expr) + "".join(reversed(tails))
+        while True:
+            if isinstance(expr, BinaryOp):
+                opens += 1
+                tails.append(f" {expr.op} {expr_text(expr.right)})")
+                expr = expr.left
+            elif isinstance(expr, AccessExpr):
+                tails.append(f"[{expr_text(expr.key)}]")
+                expr = expr.base
+            elif isinstance(expr, SelectorExpr):
+                arms = ", ".join(
+                    f"{'default' if a.is_default else expr_text(a.match)} => {expr_text(a.value)}"
+                    for a in expr.arms
+                )
+                tails.append(f" ? {{ {arms} }}")
+                expr = expr.scrutinee
+            else:
+                break
+        return "(" * opens + expr_text(expr) + "".join(reversed(tails))
     if isinstance(expr, UnaryOp):
         return f"{expr.op}{expr_text(expr.operand)}"
     raise TypeError(f"unknown expression node: {expr!r}")

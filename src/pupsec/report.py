@@ -71,9 +71,13 @@ DEFAULT_TAXONOMY = ResourceTaxonomy(
 
 def load_taxonomy(path: str) -> ResourceTaxonomy:
     """Load a JSON object mapping category names to keyword lists.
-    Object order is significant: the first matching category wins."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    Object order is significant: the first matching category wins.
+    Every error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: taxonomy file must be a JSON object")
     categories = []

@@ -72,15 +72,18 @@ def load_pattern_overrides(path: str) -> PatternSet:
     """Load a JSON object mapping predicate names to pattern lists;
     predicates not present keep their defaults.  Substrings are lowered;
     ``isPvtKey`` regexes are kept as written, and one that does not
-    compile raises ``ValueError``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    compile raises ``ValueError``.  Every error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: pattern file must be a JSON object")
     overrides = {}
     for key, value in data.items():
         if key not in _PREDICATE_FIELDS:
-            raise UnknownPredicate(key)
+            raise UnknownPredicate(key, path)
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ValueError(f"{path}: {key} must map to a list of strings")
         if key == "isPvtKey":

@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,15 @@ def mutated_fixtures(draw, snippets: list[str] = SNIPPETS) -> str:
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+def load_script(name: str):
+    """``scripts/NAME.py``, loaded as a module."""
+    path = Path(__file__).parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_fixture(name: str):

@@ -28,9 +28,9 @@ from oracle import all_def_use_pairs, enumerate_traces, oracle_reaches
 
 
 def analyze(manifest, mode="taint"):
-    classified = classify_expressions(manifest)
     index = build_membership_index(manifest)
-    candidates = detect_candidates(classified, collect_function_calls(manifest))
+    classified = classify_expressions(index)
+    candidates = detect_candidates(classified, collect_function_calls(index))
     if mode == "pattern":
         return candidates
     ddg = build_ddg(manifest, candidates, index)
@@ -99,9 +99,9 @@ def test_criterion_1_fixture_suite_runs_the_documented_behaviors():
 
     # One invalid-bind taint with exactly two sinks.
     manifest = load_fixture("haproxy_vips.pp")
-    classified = classify_expressions(manifest)
     index = build_membership_index(manifest)
-    candidates = detect_candidates(classified, collect_function_calls(manifest))
+    classified = classify_expressions(index)
+    candidates = detect_candidates(classified, collect_function_calls(index))
     props = collect_propagations(build_ddg(manifest, candidates, index))
     assert len(props) == 1
     assert props[0].taint.category is WeaknessCategory.INVALID_IP_BINDING
@@ -127,9 +127,8 @@ def test_criterion_2_false_positive_guards():
         "$admin_password = pick($access_hash['password'])",
     ):
         manifest = parse_manifest(src, "guard.pp")
-        candidates = detect_candidates(
-            classify_expressions(manifest), collect_function_calls(manifest)
-        )
+        index = build_membership_index(manifest)
+        candidates = detect_candidates(classify_expressions(index), collect_function_calls(index))
         secrets = [c for c in candidates if c.category is WeaknessCategory.HARD_CODED_SECRET]
         assert secrets == [], src
 

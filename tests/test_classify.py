@@ -35,7 +35,7 @@ def attribute_ids(index):
 
 
 def test_string_expression():
-    entries = classify_expressions(parse("$db_user = 'dbadmin'"))
+    entries = classify_expressions(build_membership_index(parse("$db_user = 'dbadmin'")))
     e = entry_for(entries, "db_user")
     assert e.owner == VariableOwner("db_user")
     assert e.kind is ExpressionKind.STRING
@@ -43,7 +43,8 @@ def test_string_expression():
 
 
 def test_function_expression():
-    entries = classify_expressions(parse("$admin_password = pick($access_hash['password'])"))
+    m = parse("$admin_password = pick($access_hash['password'])")
+    entries = classify_expressions(build_membership_index(m))
     e = entry_for(entries, "admin_password")
     assert e.kind is ExpressionKind.FUNCTION
     assert isinstance(e.value, FunctionValue)
@@ -51,46 +52,46 @@ def test_function_expression():
 
 
 def test_parameter_expression():
-    entries = classify_expressions(parse("class c ($workers = '1') { }"))
+    entries = classify_expressions(build_membership_index(parse("class c ($workers = '1') { }")))
     e = entry_for(entries, "workers")
     assert e.owner == ParameterOwner("c", "workers")
     assert e.kind is ExpressionKind.PARAMETER
 
 
 def test_undef_is_not_classified_as_string():
-    entries = classify_expressions(parse("$x = undef"))
+    entries = classify_expressions(build_membership_index(parse("$x = undef")))
     e = entry_for(entries, "x")
     assert e.value == UndefValue()
     assert e.kind is None
 
 
 def test_parameter_without_default_is_not_an_entry():
-    entries = classify_expressions(parse("class c ($given) { }"))
+    entries = classify_expressions(build_membership_index(parse("class c ($given) { }")))
     assert entries == []
 
 
 def test_quoted_string_without_interpolation_is_a_string_value():
-    entries = classify_expressions(parse('$x = "plain"'))
+    entries = classify_expressions(build_membership_index(parse('$x = "plain"')))
     assert entry_for(entries, "x").value == StringValue("plain")
 
 
 def test_interpolated_string_keeps_literal_fragments():
-    entries = classify_expressions(parse('$x = "a${y}b"'))
+    entries = classify_expressions(build_membership_index(parse('$x = "a${y}b"')))
     e = entry_for(entries, "x")
     assert e.value == CompositeValue(("a", "b"))
     assert e.kind is None
 
 
 def test_var_ref_value_is_other():
-    entries = classify_expressions(parse("$x = $y"))
+    entries = classify_expressions(build_membership_index(parse("$x = $y")))
     assert isinstance(entry_for(entries, "x").value, OtherValue)
 
 
 def test_attribute_entries_one_per_attribute():
     m = load_fixture("sha1_password_file.pp")
-    entries = classify_expressions(m)
-    attr_entries = [e for e in entries if isinstance(e.owner, AttributeOwner)]
     index = build_membership_index(m)
+    entries = classify_expressions(index)
+    attr_entries = [e for e in entries if isinstance(e.owner, AttributeOwner)]
     total_attrs = len(index.attribute_nodes)
     assert len(attr_entries) == total_attrs == 3
 
@@ -98,7 +99,7 @@ def test_attribute_entries_one_per_attribute():
 def test_attribute_entry_count_equals_total_attributes_on_generated():
     for seed in range(40):
         m = parse_manifest(generate_manifest_text(seed), "gen.pp")
-        entries = classify_expressions(m)
+        entries = classify_expressions(build_membership_index(m))
         attr_entries = [e for e in entries if isinstance(e.owner, AttributeOwner)]
         assert len(attr_entries) == len(build_membership_index(m).attribute_nodes)
 
@@ -107,7 +108,7 @@ def test_attribute_ids_resolve_in_membership_index():
     for name in ("jenkins_auth.pp", "haproxy_vips.pp", "onos_dashboard.pp"):
         m = load_fixture(name)
         index = build_membership_index(m)
-        for e in classify_expressions(m):
+        for e in classify_expressions(index):
             if isinstance(e.owner, AttributeOwner):
                 assert e.owner.attribute_id in attribute_ids(index)
 
@@ -169,23 +170,23 @@ class c {
 def test_classification_is_a_pure_function_of_the_ast():
     for seed in range(30):
         m = parse_manifest(generate_manifest_text(seed), "gen.pp")
-        assert classify_expressions(m) == classify_expressions(m)
         first = build_membership_index(m)
         second = build_membership_index(m)
+        assert classify_expressions(first) == classify_expressions(second)
         assert attribute_ids(first) == attribute_ids(second)
         assert first.resource_list == second.resource_list
 
 
 def test_collect_function_calls_tracks_owner():
     m = load_fixture("nagios_htpasswd.pp")
-    calls = collect_function_calls(m)
+    calls = collect_function_calls(build_membership_index(m))
     by_name = {c.name: c for c in calls}
     assert by_name["htpasswd_sha1"].owner == VariableOwner("nagiosadmin_pw")
     assert by_name["hiera"].owner == VariableOwner("nagios_hiera")
 
 
 def test_statement_position_call_has_no_owner():
-    calls = collect_function_calls(parse("notice('hello')"))
+    calls = collect_function_calls(build_membership_index(parse("notice('hello')")))
     assert calls[0].owner is None
 
 
@@ -220,7 +221,35 @@ def test_classification_keeps_the_position_order_it_was_sorted_into():
     texts.extend((generate_manifest_text(seed), f"gen_{seed}.pp") for seed in range(300))
     for text, path in texts:
         m = parse_manifest(text, path)
-        entries = classify_expressions(m)
+        entries = classify_expressions(build_membership_index(m))
         assert [e.id for e in entries] == list(range(len(entries))), path
         got = [(e.owner, e.name, e.location, e.value, id(e.node)) for e in entries]
         assert got == _sorted_by_position(m), path
+
+
+def test_each_analyzed_file_walks_its_statements_once(tmp_path, monkeypatch):
+    """``build_membership_index`` is the one statement walk per file: the
+    classifier and the call-site search read the table its index keeps."""
+    import pupsec.classify as classify_mod
+    from pupsec.harness import _analyze_file
+    from pupsec.rules import DEFAULT_PATTERNS
+
+    walked = []
+    real_init = classify_mod._Collector.__init__
+
+    def counting_init(self, manifest):
+        walked.append(manifest.path)
+        real_init(self, manifest)
+
+    monkeypatch.setattr(classify_mod._Collector, "__init__", counting_init)
+    paths = [str(p) for p in sorted(FIXTURES.rglob("*.pp"))]
+    texts = [RARE_FORMS] + [generate_manifest_text(seed) for seed in range(100)]
+    for i, text in enumerate(texts):
+        paths.append(str(tmp_path / f"m{i}.pp"))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    for mode in ("taint", "pattern"):
+        for path in paths:
+            walked.clear()
+            assert _analyze_file(path, mode, DEFAULT_PATTERNS).error is None, path
+            assert walked == [path], (mode, path)

@@ -1,7 +1,5 @@
-import importlib.util
 import random
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -26,13 +24,13 @@ from pupsec.rules import WeaknessCategory, detect_candidates
 from pupsec.synth import generate_manifest_text
 
 import reference_ddg
-from conftest import FIXTURES, RARE_FORMS, load_fixture
+from conftest import FIXTURES, RARE_FORMS, load_fixture, load_script
 
 
 def pipeline(manifest):
-    classified = classify_expressions(manifest)
     index = build_membership_index(manifest)
-    calls = collect_function_calls(manifest)
+    classified = classify_expressions(index)
+    calls = collect_function_calls(index)
     candidates = detect_candidates(classified, calls)
     ddg = build_ddg(manifest, candidates, index)
     return candidates, index, ddg
@@ -222,7 +220,8 @@ def _random_dag(rng, tied=False):
     lines from a narrow range, so several of them share a position and
     their textual order ties."""
     m = parse("$seed_password = 'x'\n$other_password = 'y'")
-    candidates = detect_candidates(classify_expressions(m), collect_function_calls(m))
+    index = build_membership_index(m)
+    candidates = detect_candidates(classify_expressions(index), collect_function_calls(index))
     nodes = [TaintNode(c, c.location) for c in candidates]
     for i in range(5):
         line = rng.randint(3, 5) if tied else i + 3
@@ -356,11 +355,7 @@ def _sweep(monkeypatch):
     script puts ``perfbench/`` on ``sys.path``; the test's copy of it is
     thrown away."""
     monkeypatch.setattr(sys, "path", sys.path[:])
-    path = Path(__file__).parent.parent / "scripts" / "sweep.py"
-    spec = importlib.util.spec_from_file_location("sweep", path)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    return sweep
+    return load_script("sweep")
 
 
 @pytest.mark.parametrize("shape", ["chain", "many"])
@@ -415,8 +410,8 @@ def test_build_ddg_equals_the_reference_on_every_input(monkeypatch):
     graphs = 0
     for text, path in texts:
         m = parse_manifest(text, path)
-        candidates = detect_candidates(classify_expressions(m), collect_function_calls(m))
         index = build_membership_index(m)
+        candidates = detect_candidates(classify_expressions(index), collect_function_calls(index))
         ddg = build_ddg(m, candidates, index)
         assert ddg == reference_ddg.build_ddg(m, candidates, index), path
         graphs += ddg is not None

@@ -22,11 +22,14 @@ from pupsec.harness import (
 from pupsec.report import sorted_findings
 from pupsec.rules import DEFAULT_PATTERNS, WeaknessCategory
 
-from conftest import CORPUS, CORPUS_TRUTH, FIXTURES, WEAKNESS_SUITE
+from conftest import CORPUS, CORPUS_TRUTH, FIXTURES, WEAKNESS_SUITE, load_script
 
 
 def run_scan(inputs, **kwargs):
     return scan(RunConfig(inputs=tuple(str(i) for i in inputs), **kwargs))
+
+
+awkward_tree = load_script("awkward_tree")  # the writer of the broken-file tree
 
 
 # -- scan ------------------------------------------------------------------------
@@ -166,41 +169,26 @@ def test_overlapping_inputs_scan_each_file_once(monkeypatch):
 # -- the cyclic garbage collector is paused while files are analyzed ---------------
 
 
-# A title of 1,000 terms: longer than Python's default recursion limit, so
-# the parser and the printer must both walk the operator chain in a loop.
-LONG_TITLE = "file { " + " + ".join(["'a'"] * 999 + ["'x'"]) + ": ensure => present }\n"
-
-
 def _add_internal_error(root, monkeypatch):
-    """Write ``internal.pp``, a manifest that parses, and make the classify
-    stage raise on it, as a fault of the scanner would."""
+    """Write ``internal.pp``, a manifest that parses, and make the first
+    stage after parsing raise on it, as a fault of the scanner would."""
     import pupsec.harness as harness_mod
 
     (root / "internal.pp").write_text("$x = 'ok'\n")
-    real_classify = harness_mod.classify_expressions
+    real_index = harness_mod.build_membership_index
 
-    def classify(manifest):
+    def index(manifest):
         if Path(manifest.path).name == "internal.pp":
             raise RecursionError("maximum recursion depth exceeded")
-        return real_classify(manifest)
+        return real_index(manifest)
 
-    monkeypatch.setattr(harness_mod, "classify_expressions", classify)
+    monkeypatch.setattr(harness_mod, "build_membership_index", index)
 
 
 def _awkward_tree(root, monkeypatch):
-    """A clean manifest beside ones that fail to parse, to decode, on an
-    unsupported construct and on the nesting limits, a long operator chain,
-    and one that the scanner fails on after parsing it."""
-    (root / "a_good.pp").write_text("$x = 'ok'\nfile { 'f': content => $x }\n")
-    (root / "broken.pp").write_text("$x = = broken")
-    (root / "cp1252.pp").write_bytes(b"$x = '\xff'\n")
-    (root / "heredoc.pp").write_text("$x = @(EOT)\ntext\nEOT\n")
-    (root / "deep_array.pp").write_text("$x = " + "[" * 3000 + "]" * 3000 + "\n")
-    depth = 400
-    (root / "deep_if.pp").write_text(
-        "$p = 'secret'\n" + "if $c {\n" * depth + "file { 'f': content => $p }\n" + "}\n" * depth
-    )
-    (root / "long_title.pp").write_text(LONG_TITLE)
+    """The broken-file tree of ``scripts/awkward_tree.py``, plus one
+    manifest that the scanner fails on after parsing it."""
+    awkward_tree.write_tree(root)
     _add_internal_error(root, monkeypatch)
     return root
 
@@ -341,14 +329,35 @@ def test_internal_error_aborts_under_abort_policy(tmp_path, capsys, monkeypatch)
     )
 
 
-def test_a_long_operator_chain_in_a_title_scans(tmp_path):
-    (tmp_path / "long_title.pp").write_text(LONG_TITLE)
-    report = run_scan([tmp_path])
+def _scan_title(tmp_path, name):
+    """The one resource of a manifest whose title is ``CHAIN_TITLES[name]``,
+    once the manifest has scanned without a skip."""
+    path = tmp_path / name
+    path.write_text(awkward_tree.titled(awkward_tree.CHAIN_TITLES[name]))
+    report = run_scan([path])
     assert report.skipped == ()
     assert report.stats.total_resources == 1
-    (resource,) = _analyze_file(str(tmp_path / "long_title.pp"), "taint", DEFAULT_PATTERNS).resources
+    (resource,) = _analyze_file(str(path), "taint", DEFAULT_PATTERNS).resources
     assert resource.resource_type == "file"
+    return resource
+
+
+def test_a_long_operator_chain_in_a_title_scans(tmp_path):
+    resource = _scan_title(tmp_path, "long_title.pp")
     assert resource.resource_title == "(" * 999 + "'a'" + " + 'a')" * 998 + " + 'x')"
+
+
+@pytest.mark.parametrize(
+    "name,title",
+    [
+        ("access_title.pp", "$a" + "[1]" * 1000),
+        ("selector_title.pp", "$a" + " ? { default => 1 }" * 1000),
+        ("mixed_title.pp", "$a" + "[1] ? { default => 1 }" * 500),
+    ],
+    ids=["access", "selector", "mixed"],
+)
+def test_a_long_access_or_selector_chain_in_a_title_scans(tmp_path, name, title):
+    assert _scan_title(tmp_path, name).resource_title == title
 
 
 def test_an_exception_in_any_stage_after_parsing_skips_the_file(monkeypatch):
@@ -550,6 +559,30 @@ def test_cli_invalid_private_key_regex_exits_2(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"pupsec: error: {patterns}: isPvtKey entry '(unclosed': ")
     assert "skipped" not in err
+
+
+@pytest.mark.parametrize(
+    "option,content,message",
+    [
+        ("--patterns", b'{"isUser": ', "Expecting value: line 1 column 12 (char 11)"),
+        ("--taxonomy", b'{"db": ', "Expecting value: line 1 column 8 (char 7)"),
+        ("--patterns", b'{"isMystery": ["x"]}', "unknown rule predicate: 'isMystery'"),
+        ("--patterns", b'{"isUser": ["\xff"]}', "'utf-8' codec can't decode byte 0xff"),
+        ("--taxonomy", b'{"db": ["\xff"]}', "'utf-8' codec can't decode byte 0xff"),
+        ("--ground-truth", b"manifest_path,category,line\nx.pp,\xff,3\n",
+         "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["patterns_truncated", "taxonomy_truncated", "patterns_unknown_key",
+         "patterns_not_utf8", "taxonomy_not_utf8", "ground_truth_not_utf8"],
+)
+def test_cli_config_file_errors_name_the_file(tmp_path, capsys, option, content, message):
+    config = tmp_path / "config"
+    config.write_bytes(content)
+    code = main(["scan", str(CORPUS), option, str(config)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith(f"pupsec: error: {config}: {message}")
 
 
 def test_cli_bad_input_exits_2(capsys):

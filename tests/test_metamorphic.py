@@ -7,6 +7,9 @@ scanner finds, and compares the findings of both versions:
 - (b) inserting a comment, a blank line or a dead assignment at a
   statement boundary moves locations, but keeps the multiset of
   (category, sink) pairs.
+Relation (e) asks less of a change that may break the manifest: whatever
+the text, each file ends in findings or in a classified skip, never in an
+exception or an internal-error skip.
 Relation (c), wrapping code in an ``if``, is in ``test_dataflow.py``, and
 (d), the union of disjoint inputs, in ``test_harness.py``.
 """
@@ -139,3 +142,44 @@ def test_b_inserting_dead_lines_keeps_category_sink_pairs(text, data, findings_o
         return Counter((f.category, f.sink) for f in findings)
 
     assert pairs(findings_of(changed)) == pairs(findings_of(text))
+
+
+# Characters that open, close or separate Puppet's constructs.
+_MUTATION_ALPHABET = "${}[]()'\"\\:;,=>#\n"
+
+
+@st.composite
+def mutants(draw) -> str:
+    """A manifest changed at one to six positions: a character of
+    ``_MUTATION_ALPHABET`` inserted, a character deleted, or a span of up
+    to eight characters copied to another position."""
+    text = draw(MANIFESTS)
+    for _ in range(draw(st.integers(min_value=1, max_value=6), label="mutations")):
+        pos = draw(st.integers(min_value=0, max_value=len(text)), label="position")
+        op = draw(st.sampled_from(("insert", "delete", "copy")), label="op")
+        if op == "insert":
+            text = text[:pos] + draw(st.sampled_from(_MUTATION_ALPHABET)) + text[pos:]
+        elif op == "delete":
+            text = text[:pos] + text[pos + 1 :]
+        else:
+            start = draw(st.integers(min_value=0, max_value=len(text)), label="start")
+            span = text[start : start + draw(st.integers(min_value=1, max_value=8))]
+            text = text[:pos] + span + text[pos:]
+    return text
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("mutants") / "m.pp")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutants())
+def test_e_any_mutant_scans_or_is_skipped_with_a_class(text, mutant_path):
+    with open(mutant_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    for mode in ("taint", "pattern"):
+        result = _analyze_file(mutant_path, mode, DEFAULT_PATTERNS)
+        if result.error is not None:
+            reason = result.skip_as + result.error
+            assert not reason.startswith("internal error"), (mode, reason)

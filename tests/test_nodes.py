@@ -5,7 +5,7 @@ import typing
 import reference_walker
 
 from pupsec import nodes
-from pupsec.classify import collect_function_calls
+from pupsec.classify import build_membership_index, collect_function_calls
 from pupsec.nodes import FunctionCall, children, iter_nodes
 from pupsec.parser import parse_manifest
 from pupsec.synth import generate_manifest_text
@@ -75,5 +75,5 @@ def test_every_node_type_with_node_fields_has_a_children_entry():
 def test_call_sites_are_the_function_calls_of_the_tree_in_order():
     for manifest in manifests():
         calls = [n for n in iter_nodes(manifest) if isinstance(n, FunctionCall)]
-        sites = collect_function_calls(manifest)
+        sites = collect_function_calls(build_membership_index(manifest))
         assert _ids(s.call for s in sites) == _ids(calls), manifest.path

@@ -81,9 +81,9 @@ def _results() -> list:
     out = []
     for text, path in _texts()[:60]:
         manifest = parse_manifest(text, path)
-        classified = classify_expressions(manifest)
-        calls = collect_function_calls(manifest)
         index = build_membership_index(manifest)
+        classified = classify_expressions(index)
+        calls = collect_function_calls(index)
         candidates = detect_candidates(classified, calls, PatternSet())
         analysis = DataflowAnalysis(manifest)
         ddg = build_ddg(manifest, candidates, index)
@@ -162,9 +162,10 @@ def test_pipeline_never_mutates_its_inputs(tmp_path, monkeypatch):
             assert result.error is None, path
             assert built["parse_manifest"] is not kept
             assert built["parse_manifest"] == kept, path
-            classified = classify_expressions(kept)
-            calls = collect_function_calls(kept)
+            index = build_membership_index(kept)
+            classified = classify_expressions(index)
+            calls = collect_function_calls(index)
             assert built["classify_expressions"] == classified, path
             assert built["collect_function_calls"] == calls, path
-            assert built["build_membership_index"] == build_membership_index(kept), path
+            assert built["build_membership_index"] == index, path
             assert built["detect_candidates"] == detect_candidates(classified, calls), path

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from pupsec.classify import (
     FunctionValue,
     UndefValue,
+    build_membership_index,
     classify_expressions,
     collect_function_calls,
 )
@@ -24,7 +25,8 @@ from conftest import WEAKNESS_SUITE
 
 def candidates_for(src, path="test.pp"):
     m = parse_manifest(src, path)
-    return detect_candidates(classify_expressions(m), collect_function_calls(m))
+    index = build_membership_index(m)
+    return detect_candidates(classify_expressions(index), collect_function_calls(index))
 
 
 def categories(cands):
@@ -250,8 +252,9 @@ def test_empty_password_attribute_candidate():
 def test_detection_is_deterministic():
     for seed in range(25):
         m = parse_manifest(generate_manifest_text(seed), "gen.pp")
-        classified = classify_expressions(m)
-        calls = collect_function_calls(m)
+        index = build_membership_index(m)
+        classified = classify_expressions(index)
+        calls = collect_function_calls(index)
         first = detect_candidates(classified, calls, DEFAULT_PATTERNS)
         second = detect_candidates(classified, calls, DEFAULT_PATTERNS)
         assert first == second
