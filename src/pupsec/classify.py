@@ -6,10 +6,10 @@ a variable, a resource attribute, or a class/defined-type parameter.
 Attributes additionally get a corpus-unique identifier recording which
 resource and manifest they belong to.
 
-``build_membership_index`` is the one walk over a manifest's statements.
-Its index keeps the walk's table of expressions with their owners, and
-``classify_expressions`` and ``collect_function_calls`` read that table
-instead of walking the statements again.
+``build_membership_index`` is the one walk over a manifest's statements,
+and it walks each expression once.  Its index keeps the walk's table of
+slots, which ``classify_expressions``, ``collect_function_calls`` and the
+reaching-definitions analysis read instead of walking again.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .nodes import (
     Statement,
     StrLiteral,
     UndefLiteral,
+    VarRef,
     iter_nodes,
 )
 from .printer import expr_text
@@ -159,7 +160,7 @@ class MembershipIndex:
     # (attribute node, id) pairs in textual order; lets the taint tracker
     # resolve AST attribute nodes to their identifiers.
     attribute_nodes: tuple[tuple[AttributeNode, AttributeId], ...]
-    # (expression or None, owner or None, owner node or None), textual order
+    # the walk's slots in textual order; see ``_Collector``
     expressions: tuple[tuple, ...] = field(compare=False, repr=False)
 
 
@@ -179,7 +180,7 @@ class FunctionCallSite:
     name: str
     location: SourceLocation
     owner: Optional[Owner]
-    owner_node: object = field(compare=False, repr=False)  # def/attribute node or None
+    owner_node: object = field(compare=False, repr=False)  # the node holding the call
     call: FunctionCall = field(compare=False, repr=False)
 
 
@@ -194,42 +195,70 @@ def _title_text(title: Expr) -> str:
     return expr_text(title)
 
 
+# Branch markers are empty slots, which readers of owners, expressions or
+# calls pass over: before the first arm of an ``if`` or ``case``, between
+# arms, and after the last.  A missing ``else`` or ``default`` is one more arm.
+_OPEN, _NEXT, _JOIN = ((None, None, None, kind, (), ()) for kind in ("open", "next", "join"))
+
+
 class _Collector:
     """The walk over the statements of a manifest; only
-    ``build_membership_index`` runs it.  Expressions are not entered: each
-    is recorded with the owner that receives its value, and only
-    ``collect_function_calls`` searches them.  ``exprs`` is in textual
-    order, which is the order ``classify_expressions`` gives its entries."""
+    ``build_membership_index`` runs it.  ``exprs`` is its table in textual
+    order, the order of ``classify_expressions``' entries.  Each slot is
+    ``(expression, owner, holder node, use kind, names, calls)``: the owner
+    receives the value (None for a condition, scrutinee, case match, title
+    or expression statement), the holder is the statement, attribute or
+    parameter the use belongs to, and names and calls are the ``VarRef``
+    names and ``FunctionCall`` nodes of one walk of the expression.  A
+    parameter without a default has no expression."""
 
     def __init__(self, manifest: Manifest):
         self.manifest = manifest
         self.resources: list[ResourceInfo] = []
         self.attributes: list[tuple[AttributeNode, AttributeId]] = []
-        # (expression or None, owner or None, owner node or None), textual order
         self.exprs: list[tuple] = []
         self._walk(manifest.statements)
+
+    def _slot(self, expr, owner, node, kind: str) -> None:
+        names, calls = [], []
+        for n in iter_nodes(expr):
+            if isinstance(n, VarRef):
+                names.append(n.name)
+            elif isinstance(n, FunctionCall):
+                calls.append(n)
+        self.exprs.append((expr, owner, node, kind, tuple(names), tuple(calls)))
 
     def _walk(self, statements: tuple[Statement, ...]) -> None:
         for stmt in statements:
             if isinstance(stmt, Assignment):
-                self.exprs.append((stmt.value, VariableOwner(stmt.var_name), stmt))
+                self._slot(stmt.value, VariableOwner(stmt.var_name), stmt, "rhs")
             elif isinstance(stmt, (ResourceDecl, ResourceOverride)):
                 self._resource(stmt)
             elif isinstance(stmt, (ClassDef, DefinedTypeDef)):
                 for param in stmt.parameters:
-                    self.exprs.append((param.default, ParameterOwner(stmt.name, param.name), param))
+                    self._slot(param.default, ParameterOwner(stmt.name, param.name), param, "default")
                 self._walk(stmt.body)
             elif isinstance(stmt, IfStatement):
-                self.exprs.append((stmt.condition, None, None))
+                self._slot(stmt.condition, None, stmt, "condition")
+                self.exprs.append(_OPEN)
                 self._walk(stmt.then_body)
+                self.exprs.append(_NEXT)
                 self._walk(stmt.else_body)
+                self.exprs.append(_JOIN)
             elif isinstance(stmt, CaseStatement):
-                self.exprs.append((stmt.scrutinee, None, None))
+                self._slot(stmt.scrutinee, None, stmt, "scrutinee")
+                marker = _OPEN
                 for arm in stmt.arms:
-                    self.exprs.extend((m, None, None) for m in arm.matches)
+                    self.exprs.append(marker)
+                    marker = _NEXT
+                    for m in arm.matches:
+                        self._slot(m, None, stmt, "scrutinee")
                     self._walk(arm.body)
+                if not any(arm.is_default for arm in stmt.arms):
+                    self.exprs.append(marker)  # no arm may match at all
+                self.exprs.append(_JOIN)
             elif isinstance(stmt, ExprStatement):
-                self.exprs.append((stmt.expr, None, None))
+                self._slot(stmt.expr, None, stmt, "stmt")
 
     def _resource(self, stmt) -> None:
         ordinal = len(self.resources)
@@ -241,7 +270,7 @@ class _Collector:
             loc=stmt.loc,
         )
         self.resources.append(info)
-        self.exprs.append((stmt.title, None, None))
+        self._slot(stmt.title, None, stmt, "title")
         for attr in stmt.attributes:
             attr_id = AttributeId(
                 manifest_path=info.manifest_path,
@@ -251,7 +280,7 @@ class _Collector:
                 ordinal=ordinal,
             )
             self.attributes.append((attr, attr_id))
-            self.exprs.append((attr.value, AttributeOwner(attr_id), attr))
+            self._slot(attr.value, AttributeOwner(attr_id), attr, "attribute")
 
 
 # --- public operations ------------------------------------------------------
@@ -272,7 +301,7 @@ def classify_expressions(index: MembershipIndex) -> list[ClassifiedExpression]:
     and class/defined-type parameter with a default value, in textual
     order; each entry's ``id`` is its position."""
     out: list[ClassifiedExpression] = []
-    for expr, owner, node in index.expressions:
+    for expr, owner, node, _, _, _ in index.expressions:
         if owner is None or expr is None:
             continue
         view = value_view(expr)
@@ -294,17 +323,17 @@ def collect_function_calls(index: MembershipIndex) -> list[FunctionCallSite]:
     """All function-call sites in the indexed manifest, with the variable,
     attribute, or parameter that receives the call result (if any)."""
     return [
-        FunctionCallSite(node.name, node.loc, owner, owner_node, node)
-        for expr, owner, owner_node in index.expressions
-        for node in iter_nodes(expr)
-        if isinstance(node, FunctionCall)
+        FunctionCallSite(call.name, call.loc, owner, node, call)
+        for _, owner, node, _, _, calls in index.expressions
+        for call in calls
     ]
 
 
 def build_membership_index(manifest: Manifest) -> MembershipIndex:
     """Every resource of the manifest, every attribute node with the id
-    that names its resource and manifest, and the expression table that
-    ``classify_expressions`` and ``collect_function_calls`` read."""
+    that names its resource and manifest, and the slot table that
+    ``classify_expressions``, ``collect_function_calls`` and
+    ``DataflowAnalysis`` read."""
     collector = _Collector(manifest)
     return MembershipIndex(
         resource_list=tuple(collector.resources),

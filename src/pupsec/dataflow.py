@@ -8,9 +8,12 @@ point: the manifest shares one flat variable namespace, with parameters
 defined just before the body.  There are no loops in the subset, so
 definition-use edges always point forward in textual order.
 
-``if`` and ``case`` share one join: each arm walks its own overlay of the
-state, then each variable that some arm wrote gets the union over all arms
-of its value there.  A missing ``else`` or ``default`` is one more, empty, arm.
+The analysis is one loop over the slot table of a ``MembershipIndex``: at
+each slot its names are used in the current state, then its variable or
+parameter owner is defined.  At the table's branch markers each arm starts
+from its own overlay of the state before the branch, and the join gives
+each variable that some arm wrote the union over all arms of its value
+there.  A missing ``else`` or ``default`` is one more, empty, arm.
 
 The result is one def-use map: each ``UseRecord`` holds the indices of
 every definition that may reach a use at its node.  A definition index
@@ -24,23 +27,8 @@ from collections import ChainMap
 from dataclasses import dataclass
 from typing import Union
 
-from .nodes import (
-    Assignment,
-    CaseStatement,
-    ClassDef,
-    DefinedTypeDef,
-    Expr,
-    ExprStatement,
-    IfStatement,
-    Manifest,
-    Parameter,
-    ResourceDecl,
-    ResourceOverride,
-    SourceLocation,
-    Statement,
-    VarRef,
-    iter_nodes,
-)
+from .classify import MembershipIndex, ParameterOwner, VariableOwner, build_membership_index
+from .nodes import Assignment, Expr, Manifest, Parameter, SourceLocation, VarRef, iter_nodes
 
 
 def uses_of(expr: Expr) -> set[str]:
@@ -67,83 +55,58 @@ _State = ChainMap[str, frozenset[int]]
 
 
 class DataflowAnalysis:
-    """Reaching-definitions analysis for a single manifest."""
+    """Reaching-definitions analysis for a single manifest, read off its
+    membership index's slot table in one flat loop."""
 
-    def __init__(self, manifest: Manifest):
-        self.manifest = manifest
+    def __init__(self, index: MembershipIndex):
         self.definitions: list[Definition] = []
         self.use_records: list[UseRecord] = []
         self._def_by_node: dict[int, Definition] = {}
         self._uses_by_node: dict[int, UseRecord] = {}
         state: _State = ChainMap()
-        for stmt in manifest.statements:
-            self._walk_statement(stmt, state)
+        branches: list[tuple[_State, list[_State]]] = []  # (state before, finished arms)
+        for expr, owner, node, kind, names, _ in index.expressions:
+            if node is None:  # a branch marker
+                if kind == "open":
+                    branches.append((state, []))
+                else:
+                    branches[-1][1].append(state)
+                if kind == "join":
+                    state, arms = branches.pop()
+                    for var in set().union(*(arm.maps[0] for arm in arms)):
+                        state[var] = frozenset().union(*(arm.get(var, ()) for arm in arms))
+                else:
+                    # a flat new_child() overlay: a nested ChainMap({}, arm)
+                    # would recurse per enclosing branch on every lookup
+                    state = branches[-1][0].new_child()
+                continue
+            # Uses come first, so `$x = "${x}-1"` reads the previous $x.
+            if expr is not None:  # a parameter without a default reads nothing
+                self._use(node, kind, names, state)
+            if isinstance(owner, (VariableOwner, ParameterOwner)):
+                self._define(node, state)
 
-    # -- construction --------------------------------------------------
-
-    def _define(self, var: str, node, state: _State) -> None:
-        """Record a definition and make it the only one of *var* in *state*."""
+    def _define(self, node: Union[Assignment, Parameter], state: _State) -> None:
+        """Record the definition that *node* makes, and make it the only
+        one of its variable in *state*."""
+        var = node.var_name if isinstance(node, Assignment) else node.name
         d = Definition(len(self.definitions), var, node, node.loc)
         self.definitions.append(d)
         self._def_by_node[id(node)] = d
         state[var] = frozenset((d.index,))
 
-    def _use(self, expr, node, kind: str, state: _State) -> None:
+    def _use(self, node, kind: str, names: tuple[str, ...], state: _State) -> None:
         record = self._uses_by_node.get(id(node))
         if record is None:
             record = self._uses_by_node[id(node)] = UseRecord(node, kind, set())
             self.use_records.append(record)
-        for name in uses_of(expr):
+        for name in names:
             # ChainMap.get would test every layer through a Python-level any()
             for layer in state.maps:
                 reaching = layer.get(name)
                 if reaching is not None:
                     record.reaching.update(reaching)
                     break
-
-    def _walk_statement(self, stmt: Statement, state: _State) -> None:
-        if isinstance(stmt, Assignment):
-            # RHS uses see the state before the assignment, so a
-            # self-referencing definition reads the previous one.
-            self._use(stmt.value, stmt, "rhs", state)
-            self._define(stmt.var_name, stmt, state)
-        elif isinstance(stmt, (ClassDef, DefinedTypeDef)):
-            for param in stmt.parameters:
-                if param.default is not None:
-                    self._use(param.default, param, "default", state)
-                self._define(param.name, param, state)
-            for inner in stmt.body:
-                self._walk_statement(inner, state)
-        elif isinstance(stmt, IfStatement):
-            self._use(stmt.condition, stmt, "condition", state)
-            self._branch((stmt.then_body, stmt.else_body), state)
-        elif isinstance(stmt, CaseStatement):
-            self._use(stmt.scrutinee, stmt, "scrutinee", state)
-            for arm in stmt.arms:
-                for m in arm.matches:
-                    self._use(m, stmt, "scrutinee", state)
-            bodies = [arm.body for arm in stmt.arms]
-            if not any(arm.is_default for arm in stmt.arms):
-                bodies.append(())  # no arm may match at all
-            self._branch(bodies, state)
-        elif isinstance(stmt, (ResourceDecl, ResourceOverride)):
-            self._use(stmt.title, stmt, "title", state)
-            for attr in stmt.attributes:
-                self._use(attr.value, attr, "attribute", state)
-        elif isinstance(stmt, ExprStatement):
-            self._use(stmt.expr, stmt, "stmt", state)
-        else:
-            raise TypeError(f"unknown statement node: {stmt!r}")
-
-    def _branch(self, bodies, state: _State) -> None:
-        """Walk each body over a flat new_child() overlay of *state* (a nested
-        ChainMap({}, state) recurses per enclosing branch), then join."""
-        arms = [state.new_child() for _ in bodies]
-        for body, arm in zip(bodies, arms):
-            for stmt in body:
-                self._walk_statement(stmt, arm)
-        for var in set().union(*(arm.maps[0] for arm in arms)):
-            state[var] = frozenset().union(*(arm.get(var, ()) for arm in arms))
 
     # -- queries ---------------------------------------------------------
 
@@ -163,8 +126,9 @@ class DataflowAnalysis:
 
 
 def reaches(def_stmt, use_site, manifest: Manifest) -> bool:
-    """Convenience wrapper: build the analysis and answer one query.
+    """Convenience wrapper: index the manifest, build the analysis and
+    answer one query.
 
     *def_stmt* is an Assignment (or Parameter) node of *manifest*;
     *use_site* is a statement or resource attribute node."""
-    return DataflowAnalysis(manifest).reaches(def_stmt, use_site)
+    return DataflowAnalysis(build_membership_index(manifest)).reaches(def_stmt, use_site)

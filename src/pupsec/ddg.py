@@ -85,7 +85,7 @@ def build_ddg(
     node would exist."""
     if not candidates:
         return None
-    analysis = DataflowAnalysis(manifest)
+    analysis = DataflowAnalysis(index)
     attr_id_of = {id(node): attr_id for node, attr_id in index.attribute_nodes}
     attr_loc = {attr_id: node.loc for node, attr_id in index.attribute_nodes}
 

@@ -243,7 +243,7 @@ def load_ground_truth(path: str) -> list[GroundTruthEntry]:
         except ValueError:
             raise ValueError(f"{where}: line {row['line']!r} is not a number") from None
         manifest = row["manifest_path"].strip()
-        resolved = manifest if os.path.isabs(manifest) else str((base / manifest).resolve())
+        resolved = str((base / manifest).resolve())  # an absolute manifest replaces base
         key = (resolved, category.value, line)
         if key in seen:
             raise ValueError(f"{where}: duplicate ground truth entry {key}")

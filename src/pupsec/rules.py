@@ -72,7 +72,8 @@ def load_pattern_overrides(path: str) -> PatternSet:
     """Load a JSON object mapping predicate names to pattern lists;
     predicates not present keep their defaults.  Substrings are lowered;
     ``isPvtKey`` regexes are kept as written, and one that does not
-    compile raises ``ValueError``.  Every error names the file."""
+    compile raises ``ValueError``, as does an empty entry.  Every error
+    names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -86,6 +87,8 @@ def load_pattern_overrides(path: str) -> PatternSet:
             raise UnknownPredicate(key, path)
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ValueError(f"{path}: {key} must map to a list of strings")
+        if "" in value:
+            raise ValueError(f"{path}: {key} has an empty entry, which would match everything")
         if key == "isPvtKey":
             for v in value:
                 try:

@@ -54,7 +54,7 @@ def build_ddg(
     node would exist."""
     if not candidates:
         return None
-    analysis = DataflowAnalysis(manifest)
+    analysis = DataflowAnalysis(index)
     attr_id_of = {id(node): attr_id for node, attr_id in index.attribute_nodes}
     attr_node_of = {attr_id: node for node, attr_id in index.attribute_nodes}
 

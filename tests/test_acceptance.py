@@ -145,7 +145,7 @@ def test_criterion_4_reachability_matches_bruteforce_on_500_manifests():
     for seed in range(500):
         text = generate_manifest_text(seed, max_statements=12, max_depth=2)
         manifest = parse_manifest(text, "gen.pp")
-        analysis = DataflowAnalysis(manifest)
+        analysis = DataflowAnalysis(build_membership_index(manifest))
         traces = enumerate_traces(manifest)
         for def_node, use_node, var in all_def_use_pairs(manifest):
             expected = oracle_reaches(traces, def_node, use_node, var)

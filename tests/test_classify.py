@@ -228,20 +228,43 @@ def test_classification_keeps_the_position_order_it_was_sorted_into():
 
 
 def test_each_analyzed_file_walks_its_statements_once(tmp_path, monkeypatch):
-    """``build_membership_index`` is the one statement walk per file: the
-    classifier and the call-site search read the table its index keeps."""
+    """``build_membership_index`` is the one statement walk per file, and
+    it walks each expression of its table once: the classifier, the
+    call-site search and the dataflow read the slots it fills."""
     import pupsec.classify as classify_mod
+    import pupsec.dataflow as dataflow_mod
+    import pupsec.ddg as ddg_mod
+    import pupsec.nodes as nodes_mod
     from pupsec.harness import _analyze_file
     from pupsec.rules import DEFAULT_PATTERNS
 
-    walked = []
+    walked, collectors, expression_walks, dataflows = [], [], [], []
     real_init = classify_mod._Collector.__init__
+    real_dataflow = ddg_mod.DataflowAnalysis
 
     def counting_init(self, manifest):
         walked.append(manifest.path)
+        collectors.append(self)
         real_init(self, manifest)
 
+    def counting_iter_nodes(obj):
+        expression_walks.append(obj)
+        return iter_nodes(obj)
+
+    def forbidden(*args):
+        raise AssertionError("the dataflow walked an expression")
+
+    def guarded_dataflow(index):
+        dataflows.append(index)
+        with monkeypatch.context() as m:
+            for module in (classify_mod, dataflow_mod, nodes_mod):
+                m.setattr(module, "iter_nodes", forbidden)
+            m.setattr(dataflow_mod, "uses_of", forbidden)
+            return real_dataflow(index)
+
     monkeypatch.setattr(classify_mod._Collector, "__init__", counting_init)
+    monkeypatch.setattr(classify_mod, "iter_nodes", counting_iter_nodes)
+    monkeypatch.setattr(ddg_mod, "DataflowAnalysis", guarded_dataflow)
     paths = [str(p) for p in sorted(FIXTURES.rglob("*.pp"))]
     texts = [RARE_FORMS] + [generate_manifest_text(seed) for seed in range(100)]
     for i, text in enumerate(texts):
@@ -251,5 +274,10 @@ def test_each_analyzed_file_walks_its_statements_once(tmp_path, monkeypatch):
     for mode in ("taint", "pattern"):
         for path in paths:
             walked.clear()
+            collectors.clear()
+            expression_walks.clear()
             assert _analyze_file(path, mode, DEFAULT_PATTERNS).error is None, path
             assert walked == [path], (mode, path)
+            slots = [s for s in collectors[0].exprs if s[3] not in ("open", "next", "join")]
+            assert [id(e) for e in expression_walks] == [id(s[0]) for s in slots], (mode, path)
+    assert len(dataflows) > len(paths) // 2

@@ -1,7 +1,9 @@
 import random
 import sys
 
+import pupsec.classify
 import pupsec.dataflow
+from pupsec.classify import build_membership_index
 from pupsec.dataflow import DataflowAnalysis, reaches, uses_of
 from pupsec.harness import _analyze_file
 from pupsec.nodes import Assignment, IfStatement, Manifest, ResourceDecl, VarRef
@@ -10,7 +12,7 @@ from pupsec.printer import manifest_source
 from pupsec.rules import DEFAULT_PATTERNS
 from pupsec.synth import generate_manifest_text
 
-from conftest import load_fixture
+from conftest import load_fixture, load_script
 from oracle import all_def_use_pairs, enumerate_traces, oracle_reaches
 
 
@@ -155,7 +157,7 @@ def test_class_parameter_reaches_body_use():
     password_param = cls.parameters[1]
     resource = cls.body[0]
     password_attr = resource.attributes[0]
-    analysis = DataflowAnalysis(m)
+    analysis = DataflowAnalysis(build_membership_index(m))
     assert analysis.reaches(password_param, password_attr) is True
 
 
@@ -227,27 +229,33 @@ def test_wrapping_statements_in_an_if_keeps_every_finding(tmp_path):
     assert checked >= 300
 
 
-def _trace_dataflow(manifest, tracer):
-    """Run DataflowAnalysis on *manifest* with *tracer* as sys.settrace."""
+def _traced(call, tracer):
+    """``call()`` with *tracer* as sys.settrace."""
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
-        DataflowAnalysis(manifest)
+        return call()
     finally:
         sys.settrace(previous)
 
 
-def _dataflow_line_events(blocks):
-    """Lines of dataflow.py run while analyzing a branchy manifest of
-    *blocks* if/else blocks."""
-    lines = []
-    for k in range(blocks):
-        lines += [
+def _branchy_text(lines):
+    """A manifest of about *lines* lines of if/else blocks."""
+    out = []
+    for k in range(lines // 8):
+        out += [
             "if $c {", "  $password = 'p'", f"  $cfg{k} = 'a'", "} else {",
             "  $password = 's'", f"  $cfg{k} = 'b'", "}",
             f"file {{ 'f{k}': content => $password, path => $cfg{k} }}",
         ]
-    filename = pupsec.dataflow.__file__
+    return "\n".join(out)
+
+
+def _analysis_line_events(text):
+    """Lines of classify.py and dataflow.py run while indexing the manifest
+    *text* and analyzing its dataflow."""
+    manifest = parse(text)
+    filenames = {pupsec.classify.__file__, pupsec.dataflow.__file__}
     count = 0
 
     def local(frame, event, arg):
@@ -255,13 +263,13 @@ def _dataflow_line_events(blocks):
         count += event == "line"
         return local
 
-    _trace_dataflow(parse("\n".join(lines)),
-                    lambda frame, event, arg: local if frame.f_code.co_filename == filename else None)
+    _traced(lambda: DataflowAnalysis(build_membership_index(manifest)),
+            lambda frame, event, arg: local if frame.f_code.co_filename in filenames else None)
     return count
 
 
-def _deepest_stack(manifest):
-    """The most frames on the stack at any call during DataflowAnalysis."""
+def _deepest_stack(call):
+    """The most frames on the stack at any call during ``call()``."""
     deepest = 0
 
     def tracer(frame, event, arg):
@@ -271,26 +279,38 @@ def _deepest_stack(manifest):
             depth, frame = depth + 1, frame.f_back
         deepest = max(deepest, depth)
 
-    _trace_dataflow(manifest, tracer)
+    _traced(call, tracer)
     return deepest
 
 
-def test_dataflow_takes_two_frames_per_nesting_level():
-    # The dataflow runs deeper in the stack than the parser, which takes
+def test_dataflow_stack_is_flat_and_the_index_walk_takes_two_frames_per_level():
+    # The index walk runs deeper in the stack than the parser, which takes
     # three frames per `if` or `case` level; at two it survives every nest
-    # the parser accepts.  A lookup that recursed through nested overlays
-    # would add frames per level too.
+    # the parser accepts.  The dataflow reads the index's flat table, so its
+    # depth does not grow with nesting at all: a recursive walk, or a lookup
+    # that recursed through nested overlays, would add frames per level.
     body = "$password = 'x'\nfile { 'f': content => $password }\n"
     for head, tail in (("if $a { ", "}"), ("case $a { 'v': { ", "} }")):
         shallow, deep = (parse(head * n + body + tail * n) for n in (20, 40))
-        assert _deepest_stack(deep) - _deepest_stack(shallow) <= 2 * 20
+        assert (_deepest_stack(lambda: build_membership_index(deep))
+                - _deepest_stack(lambda: build_membership_index(shallow))) <= 2 * 20
+        shallow, deep = map(build_membership_index, (shallow, deep))
+        assert (_deepest_stack(lambda: DataflowAnalysis(deep))
+                == _deepest_stack(lambda: DataflowAnalysis(shallow)))
 
 
-def test_dataflow_work_grows_linearly_with_branchy_manifests():
-    # Every block leaves one more live variable behind, so a join that
-    # touches every live variable makes the work quadratic.  Counting the
-    # lines executed is exact where a timing would be noisy.
-    assert _dataflow_line_events(500) / _dataflow_line_events(125) <= 4.4
+def test_dataflow_work_grows_linearly_with_branchy_manifests(monkeypatch):
+    # Every branchy block leaves one more live variable behind, so a join
+    # that touches every live variable makes the work quadratic; `chain` and
+    # `relay` read ever longer runs of definitions.  The collector walks the
+    # expressions and the dataflow reads its table, so both files' executed
+    # lines are counted, which is exact where a timing would be noisy.
+    monkeypatch.setattr(sys, "path", sys.path[:])  # sweep.py adds perfbench/
+    sweep = load_script("sweep")
+    for template in (_branchy_text, lambda n: sweep.chain_text(n)[0],
+                     lambda n: sweep.relay_text(n)[0]):
+        small, large = (_analysis_line_events(template(n)) for n in (500, 1000))
+        assert large / small <= 2.1, (template, small, large)
 
 
 # -- oracle agreement ----------------------------------------------------------
@@ -302,7 +322,7 @@ def test_reaches_agrees_with_bruteforce_oracle_on_small_sample():
     for seed in range(40):
         text = generate_manifest_text(seed, max_statements=8)
         m = parse_manifest(text, "gen.pp")
-        analysis = DataflowAnalysis(m)
+        analysis = DataflowAnalysis(build_membership_index(m))
         traces = enumerate_traces(m)
         for def_node, use_node, var in all_def_use_pairs(m):
             expected = oracle_reaches(traces, def_node, use_node, var)
@@ -315,7 +335,7 @@ def test_reaches_agrees_with_bruteforce_oracle_on_small_sample():
 
 def test_module_level_reaches_matches_analysis_method():
     m = load_fixture("proto_redefined.pp")
-    analysis = DataflowAnalysis(m)
+    analysis = DataflowAnalysis(build_membership_index(m))
     for stmt in m.statements[:2]:
         assert isinstance(stmt, Assignment)
         assert reaches(stmt, url_attribute(m), m) == analysis.reaches(stmt, url_attribute(m))

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -401,6 +402,25 @@ def test_load_ground_truth_rejects_duplicates(tmp_path):
         load_ground_truth(str(f))
 
 
+def test_absolute_ground_truth_paths_are_resolved(tmp_path, capsys):
+    # Findings carry resolved paths, so a label spelled through a symlinked
+    # directory or with `..` must be resolved too, or it never matches.
+    real = tmp_path / "real"
+    shutil.copytree(CORPUS, real)
+    (tmp_path / "link").symlink_to(real, target_is_directory=True)
+    truth = tmp_path / "truth.csv"
+    spellings = (tmp_path / "link" / "admin_default.pp", real / ".." / "real" / "admin_default.pp")
+    for spelling in spellings:
+        truth.write_text(f"manifest_path,category,line\n{spelling},admin_by_default,2\n")
+        assert main(["scan", str(real), "--ground-truth", str(truth)]) == 0
+        overall = json.loads(capsys.readouterr().out)["evaluation"]["overall"]
+        assert (overall["tp"], overall["fn"]) == (1, 0), spelling
+    rows = "".join(f"{spelling},admin_by_default,2\n" for spelling in spellings)
+    truth.write_text("manifest_path,category,line\n" + rows)
+    with pytest.raises(ValueError, match="duplicate ground truth entry"):
+        load_ground_truth(str(truth))
+
+
 def test_load_ground_truth_rejects_unknown_category(tmp_path):
     f = tmp_path / "truth.csv"
     f.write_text("manifest_path,category,line\nx.pp,bogus,3\n")
@@ -571,9 +591,14 @@ def test_cli_invalid_private_key_regex_exits_2(tmp_path, capsys):
         ("--taxonomy", b'{"db": ["\xff"]}', "'utf-8' codec can't decode byte 0xff"),
         ("--ground-truth", b"manifest_path,category,line\nx.pp,\xff,3\n",
          "'utf-8' codec can't decode byte 0xff"),
+        # an empty substring, regex or keyword would match every name or value
+        ("--patterns", b'{"isPassword": ["pwd", ""]}', "isPassword has an empty entry"),
+        ("--patterns", b'{"isPvtKey": [""]}', "isPvtKey has an empty entry"),
+        ("--taxonomy", b'{"DataStorage": [""]}', "DataStorage has an empty keyword"),
     ],
     ids=["patterns_truncated", "taxonomy_truncated", "patterns_unknown_key",
-         "patterns_not_utf8", "taxonomy_not_utf8", "ground_truth_not_utf8"],
+         "patterns_not_utf8", "taxonomy_not_utf8", "ground_truth_not_utf8",
+         "patterns_empty_substring", "patterns_empty_regex", "taxonomy_empty_keyword"],
 )
 def test_cli_config_file_errors_name_the_file(tmp_path, capsys, option, content, message):
     config = tmp_path / "config"

@@ -85,7 +85,7 @@ def _results() -> list:
         classified = classify_expressions(index)
         calls = collect_function_calls(index)
         candidates = detect_candidates(classified, calls, PatternSet())
-        analysis = DataflowAnalysis(manifest)
+        analysis = DataflowAnalysis(index)
         ddg = build_ddg(manifest, candidates, index)
         propagations = collect_propagations(ddg) if ddg is not None else []
         findings = confirm_findings(propagations)
