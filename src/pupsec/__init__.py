@@ -35,6 +35,7 @@ from .harness import (
     GroundTruthEntry,
     Report,
     RunConfig,
+    analyze_manifest,
     evaluate,
     load_ground_truth,
     scan,
@@ -89,6 +90,7 @@ __all__ = [
     "WeaknessCandidate",
     "WeaknessCategory",
     "ZeroTotal",
+    "analyze_manifest",
     "build_ddg",
     "build_membership_index",
     "categorize_resource",

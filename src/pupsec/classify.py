@@ -188,11 +188,8 @@ class FunctionCallSite:
 
 
 def _title_text(title: Expr) -> str:
-    if isinstance(title, StrLiteral):
-        return title.value
-    if isinstance(title, InterpolatedString) and all(isinstance(p, str) for p in title.parts):
-        return "".join(title.parts)
-    return expr_text(title)
+    view = value_view(title)
+    return view.text if isinstance(view, StringValue) else expr_text(title)
 
 
 # Branch markers are empty slots, which readers of owners, expressions or

@@ -1,8 +1,11 @@
-"""Batch scanning and ground-truth evaluation.
+"""The per-file pipeline, batch scanning and ground-truth evaluation.
 
-``scan`` runs the per-file pipeline (parse, classify, rule match, and in
-taint mode DDG confirmation) over directories of ``.pp`` files, one file
-at a time in sorted path order.
+``analyze_manifest`` is the one place that spells the stage order after
+parsing: index and classify, rule match, and in taint mode DDG
+confirmation.  ``scan`` reads and parses each ``.pp`` file of its inputs,
+one at a time in sorted path order, and runs that pipeline on it.  Every
+stage is looked up in this module's globals at call time, so a tracer or
+a test can wrap one by replacing its name here.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .classify import (
 )
 from .ddg import build_ddg, collect_propagations, confirm_findings
 from .errors import ScanError
+from .nodes import Manifest
 from .parser import parse_manifest
 from .report import (
     CorpusStats,
@@ -91,13 +95,44 @@ def _gather_manifests(inputs: tuple[str, ...]) -> list[str]:
     return sorted(spelling.values())
 
 
+def analyze_manifest(
+    manifest: Manifest, mode: str = "taint", patterns: PatternSet = DEFAULT_PATTERNS
+) -> tuple[tuple[Finding, ...], tuple[ResourceInfo, ...]]:
+    """The post-parse pipeline of one manifest: its findings in candidate
+    order, and its resources.  In ``pattern`` mode each rule candidate is a
+    finding with no sink; in ``taint`` mode only the candidates whose value
+    reaches a resource are.  Any other *mode* raises ``ValueError``."""
+    if mode not in ("taint", "pattern"):
+        raise ValueError(f"unknown mode: {mode!r}")
+    index = build_membership_index(manifest)
+    candidates = detect_candidates(
+        classify_expressions(index), collect_function_calls(index), patterns
+    )
+    if mode == "pattern":
+        findings = tuple(
+            Finding(
+                category=c.category,
+                manifest_path=manifest.path,
+                weakness_location=c.location,
+                weakness_name=c.display_name,
+                sink=None,
+                sink_location=None,
+                path=(),
+            )
+            for c in candidates
+        )
+    else:
+        ddg = build_ddg(manifest, candidates, index)
+        findings = () if ddg is None else tuple(confirm_findings(collect_propagations(ddg)))
+    return findings, index.resource_list
+
+
 def _analyze_file(path: str, mode: str, patterns: PatternSet) -> _FileResult:
     """One file's findings and resources, or the reason it is skipped.  An
     exception after parsing is a fault of the scanner, not of the file: it
     skips the file as an internal error instead of ending the scan."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        manifest = parse_manifest(text, path)
+        manifest = parse_manifest(Path(path).read_text(encoding="utf-8"), path)
     except OSError as exc:
         return _FileResult(path, (), (), str(exc), abort_as="cannot read")
     except UnicodeDecodeError as exc:
@@ -105,32 +140,13 @@ def _analyze_file(path: str, mode: str, patterns: PatternSet) -> _FileResult:
     except ScanError as exc:
         return _FileResult(path, (), (), str(exc))
     try:
-        index = build_membership_index(manifest)
-        classified = classify_expressions(index)
-        calls = collect_function_calls(index)
-        candidates = detect_candidates(classified, calls, patterns)
-        if mode == "pattern":
-            findings = tuple(
-                Finding(
-                    category=c.category,
-                    manifest_path=path,
-                    weakness_location=c.location,
-                    weakness_name=c.display_name,
-                    sink=None,
-                    sink_location=None,
-                    path=(),
-                )
-                for c in candidates
-            )
-        else:
-            ddg = build_ddg(manifest, candidates, index)
-            findings = () if ddg is None else tuple(confirm_findings(collect_propagations(ddg)))
+        findings, resources = analyze_manifest(manifest, mode, patterns)
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         return _FileResult(
             path, (), (), error, abort_as="internal error in", skip_as="internal error: "
         )
-    return _FileResult(path, findings, tuple(index.resource_list), None)
+    return _FileResult(path, findings, resources, None)
 
 
 def scan(config: RunConfig) -> Report:

@@ -44,7 +44,6 @@ class Finding:
     sink: Optional[AttributeId]  # None in pattern-only mode
     sink_location: Optional[SourceLocation]
     path: tuple[PathStep, ...]
-    rule_semantics: str = RULE_SEMANTICS
 
 
 # --- resource taxonomy ------------------------------------------------------
@@ -71,8 +70,9 @@ DEFAULT_TAXONOMY = ResourceTaxonomy(
 
 def load_taxonomy(path: str) -> ResourceTaxonomy:
     """Load a JSON object mapping category names to keyword lists.
-    Object order is significant: the first matching category wins.  An
-    empty keyword raises ``ValueError``.  Every error names the file."""
+    Object order is significant: the first matching category wins.  A
+    keyword that is empty or only whitespace raises ``ValueError``.  Every
+    error names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -84,7 +84,7 @@ def load_taxonomy(path: str) -> ResourceTaxonomy:
     for name, keywords in data.items():
         if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
             raise ValueError(f"{path}: {name} must map to a list of strings")
-        if "" in keywords:
+        if any(not k.strip() for k in keywords):
             raise ValueError(f"{path}: {name} has an empty keyword, which would match everything")
         categories.append((name, tuple(k.lower() for k in keywords)))
     return ResourceTaxonomy(categories=tuple(categories))

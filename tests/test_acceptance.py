@@ -15,8 +15,8 @@ from pupsec.classify import (
     collect_function_calls,
 )
 from pupsec.dataflow import DataflowAnalysis, reaches
-from pupsec.ddg import build_ddg, collect_propagations, confirm_findings
-from pupsec.harness import RunConfig, evaluate, load_ground_truth, scan
+from pupsec.ddg import build_ddg, collect_propagations
+from pupsec.harness import RunConfig, analyze_manifest, evaluate, load_ground_truth, scan
 from pupsec.nodes import ResourceDecl
 from pupsec.parser import parse_manifest
 from pupsec.report import categorize_resource, impacted_resource_pct, render_report
@@ -28,15 +28,10 @@ from oracle import all_def_use_pairs, enumerate_traces, oracle_reaches
 
 
 def analyze(manifest, mode="taint"):
-    index = build_membership_index(manifest)
-    classified = classify_expressions(index)
-    candidates = detect_candidates(classified, collect_function_calls(index))
     if mode == "pattern":
-        return candidates
-    ddg = build_ddg(manifest, candidates, index)
-    if ddg is None:
-        return []
-    return confirm_findings(collect_propagations(ddg))
+        index = build_membership_index(manifest)
+        return detect_candidates(classify_expressions(index), collect_function_calls(index))
+    return list(analyze_manifest(manifest)[0])
 
 
 def test_criterion_1_fixture_suite_runs_the_documented_behaviors():

@@ -1,11 +1,13 @@
+import collections
+import os
 import random
 import sys
 
-import pupsec.classify
-import pupsec.dataflow
+import pupsec
+import pupsec.harness
 from pupsec.classify import build_membership_index
 from pupsec.dataflow import DataflowAnalysis, reaches, uses_of
-from pupsec.harness import _analyze_file
+from pupsec.harness import _analyze_file, analyze_manifest
 from pupsec.nodes import Assignment, IfStatement, Manifest, ResourceDecl, VarRef
 from pupsec.parser import parse_manifest
 from pupsec.printer import manifest_source
@@ -251,21 +253,21 @@ def _branchy_text(lines):
     return "\n".join(out)
 
 
-def _analysis_line_events(text):
-    """Lines of classify.py and dataflow.py run while indexing the manifest
-    *text* and analyzing its dataflow."""
-    manifest = parse(text)
-    filenames = {pupsec.classify.__file__, pupsec.dataflow.__file__}
-    count = 0
+def _pipeline_line_events(text):
+    """Lines run in each ``pupsec`` module, by file name, while parsing the
+    manifest *text* and running ``analyze_manifest`` on it; and the
+    findings."""
+    package = os.path.dirname(pupsec.__file__)
+    counts = collections.Counter()
 
     def local(frame, event, arg):
-        nonlocal count
-        count += event == "line"
+        counts[frame.f_code.co_filename] += event == "line"
         return local
 
-    _traced(lambda: DataflowAnalysis(build_membership_index(manifest)),
-            lambda frame, event, arg: local if frame.f_code.co_filename in filenames else None)
-    return count
+    findings, _ = _traced(lambda: analyze_manifest(parse(text)),
+                          lambda frame, event, arg: local
+                          if os.path.dirname(frame.f_code.co_filename) == package else None)
+    return {os.path.basename(name): count for name, count in counts.items()}, findings
 
 
 def _deepest_stack(call):
@@ -302,15 +304,41 @@ def test_dataflow_stack_is_flat_and_the_index_walk_takes_two_frames_per_level():
 def test_dataflow_work_grows_linearly_with_branchy_manifests(monkeypatch):
     # Every branchy block leaves one more live variable behind, so a join
     # that touches every live variable makes the work quadratic; `chain` and
-    # `relay` read ever longer runs of definitions.  The collector walks the
-    # expressions and the dataflow reads its table, so both files' executed
-    # lines are counted, which is exact where a timing would be noisy.
+    # `relay` read ever longer runs of definitions.  The executed lines of
+    # every module of the per-file pipeline, from lexing to confirmed
+    # findings, are counted, which is exact where a timing would be noisy.
+    # On `relay` one secret reaches the file of every 4th link, so the
+    # witness paths' total length grows quadratically; there the DDG
+    # module's lines are counted per unit of its output: graph nodes, edges
+    # and witness steps.
     monkeypatch.setattr(sys, "path", sys.path[:])  # sweep.py adds perfbench/
     sweep = load_script("sweep")
-    for template in (_branchy_text, lambda n: sweep.chain_text(n)[0],
-                     lambda n: sweep.relay_text(n)[0]):
-        small, large = (_analysis_line_events(template(n)) for n in (500, 1000))
-        assert large / small <= 2.1, (template, small, large)
+    graphs = []
+    real_build_ddg = pupsec.harness.build_ddg
+
+    def build_ddg(*args):
+        graphs.append(real_build_ddg(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(pupsec.harness, "build_ddg", build_ddg)
+
+    def run(text):
+        graphs.clear()
+        counts, findings = _pipeline_line_events(text)
+        (ddg,) = graphs
+        return counts, len(ddg.nodes) + len(ddg.edges) + sum(len(f.path) for f in findings)
+
+    for name, template in (("local branchy", _branchy_text),
+                           ("chain", lambda n: sweep.chain_text(n)[0]),
+                           ("branchy", lambda n: sweep.branchy_text(n)[0]),
+                           ("relay", lambda n: sweep.relay_text(n)[0])):
+        (small, small_out), (large, large_out) = (run(template(n)) for n in (500, 1000))
+        assert set(large) == set(small), name
+        for module in small:
+            bound = 2.1 * small[module]
+            if name == "relay" and module == "ddg.py":
+                bound = 1.05 * small[module] * large_out / small_out
+            assert large[module] <= bound, (name, module, small[module], large[module])
 
 
 # -- oracle agreement ----------------------------------------------------------

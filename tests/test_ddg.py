@@ -18,6 +18,7 @@ from pupsec.ddg import (
     collect_propagations,
     confirm_findings,
 )
+from pupsec.harness import analyze_manifest
 from pupsec.nodes import SourceLocation
 from pupsec.parser import parse_manifest
 from pupsec.rules import WeaknessCategory, detect_candidates
@@ -37,10 +38,7 @@ def pipeline(manifest):
 
 
 def findings_of(manifest):
-    candidates, index, ddg = pipeline(manifest)
-    if ddg is None:
-        return []
-    return confirm_findings(collect_propagations(ddg))
+    return list(analyze_manifest(manifest)[0])
 
 
 def parse(src):

@@ -15,11 +15,13 @@ from pupsec.harness import (
     GroundTruthEntry,
     RunConfig,
     _analyze_file,
+    analyze_manifest,
     evaluate,
     load_ground_truth,
     metrics_to_dict,
     scan,
 )
+from pupsec.parser import parse_manifest
 from pupsec.report import sorted_findings
 from pupsec.rules import DEFAULT_PATTERNS, WeaknessCategory
 
@@ -293,9 +295,29 @@ def test_readme_library_example_finds_what_scan_finds(tmp_path, monkeypatch):
         Path("site.pp").write_text(source_text, encoding="utf-8")
         namespace = {"source_text": source_text}
         exec(example, namespace)
-        assert sorted_findings(namespace["findings"]) == list(run_scan(["site.pp"]).findings), fixture
+        report = run_scan(["site.pp"])
+        assert sorted_findings(namespace["findings"]) == list(report.findings), fixture
+        assert len(namespace["resources"]) == report.stats.total_resources, fixture
         found += len(namespace["findings"])
     assert found > 10
+
+
+def test_unknown_mode_raises_before_any_file_is_read(monkeypatch):
+    import pupsec.harness as harness_mod
+
+    manifest = parse_manifest((WEAKNESS_SUITE / "sha1_password_file.pp").read_text(), "f.pp")
+    for mode in ("taint", "pattern"):
+        findings, _ = analyze_manifest(manifest, mode)
+        assert [f.category for f in findings] == [WeaknessCategory.WEAK_CRYPTO_ALGORITHM], mode
+        assert (findings[0].sink is None) == (mode == "pattern")
+    calls = []
+    monkeypatch.setattr(harness_mod, "_analyze_file", lambda *args: calls.append(args))
+    for mode in ("Taint", "patterns", ""):
+        with pytest.raises(ValueError, match=f"^unknown mode: {mode!r}$"):
+            analyze_manifest(manifest, mode)
+        with pytest.raises(ValueError, match=f"^unknown mode: {mode!r}$"):
+            run_scan([WEAKNESS_SUITE], mode=mode)
+    assert calls == []
 
 
 # -- an exception after parsing skips its file ---------------------------------------
@@ -595,10 +617,13 @@ def test_cli_invalid_private_key_regex_exits_2(tmp_path, capsys):
         ("--patterns", b'{"isPassword": ["pwd", ""]}', "isPassword has an empty entry"),
         ("--patterns", b'{"isPvtKey": [""]}', "isPvtKey has an empty entry"),
         ("--taxonomy", b'{"DataStorage": [""]}', "DataStorage has an empty keyword"),
+        # the search text "TYPE TITLE" always holds a space
+        ("--taxonomy", b'{"DataStorage": ["mysql", " "]}', "DataStorage has an empty keyword"),
     ],
     ids=["patterns_truncated", "taxonomy_truncated", "patterns_unknown_key",
          "patterns_not_utf8", "taxonomy_not_utf8", "ground_truth_not_utf8",
-         "patterns_empty_substring", "patterns_empty_regex", "taxonomy_empty_keyword"],
+         "patterns_empty_substring", "patterns_empty_regex", "taxonomy_empty_keyword",
+         "taxonomy_blank_keyword"],
 )
 def test_cli_config_file_errors_name_the_file(tmp_path, capsys, option, content, message):
     config = tmp_path / "config"
