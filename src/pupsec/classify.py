@@ -61,7 +61,6 @@ class StringValue:
 @dataclass(slots=True, unsafe_hash=True)
 class FunctionValue:
     function_name: str
-    args: tuple
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -94,7 +93,7 @@ def value_view(expr: Expr) -> ValueView:
         fragments = tuple(p for p in expr.parts if isinstance(p, str))
         return CompositeValue(fragments)
     if isinstance(expr, FunctionCall):
-        return FunctionValue(expr.name, tuple(value_view(a) for a in expr.args))
+        return FunctionValue(expr.name)
     if isinstance(expr, UndefLiteral):
         return UndefValue()
     if isinstance(expr, (ArrayLiteral, HashLiteral)):

@@ -32,7 +32,6 @@ from .report import (
     CorpusStats,
     Finding,
     DEFAULT_TAXONOMY,
-    VERSION,
     compute_stats,
     load_taxonomy,
     sorted_findings,
@@ -40,7 +39,6 @@ from .report import (
 from .rules import (
     DEFAULT_PATTERNS,
     PatternSet,
-    RULE_SEMANTICS,
     WeaknessCategory,
     detect_candidates,
     load_pattern_overrides,
@@ -59,9 +57,7 @@ class RunConfig:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Report:
-    version: str
     mode: str
-    rule_semantics: str
     findings: tuple[Finding, ...]
     stats: CorpusStats
     skipped: tuple[tuple[str, str], ...] = ()  # (path, reason) for skipped files
@@ -193,9 +189,7 @@ def scan(config: RunConfig) -> Report:
 
     stats = compute_stats(findings, resources, taxonomy)
     return Report(
-        version=VERSION,
         mode=config.mode,
-        rule_semantics=RULE_SEMANTICS,
         findings=tuple(sorted_findings(findings)),
         stats=stats,
         skipped=tuple(skipped),
@@ -232,7 +226,8 @@ def load_ground_truth(path: str) -> list[GroundTruthEntry]:
     """Read a header-bearing CSV of labeled true weaknesses.  Manifest
     paths are taken relative to the CSV file's own directory.  A file that
     is not UTF-8 or a malformed row raises ``ValueError`` naming the file
-    (and the row's line)."""
+    (and the row's line); so does a row that no finding could match, one
+    with an empty manifest path or a line below 1."""
     base = Path(path).resolve().parent
     entries: list[GroundTruthEntry] = []
     seen: set[tuple[str, str, int]] = set()
@@ -258,7 +253,11 @@ def load_ground_truth(path: str) -> list[GroundTruthEntry]:
             line = int(row["line"])
         except ValueError:
             raise ValueError(f"{where}: line {row['line']!r} is not a number") from None
+        if line < 1:
+            raise ValueError(f"{where}: line {line} is not a positive number")
         manifest = row["manifest_path"].strip()
+        if not manifest:
+            raise ValueError(f"{where}: manifest_path is empty")
         resolved = str((base / manifest).resolve())  # an absolute manifest replaces base
         key = (resolved, category.value, line)
         if key in seen:

@@ -5,6 +5,13 @@ sites.  All matching is case-insensitive.  Name predicates for hard-coded
 secrets are joined disjunctively (a name matching any of user/password/
 private-key counts); reports carry a ``rule_semantics`` marker recording
 that choice.
+
+``detect_candidates`` reads each value view once.  Per expression the
+candidates come in this order: admin by default, empty password and
+hard-coded secret (string values only, from one ``isUser`` and one
+``isPassword`` run on the name), then invalid IP binding and HTTP without
+TLS (the first matching value fragment each).  Weak-crypto call sites
+follow all expressions.  Taint node i of the DDG is candidate i.
 """
 
 from __future__ import annotations
@@ -139,16 +146,11 @@ class WeaknessCandidate:
         return f"${self.element.name}"
 
 
-def _string_value(ce: ClassifiedExpression) -> Union[str, None]:
-    return ce.value.text if isinstance(ce.value, StringValue) else None
-
-
-def _value_fragments(ce: ClassifiedExpression) -> tuple[str, ...]:
-    if isinstance(ce.value, StringValue):
-        return (ce.value.text,)
-    if isinstance(ce.value, CompositeValue):
-        return ce.value.literal_fragments
-    return ()
+# Value rules, in candidate order; each reports the first matching fragment.
+_VALUE_RULES = (
+    (WeaknessCategory.INVALID_IP_BINDING, "isInvalidBind"),
+    (WeaknessCategory.HTTP_WITHOUT_TLS, "isHTTP"),
+)
 
 
 def detect_candidates(
@@ -159,61 +161,40 @@ def detect_candidates(
     """Apply every rule to one manifest's classified expressions and call
     sites.  The result is the pattern-level (pre-propagation) finding set."""
     out: list[WeaknessCandidate] = []
-
     for ce in classified:
-        sv = _string_value(ce)
-
-        if (
-            ce.kind is ExpressionKind.PARAMETER
-            and sv is not None
-            and evaluate_predicate("isUser", ce.name, patterns)
-            and evaluate_predicate("isAdmin", sv, patterns)
-        ):
-            out.append(
-                WeaknessCandidate(WeaknessCategory.ADMIN_BY_DEFAULT, ce, sv, ce.location)
-            )
-
-        if (
-            sv is not None
-            and len(sv) == 0
-            and evaluate_predicate("isPassword", ce.name, patterns)
-        ):
-            out.append(
-                WeaknessCandidate(WeaknessCategory.EMPTY_PASSWORD, ce, ce.name, ce.location)
-            )
-
-        if (
-            sv is not None
-            and len(sv) > 0
-            and (
-                evaluate_predicate("isUser", ce.name, patterns)
-                or evaluate_predicate("isPassword", ce.name, patterns)
-                or evaluate_predicate("isPvtKey", ce.name, patterns)
-            )
-        ):
-            out.append(
-                WeaknessCandidate(WeaknessCategory.HARD_CODED_SECRET, ce, ce.name, ce.location)
-            )
-
-        for fragment in _value_fragments(ce):
-            if evaluate_predicate("isInvalidBind", fragment, patterns):
+        value = ce.value
+        if isinstance(value, StringValue):
+            text = value.text
+            user = evaluate_predicate("isUser", ce.name, patterns)
+            password = evaluate_predicate("isPassword", ce.name, patterns)
+            if (
+                user
+                and ce.kind is ExpressionKind.PARAMETER
+                and evaluate_predicate("isAdmin", text, patterns)
+            ):
+                out.append(WeaknessCandidate(WeaknessCategory.ADMIN_BY_DEFAULT, ce, text, ce.location))
+            if not text:
+                if password:
+                    out.append(
+                        WeaknessCandidate(WeaknessCategory.EMPTY_PASSWORD, ce, ce.name, ce.location)
+                    )
+            elif user or password or evaluate_predicate("isPvtKey", ce.name, patterns):
                 out.append(
-                    WeaknessCandidate(WeaknessCategory.INVALID_IP_BINDING, ce, fragment, ce.location)
+                    WeaknessCandidate(WeaknessCategory.HARD_CODED_SECRET, ce, ce.name, ce.location)
                 )
-                break
-        for fragment in _value_fragments(ce):
-            if evaluate_predicate("isHTTP", fragment, patterns):
-                out.append(
-                    WeaknessCandidate(WeaknessCategory.HTTP_WITHOUT_TLS, ce, fragment, ce.location)
-                )
-                break
-
-    for site in function_calls:
-        if evaluate_predicate("usesWeakAlgo", site.name, patterns):
-            out.append(
-                WeaknessCandidate(
-                    WeaknessCategory.WEAK_CRYPTO_ALGORITHM, site, site.name, site.location
-                )
-            )
-
+            fragments = (text,)
+        elif isinstance(value, CompositeValue):
+            fragments = value.literal_fragments
+        else:
+            continue
+        for category, predicate in _VALUE_RULES:
+            for fragment in fragments:
+                if evaluate_predicate(predicate, fragment, patterns):
+                    out.append(WeaknessCandidate(category, ce, fragment, ce.location))
+                    break
+    out.extend(
+        WeaknessCandidate(WeaknessCategory.WEAK_CRYPTO_ALGORITHM, site, site.name, site.location)
+        for site in function_calls
+        if evaluate_predicate("usesWeakAlgo", site.name, patterns)
+    )
     return out

@@ -579,8 +579,13 @@ def test_evaluate_reports_per_category_rows():
         ("x.pp", "row 3: no category, line"),
         ("x.pp,empty_password", "row 3: no line"),
         ("x.pp,empty_password,three", "row 3: line 'three' is not a number"),
+        # rows that no finding could ever match
+        (",empty_password,3", "row 3: manifest_path is empty"),
+        ("x.pp,empty_password,0", "row 3: line 0 is not a positive number"),
+        ("x.pp,empty_password,-2", "row 3: line -2 is not a positive number"),
     ],
-    ids=["no_category", "no_line", "line_not_a_number"],
+    ids=["no_category", "no_line", "line_not_a_number", "empty_manifest_path", "line_zero",
+         "line_negative"],
 )
 def test_cli_malformed_ground_truth_row_exits_2(tmp_path, capsys, row, message):
     truth = tmp_path / "truth.csv"

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pupsec.rules
 from pupsec.classify import (
     FunctionValue,
     UndefValue,
@@ -9,6 +10,7 @@ from pupsec.classify import (
     classify_expressions,
     collect_function_calls,
 )
+from pupsec.ddg import build_ddg
 from pupsec.errors import UnknownPredicate
 from pupsec.parser import parse_manifest
 from pupsec.rules import (
@@ -20,7 +22,7 @@ from pupsec.rules import (
 )
 from pupsec.synth import generate_manifest_text
 
-from conftest import WEAKNESS_SUITE
+from conftest import FIXTURES, RARE_FORMS, WEAKNESS_SUITE
 
 
 def candidates_for(src, path="test.pp"):
@@ -247,6 +249,52 @@ def test_variable_parts_do_not_trigger_value_rules():
 def test_empty_password_attribute_candidate():
     cands = candidates_for("mysql::db { 'x': password => '' }")
     assert categories(cands) == [WeaknessCategory.EMPTY_PASSWORD]
+
+
+def test_candidate_order_when_several_rules_match_one_expression():
+    src = (
+        "$h = md5('x')\n"
+        "class c ($admin_user = 'admin http://0.0.0.0') {\n"
+        "  file { '/etc/c': content => \"${admin_user}${h}\" }\n"
+        "}\n"
+    )
+    m = parse_manifest(src, "order.pp")
+    index = build_membership_index(m)
+    cands = detect_candidates(classify_expressions(index), collect_function_calls(index))
+    assert [c.category.value for c in cands] == [
+        "admin_by_default",
+        "hard_coded_secret",
+        "invalid_ip_binding",
+        "http_without_tls",
+        "weak_crypto_algorithm",
+    ]
+    ddg = build_ddg(m, cands, index)
+    assert ddg is not None
+    for i, cand in enumerate(cands):
+        assert ddg.nodes[i].candidate is cand
+
+
+def test_each_name_predicate_runs_at_most_once_per_expression(monkeypatch):
+    real = pupsec.rules.evaluate_predicate
+    calls = []
+
+    def spy(predicate, text, patterns=DEFAULT_PATTERNS):
+        calls.append(predicate)
+        return real(predicate, text, patterns)
+
+    monkeypatch.setattr(pupsec.rules, "evaluate_predicate", spy)
+    texts = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.rglob("*.pp"))]
+    texts += [RARE_FORMS, "class c ($user = 'x') { }"]
+    texts += [generate_manifest_text(seed) for seed in range(100)]
+    checked = 0
+    for text in texts:
+        for ce in classify_expressions(build_membership_index(parse_manifest(text, "t.pp"))):
+            calls.clear()
+            detect_candidates([ce], [])
+            for predicate in ("isUser", "isPassword", "isPvtKey"):
+                assert calls.count(predicate) <= 1, (ce.name, ce.value, calls)
+            checked += bool(calls)
+    assert checked > 100  # the spy sees the rules run
 
 
 def test_detection_is_deterministic():
