@@ -128,7 +128,10 @@ def _analyze_file(path: str, mode: str, patterns: PatternSet) -> _FileResult:
     exception after parsing is a fault of the scanner, not of the file: it
     skips the file as an internal error instead of ending the scan."""
     try:
-        manifest = parse_manifest(Path(path).read_text(encoding="utf-8"), path)
+        # A UTF-8 byte-order mark is encoding, not text; one anywhere else
+        # is still an unexpected character.
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        manifest = parse_manifest(text, path)
     except OSError as exc:
         return _FileResult(path, (), (), str(exc), abort_as="cannot read")
     except UnicodeDecodeError as exc:
@@ -227,13 +230,14 @@ def load_ground_truth(path: str) -> list[GroundTruthEntry]:
     paths are taken relative to the CSV file's own directory.  A file that
     is not UTF-8 or a malformed row raises ``ValueError`` naming the file
     (and the row's line); so does a row that no finding could match, one
-    with an empty manifest path or a line below 1."""
+    with an empty manifest path, a directory or a line below 1.  A UTF-8
+    byte-order mark is skipped."""
     base = Path(path).resolve().parent
     entries: list[GroundTruthEntry] = []
     seen: set[tuple[str, str, int]] = set()
     valid = {c.value: c for c in WeaknessCategory}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -259,6 +263,8 @@ def load_ground_truth(path: str) -> list[GroundTruthEntry]:
         if not manifest:
             raise ValueError(f"{where}: manifest_path is empty")
         resolved = str((base / manifest).resolve())  # an absolute manifest replaces base
+        if os.path.isdir(resolved):
+            raise ValueError(f"{where}: manifest_path {manifest!r} is a directory")
         key = (resolved, category.value, line)
         if key in seen:
             raise ValueError(f"{where}: duplicate ground truth entry {key}")

@@ -106,6 +106,16 @@ _EXPR_START = {
 
 
 class _Parser:
+    """Recursive descent over one token list, which ends in ``EOF``.
+    ``pos`` indexes the next token and never moves past ``EOF``.
+
+    The paths taken once or more per token (``parse_expression``,
+    ``_unary``, ``_primary``, ``_delimited`` and ``expect``) read
+    ``self.tokens[self.pos]`` and move ``self.pos`` themselves: a call to
+    ``peek``, ``at``, ``advance`` or ``loc`` costs more than the work it
+    does.  Statement-level code, which runs once per statement, keeps those
+    helpers."""
+
     def __init__(self, tokens: list[Token], path: str):
         self.tokens = tokens
         self.path = path
@@ -116,7 +126,7 @@ class _Parser:
     def peek(self, offset: int = 0) -> Token:
         return self.tokens[self.pos + offset]
 
-    def at(self, kind: TokenKind) -> bool:
+    def at(self, kind: str) -> bool:
         return self.tokens[self.pos].kind is kind
 
     def advance(self) -> Token:
@@ -125,11 +135,13 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        tok = self.peek()
+    def expect(self, kind: str, what: str) -> Token:
+        tok = self.tokens[self.pos]
         if tok.kind is not kind:
             raise ParseError(tok.loc(self.path), f"expected {what}, found {tok.text or 'end of input'!r}")
-        return self.advance()
+        if kind is not TokenKind.EOF:
+            self.pos += 1
+        return tok
 
     def loc(self, tok: Token) -> SourceLocation:
         return tok.loc(self.path)
@@ -146,17 +158,19 @@ class _Parser:
         self.expect(TokenKind.RBRACE, "'}'")
         return tuple(stmts)
 
-    def _delimited(self, close: TokenKind, what: str, item: Callable[[], object]) -> tuple:
+    def _delimited(self, close: str, what: str, item: Callable[[], object]) -> tuple:
         """Comma-separated *item*s up to and including *close*; the opening
         token is already consumed and a trailing comma is allowed."""
+        tokens = self.tokens
         items = []
-        while not self.at(close):
+        while tokens[self.pos].kind is not close:
             items.append(item())
-            if self.at(TokenKind.COMMA):
-                self.advance()
-            elif not self.at(close):
+            kind = tokens[self.pos].kind
+            if kind is TokenKind.COMMA:
+                self.pos += 1
+            elif kind is not close:
                 raise ParseError(self.loc(self.peek()), f"expected ',' or '{_CLOSERS[close]}' in {what}")
-        self.advance()
+        self.pos += 1
         return tuple(items)
 
     # -- statements --------------------------------------------------------
@@ -317,26 +331,31 @@ class _Parser:
             entry = _BINARY.get(tok.kind)
             if entry is None or entry[1] < min_power:
                 return left
-            self.advance()
+            self.pos += 1
             op, power = entry
-            left = BinaryOp(op, left, self.parse_expression(power + 1), self.loc(tok))
+            right = self.parse_expression(power + 1)
+            left = BinaryOp(op, left, right, SourceLocation(self.path, tok.line, tok.column))
 
     def _unary(self) -> Expr:
         """Prefix ``!`` and ``-``, then a primary with its ``[key]`` and
         ``? { ... }`` suffixes."""
-        tok = self.peek()
-        if tok.kind is TokenKind.BANG or tok.kind is TokenKind.MINUS:
-            self.advance()
-            return UnaryOp(tok.text, self._unary(), self.loc(tok))
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        kind = tok.kind
+        if kind is TokenKind.BANG or kind is TokenKind.MINUS:
+            self.pos += 1
+            return UnaryOp(tok.text, self._unary(), SourceLocation(self.path, tok.line, tok.column))
         expr = self._primary()
         while True:
-            if self.at(TokenKind.LBRACK):
-                self.advance()
+            kind = tokens[self.pos].kind
+            if kind is TokenKind.LBRACK:
+                self.pos += 1
                 key = self.parse_expression()
                 self.expect(TokenKind.RBRACK, "']'")
                 expr = AccessExpr(expr, key, expr.loc)
-            elif self.at(TokenKind.QUESTION):
-                q = self.advance()
+            elif kind is TokenKind.QUESTION:
+                q = tokens[self.pos]
+                self.pos += 1
                 self.expect(TokenKind.LBRACE, "'{'")
                 arms = self._delimited(TokenKind.RBRACE, "selector", self._selector_arm)
                 expr = SelectorExpr(expr, arms, self.loc(q))
@@ -359,9 +378,12 @@ class _Parser:
         return key, self.parse_expression()
 
     def _primary(self) -> Expr:
-        tok = self.advance()
+        tokens = self.tokens
+        tok = tokens[self.pos]
         kind = tok.kind
-        loc = self.loc(tok)
+        if kind is not TokenKind.EOF:
+            self.pos += 1
+        loc = SourceLocation(self.path, tok.line, tok.column)
         if kind is TokenKind.SQ_STRING:
             return StrLiteral(tok.value, loc)
         if kind is TokenKind.DQ_STRING:
@@ -383,15 +405,15 @@ class _Parser:
             self.expect(TokenKind.RPAREN, "')'")
             return inner
         if kind is TokenKind.NAME:
-            if self.at(TokenKind.LPAREN):
-                self.advance()
+            if tokens[self.pos].kind is TokenKind.LPAREN:
+                self.pos += 1
                 args = self._delimited(TokenKind.RPAREN, "call arguments", self.parse_expression)
                 return FunctionCall(tok.text, args, loc)
             # Unquoted barewords are strings in Puppet (e.g. `ensure => present`).
             return StrLiteral(tok.text, loc)
         if kind is TokenKind.TYPE_REF:
-            if self.at(TokenKind.LBRACK):
-                self.advance()
+            if tokens[self.pos].kind is TokenKind.LBRACK:
+                self.pos += 1
                 title = self.parse_expression()
                 self.expect(TokenKind.RBRACK, "']'")
                 return ResourceRef(tok.text, title, loc)

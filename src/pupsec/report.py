@@ -72,9 +72,9 @@ def load_taxonomy(path: str) -> ResourceTaxonomy:
     """Load a JSON object mapping category names to keyword lists.
     Object order is significant: the first matching category wins.  A
     keyword that is empty or only whitespace raises ``ValueError``.  Every
-    error names the file."""
+    error names the file.  A UTF-8 byte-order mark is skipped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ValueError(f"{path}: {exc}") from exc

@@ -80,9 +80,9 @@ def load_pattern_overrides(path: str) -> PatternSet:
     predicates not present keep their defaults.  Substrings are lowered;
     ``isPvtKey`` regexes are kept as written, and one that does not
     compile raises ``ValueError``, as does an empty entry.  Every error
-    names the file."""
+    names the file.  A UTF-8 byte-order mark is skipped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ValueError(f"{path}: {exc}") from exc

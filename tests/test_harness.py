@@ -583,11 +583,13 @@ def test_evaluate_reports_per_category_rows():
         (",empty_password,3", "row 3: manifest_path is empty"),
         ("x.pp,empty_password,0", "row 3: line 0 is not a positive number"),
         ("x.pp,empty_password,-2", "row 3: line -2 is not a positive number"),
+        ("sub,empty_password,3", "row 3: manifest_path 'sub' is a directory"),
     ],
     ids=["no_category", "no_line", "line_not_a_number", "empty_manifest_path", "line_zero",
-         "line_negative"],
+         "line_negative", "directory"],
 )
 def test_cli_malformed_ground_truth_row_exits_2(tmp_path, capsys, row, message):
+    (tmp_path / "sub").mkdir()
     truth = tmp_path / "truth.csv"
     truth.write_text(f"manifest_path,category,line\nx.pp,empty_password,3\n{row}\n")
     code = main(["scan", str(CORPUS), "--ground-truth", str(truth)])
@@ -638,6 +640,37 @@ def test_cli_config_file_errors_name_the_file(tmp_path, capsys, option, content,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[-1].startswith(f"pupsec: error: {config}: {message}")
+
+
+@pytest.mark.parametrize("target", ["manifest", "--ground-truth", "--patterns", "--taxonomy"])
+def test_utf8_byte_order_mark_is_skipped(tmp_path, capsys, target):
+    """A manifest or config file that starts with a UTF-8 byte-order mark
+    scans as it does without one.  A second mark is an unexpected
+    character."""
+    corpus = shutil.copytree(CORPUS, tmp_path / "corpus")
+    configs = {
+        "--ground-truth": (tmp_path / "truth.csv", CORPUS_TRUTH.read_bytes()),
+        "--patterns": (tmp_path / "patterns.json", b'{"isUser": ["user", "login"]}'),
+        "--taxonomy": (tmp_path / "taxonomy.json", b'{"DataStorage": ["mysql", "db"]}'),
+    }
+    args = ["scan", str(corpus)]
+    for option, (path, content) in configs.items():
+        path.write_bytes(content)
+        args += [option, str(path)]
+    marked = corpus / "ci_master.pp" if target == "manifest" else configs[target][0]
+
+    def run():
+        code = main(args)
+        return code, capsys.readouterr()
+
+    plain = run()
+    assert plain[0] == 0 and plain[1].err == ""  # nothing skipped
+    marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+    assert run() == plain
+    if target == "manifest":
+        marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+        reason = f"{marked}:1:1: unexpected character '\\ufeff'"
+        assert run_scan([marked]).skipped == ((str(marked), reason),)
 
 
 def test_cli_bad_input_exits_2(capsys):

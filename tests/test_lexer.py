@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+import pupsec.lexer
 import reference_lexer
 from pupsec.errors import ParseError, UnsupportedConstruct
 from pupsec.lexer import TokenKind, tokenize
@@ -147,6 +148,44 @@ def test_double_quoted_body_ends_at_the_right_quote(body):
 def test_eof_token_follows_trailing_trivia():
     toks = tokenize("$x = 1 # done\n/* c\n*/  \n\t", "x.pp")
     assert (toks[-1].kind, toks[-1].line, toks[-1].column) == (TokenKind.EOF, 4, 2)
+
+
+# One text per alternative of the master pattern, and what it lexes to: the
+# kind of its first token, or the error it raises.
+ALTERNATIVE_SAMPLES = {
+    "trivia": ("# c\n", TokenKind.EOF),
+    "open_comment": ("/* c", "unterminated block comment"),
+    "sq": ("'a'", TokenKind.SQ_STRING),
+    "open_sq": ("'a", "unterminated string"),
+    "dq": ('"a${b}"', TokenKind.DQ_STRING),
+    "dq_open": ('"${h[\'}\']}"', TokenKind.DQ_STRING),
+    "var": ("$::a", TokenKind.VARIABLE),
+    "bad_var": ("$-", "invalid variable name"),
+    "number": ("1.5", TokenKind.NUMBER),
+    "name": ("if", TokenKind.KW_IF),
+    "type_ref": ("File", TokenKind.TYPE_REF),
+    "bad_colons": (":: a", "unexpected character ':'"),
+    "unsupported_op": ("->", "unsupported construct: chaining_arrow"),
+    "symbol": ("=>", TokenKind.ARROW),
+    "eof": ("", TokenKind.EOF),
+    "bad_char": ("^", "unexpected character '^'"),
+}
+
+
+def test_every_master_alternative_has_a_marker_and_a_handler():
+    names = [name for name, _ in pupsec.lexer._ALTERNATIVES]
+    assert names == list(ALTERNATIVE_SAMPLES)
+    # Group 1 is the blanks; any other capturing group would shift the markers.
+    assert pupsec.lexer._MASTER.groups == 1 + len(names)
+    for index, name in enumerate(names, start=2):
+        sample, expected = ALTERNATIVE_SAMPLES[name]
+        assert getattr(pupsec.lexer, f"_{name.upper()}") == index
+        assert pupsec.lexer._MASTER.match(sample).lastindex == index, name
+        try:
+            outcome = tokenize(sample, "x.pp")[0].kind
+        except (ParseError, UnsupportedConstruct) as exc:
+            outcome = str(exc).removeprefix("x.pp:1:1: ")
+        assert outcome == expected, name
 
 
 # -- differential tests against the replaced character-at-a-time scanner --------

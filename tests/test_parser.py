@@ -1,6 +1,9 @@
+import collections
+import enum
 import itertools
 import random
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ import pupsec.parser
 import reference_parser
 from pupsec.errors import ParseError, UnsupportedConstruct
 from pupsec.harness import _analyze_file
+from pupsec.lexer import tokenize
 from pupsec.nodes import (
     Assignment,
     BinaryOp,
@@ -476,3 +480,41 @@ def _interpolated(module, body, location):
 def test_interpolation_matches_reference(body, line, column):
     location = SourceLocation("m.pp", line, column)
     assert _interpolated(pupsec.parser, body, location) == _interpolated(reference_parser, body, location)
+
+
+# -- per-token cost ---------------------------------------------------------------
+
+
+def _python_calls(texts):
+    """How often parsing *texts* entered each Python code object."""
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for text in texts:
+            parse_manifest(text, "m.pp")
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_parsing_runs_no_enum_code():
+    """Token kinds are plain strings, so no kind lookup or hash runs a
+    method of ``enum`` (``Enum.__hash__`` is a Python function)."""
+    texts = FIXTURE_TEXTS + [generate_manifest_text(seed) for seed in range(100)]
+    calls = _python_calls(texts)
+    assert sum(calls.values()) > 0
+    assert [code.co_name for code in calls if code.co_filename == enum.__file__] == []
+
+
+def test_parsing_makes_at_most_six_python_calls_per_token():
+    """The parser's expression paths read the token list directly, not
+    through a helper call for each token read."""
+    tokens = sum(len(tokenize(text, "m.pp")) for text in FIXTURE_TEXTS)
+    calls = sum(_python_calls(FIXTURE_TEXTS).values())
+    assert calls <= 6 * tokens, (calls, tokens)
