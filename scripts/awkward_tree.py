@@ -15,8 +15,8 @@ or nearly fail, every way a file can.
 - `dir.pp`: a directory that the `**/*.pp` glob finds.
 - `dangling.pp`: a symlink to a file that does not exist.
 
-`scripts/same_reports.py` compares two source trees on it, and
-`tests/test_harness.py` scans it.
+`scripts/same_reports.py --each` compares two source trees on it, file by
+file, and `tests/test_harness.py` scans it.
 
 Usage: python scripts/awkward_tree.py OUT
 """

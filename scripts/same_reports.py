@@ -4,16 +4,20 @@
 For each PATH, runs `python -m pupsec scan PATH` once with
 OLD_SRC and once with NEW_SRC on PYTHONPATH, in taint and pattern mode
 and in json, sarif and text format, and compares the exit code, stdout
-and stderr of each pair.  Prints every pair that differs, then
-`N compared, M differ`.  Exits 1 if any pair differs.
+and stderr of each pair.  With `--each`, every `*.pp` under a directory
+PATH (files, directories and dangling links alike) is also scanned on its
+own, because a tree-wide report changes as soon as one file's outcome
+does and so cannot say which file changed.  Prints every pair that
+differs, then `N compared, M differ`.  Exits 1 if any pair differs.
 
-Usage: python scripts/same_reports.py OLD_SRC NEW_SRC PATH...
+Usage: python scripts/same_reports.py [--each] OLD_SRC NEW_SRC PATH...
   (OLD_SRC and NEW_SRC are the `src` directories of the two trees)
 """
 
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 MODES = ("taint", "pattern")
 FORMATS = ("json", "sarif", "text")
@@ -25,17 +29,30 @@ def run(src: str, args: list[str]) -> tuple[int, bytes, bytes]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def targets(paths: list[str], each: bool) -> list[str]:
+    """What to scan: each of *paths*, and with *each* every `*.pp` entry
+    under those that are directories, in sorted order."""
+    out = []
+    for path in paths:
+        out.append(path)
+        if each and os.path.isdir(path):
+            out += sorted(str(p) for p in Path(path).glob("**/*.pp"))
+    return out
+
+
 def main() -> int:
-    if len(sys.argv) < 4:
+    each = "--each" in sys.argv
+    argv = [a for a in sys.argv[1:] if a != "--each"]
+    if len(argv) < 3:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    old_src, new_src, paths = sys.argv[1], sys.argv[2], sys.argv[3:]
+    old_src, new_src, paths = argv[0], argv[1], argv[2:]
     for src in (old_src, new_src):
         if not os.path.isfile(os.path.join(src, "pupsec", "__init__.py")):
             print(f"not a pupsec source tree: {src}", file=sys.stderr)
             return 2
     compared = differ = 0
-    for path in paths:
+    for path in targets(paths, each):
         for mode in MODES:
             for fmt in FORMATS:
                 args = ["scan", path, "--mode", mode, "--format", fmt]

@@ -9,7 +9,9 @@ resource and manifest they belong to.
 ``build_membership_index`` is the one walk over a manifest's statements,
 and it walks each expression once.  Its index keeps the walk's table of
 slots, which ``classify_expressions``, ``collect_function_calls`` and the
-reaching-definitions analysis read instead of walking again.
+reaching-definitions analysis read instead of walking again.  A slot's
+owner is the one record of what its value feeds: a variable or parameter
+passes it on, an attribute is a sink, and no owner feeds nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Optional, Union
 from .nodes import (
     ArrayLiteral,
     Assignment,
-    AttributeNode,
     CaseStatement,
     ClassDef,
     DefinedTypeDef,
@@ -151,21 +152,16 @@ class ResourceInfo:
 
 @dataclass(slots=True, unsafe_hash=True)
 class MembershipIndex:
-    """What one walk over a manifest's statements found: its resources,
-    its attribute nodes with their ids and, left out of comparison like
-    ``ClassifiedExpression.node``, every expression the statements hold."""
+    """What one walk over a manifest's statements found: its resources and,
+    left out of comparison like ``ClassifiedExpression.node``, its slots."""
 
     resource_list: tuple[ResourceInfo, ...]
-    # (attribute node, id) pairs in textual order; lets the taint tracker
-    # resolve AST attribute nodes to their identifiers.
-    attribute_nodes: tuple[tuple[AttributeNode, AttributeId], ...]
     # the walk's slots in textual order; see ``_Collector``
     expressions: tuple[tuple, ...] = field(compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class ClassifiedExpression:
-    id: int
     owner: Owner
     kind: Optional[ExpressionKind]
     name: str
@@ -179,7 +175,7 @@ class FunctionCallSite:
     name: str
     location: SourceLocation
     owner: Optional[Owner]
-    owner_node: object = field(compare=False, repr=False)  # the node holding the call
+    node: object = field(compare=False, repr=False)  # the node holding the call
     call: FunctionCall = field(compare=False, repr=False)
 
 
@@ -191,19 +187,19 @@ def _title_text(title: Expr) -> str:
     return view.text if isinstance(view, StringValue) else expr_text(title)
 
 
-# Branch markers are empty slots, which readers of owners, expressions or
-# calls pass over: before the first arm of an ``if`` or ``case``, between
-# arms, and after the last.  A missing ``else`` or ``default`` is one more arm.
-_OPEN, _NEXT, _JOIN = ((None, None, None, kind, (), ()) for kind in ("open", "next", "join"))
+# Branch markers, before the first arm of an ``if`` or ``case``, between arms
+# and after the last; a missing ``else`` or ``default`` is one more arm.  Its
+# slot ``(marker, None, None, (), ())`` has no owner, holder, names or calls.
+OPEN, NEXT, JOIN = object(), object(), object()
 
 
 class _Collector:
     """The walk over the statements of a manifest; only
     ``build_membership_index`` runs it.  ``exprs`` is its table in textual
     order, the order of ``classify_expressions``' entries.  Each slot is
-    ``(expression, owner, holder node, use kind, names, calls)``: the owner
-    receives the value (None for a condition, scrutinee, case match, title
-    or expression statement), the holder is the statement, attribute or
+    ``(expression, owner, holder node, names, calls)``: the owner receives
+    the value (None for a condition, scrutinee, case match, title or
+    expression statement), the holder is the statement, attribute or
     parameter the use belongs to, and names and calls are the ``VarRef``
     names and ``FunctionCall`` nodes of one walk of the expression.  A
     parameter without a default has no expression."""
@@ -211,50 +207,49 @@ class _Collector:
     def __init__(self, manifest: Manifest):
         self.manifest = manifest
         self.resources: list[ResourceInfo] = []
-        self.attributes: list[tuple[AttributeNode, AttributeId]] = []
         self.exprs: list[tuple] = []
         self._walk(manifest.statements)
 
-    def _slot(self, expr, owner, node, kind: str) -> None:
+    def _slot(self, expr, owner, node) -> None:
         names, calls = [], []
         for n in iter_nodes(expr):
             if isinstance(n, VarRef):
                 names.append(n.name)
             elif isinstance(n, FunctionCall):
                 calls.append(n)
-        self.exprs.append((expr, owner, node, kind, tuple(names), tuple(calls)))
+        self.exprs.append((expr, owner, node, tuple(names), tuple(calls)))
 
     def _walk(self, statements: tuple[Statement, ...]) -> None:
         for stmt in statements:
             if isinstance(stmt, Assignment):
-                self._slot(stmt.value, VariableOwner(stmt.var_name), stmt, "rhs")
+                self._slot(stmt.value, VariableOwner(stmt.var_name), stmt)
             elif isinstance(stmt, (ResourceDecl, ResourceOverride)):
                 self._resource(stmt)
             elif isinstance(stmt, (ClassDef, DefinedTypeDef)):
                 for param in stmt.parameters:
-                    self._slot(param.default, ParameterOwner(stmt.name, param.name), param, "default")
+                    self._slot(param.default, ParameterOwner(stmt.name, param.name), param)
                 self._walk(stmt.body)
             elif isinstance(stmt, IfStatement):
-                self._slot(stmt.condition, None, stmt, "condition")
-                self.exprs.append(_OPEN)
+                self._slot(stmt.condition, None, stmt)
+                self.exprs.append((OPEN, None, None, (), ()))
                 self._walk(stmt.then_body)
-                self.exprs.append(_NEXT)
+                self.exprs.append((NEXT, None, None, (), ()))
                 self._walk(stmt.else_body)
-                self.exprs.append(_JOIN)
+                self.exprs.append((JOIN, None, None, (), ()))
             elif isinstance(stmt, CaseStatement):
-                self._slot(stmt.scrutinee, None, stmt, "scrutinee")
-                marker = _OPEN
+                self._slot(stmt.scrutinee, None, stmt)
+                marker = OPEN
                 for arm in stmt.arms:
-                    self.exprs.append(marker)
-                    marker = _NEXT
+                    self.exprs.append((marker, None, None, (), ()))
+                    marker = NEXT
                     for m in arm.matches:
-                        self._slot(m, None, stmt, "scrutinee")
+                        self._slot(m, None, stmt)
                     self._walk(arm.body)
                 if not any(arm.is_default for arm in stmt.arms):
-                    self.exprs.append(marker)  # no arm may match at all
-                self.exprs.append(_JOIN)
+                    self.exprs.append((marker, None, None, (), ()))  # no arm may match at all
+                self.exprs.append((JOIN, None, None, (), ()))
             elif isinstance(stmt, ExprStatement):
-                self._slot(stmt.expr, None, stmt, "stmt")
+                self._slot(stmt.expr, None, stmt)
 
     def _resource(self, stmt) -> None:
         ordinal = len(self.resources)
@@ -266,7 +261,7 @@ class _Collector:
             loc=stmt.loc,
         )
         self.resources.append(info)
-        self._slot(stmt.title, None, stmt, "title")
+        self._slot(stmt.title, None, stmt)
         for attr in stmt.attributes:
             attr_id = AttributeId(
                 manifest_path=info.manifest_path,
@@ -275,8 +270,7 @@ class _Collector:
                 attribute_name=attr.name,
                 ordinal=ordinal,
             )
-            self.attributes.append((attr, attr_id))
-            self._slot(attr.value, AttributeOwner(attr_id), attr, "attribute")
+            self._slot(attr.value, AttributeOwner(attr_id), attr)
 
 
 # --- public operations ------------------------------------------------------
@@ -295,15 +289,14 @@ def _classify_value(owner: Owner, view: ValueView) -> Optional[ExpressionKind]:
 def classify_expressions(index: MembershipIndex) -> list[ClassifiedExpression]:
     """One classified entry per variable assignment, resource attribute,
     and class/defined-type parameter with a default value, in textual
-    order; each entry's ``id`` is its position."""
+    order."""
     out: list[ClassifiedExpression] = []
-    for expr, owner, node, _, _, _ in index.expressions:
+    for expr, owner, node, _, _ in index.expressions:
         if owner is None or expr is None:
             continue
         view = value_view(expr)
         out.append(
             ClassifiedExpression(
-                id=len(out),
                 owner=owner,
                 kind=_classify_value(owner, view),
                 name=node.var_name if isinstance(node, Assignment) else node.name,
@@ -320,19 +313,17 @@ def collect_function_calls(index: MembershipIndex) -> list[FunctionCallSite]:
     attribute, or parameter that receives the call result (if any)."""
     return [
         FunctionCallSite(call.name, call.loc, owner, node, call)
-        for _, owner, node, _, _, calls in index.expressions
+        for _, owner, node, _, calls in index.expressions
         for call in calls
     ]
 
 
 def build_membership_index(manifest: Manifest) -> MembershipIndex:
-    """Every resource of the manifest, every attribute node with the id
-    that names its resource and manifest, and the slot table that
+    """Every resource of the manifest, and the slot table that
     ``classify_expressions``, ``collect_function_calls`` and
     ``DataflowAnalysis`` read."""
     collector = _Collector(manifest)
     return MembershipIndex(
         resource_list=tuple(collector.resources),
-        attribute_nodes=tuple(collector.attributes),
         expressions=tuple(collector.exprs),
     )

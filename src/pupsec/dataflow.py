@@ -16,19 +16,28 @@ each variable that some arm wrote the union over all arms of its value
 there.  A missing ``else`` or ``default`` is one more, empty, arm.
 
 The result is one def-use map: each ``UseRecord`` holds the indices of
-every definition that may reach a use at its node.  A definition index
-names its variable, so the set needs no per-variable split, and the DDG
-is built from these sets alone.
+every definition that may reach a use at its node, and its slot's owner,
+which says what the value read there feeds.  A definition index names its
+variable, so the set needs no per-variable split, and the DDG is built
+from these records alone.
 """
 
 from __future__ import annotations
 
 from collections import ChainMap
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
-from .classify import MembershipIndex, ParameterOwner, VariableOwner, build_membership_index
-from .nodes import Assignment, Expr, Manifest, Parameter, SourceLocation, VarRef, iter_nodes
+from .classify import (
+    JOIN,
+    OPEN,
+    MembershipIndex,
+    Owner,
+    ParameterOwner,
+    VariableOwner,
+    build_membership_index,
+)
+from .nodes import Assignment, Expr, Manifest, Parameter, VarRef, iter_nodes
 
 
 def uses_of(expr: Expr) -> set[str]:
@@ -41,13 +50,12 @@ class Definition:
     index: int
     var: str
     node: Union[Assignment, Parameter]
-    loc: SourceLocation
 
 
 @dataclass(slots=True)
 class UseRecord:
-    node: object  # statement or AttributeNode the use belongs to
-    kind: str  # 'rhs' | 'attribute' | 'condition' | 'scrutinee' | 'title' | 'stmt' | 'default'
+    node: object  # statement, AttributeNode or Parameter the use belongs to
+    owner: Optional[Owner]  # what the value read here feeds; None for nothing
     reaching: set[int]  # indices of the definitions that may reach a use here
 
 
@@ -65,13 +73,13 @@ class DataflowAnalysis:
         self._uses_by_node: dict[int, UseRecord] = {}
         state: _State = ChainMap()
         branches: list[tuple[_State, list[_State]]] = []  # (state before, finished arms)
-        for expr, owner, node, kind, names, _ in index.expressions:
-            if node is None:  # a branch marker
-                if kind == "open":
+        for expr, owner, node, names, _ in index.expressions:
+            if node is None:  # a branch marker: OPEN, NEXT or JOIN
+                if expr is OPEN:
                     branches.append((state, []))
                 else:
                     branches[-1][1].append(state)
-                if kind == "join":
+                if expr is JOIN:
                     state, arms = branches.pop()
                     for var in set().union(*(arm.maps[0] for arm in arms)):
                         state[var] = frozenset().union(*(arm.get(var, ()) for arm in arms))
@@ -82,7 +90,7 @@ class DataflowAnalysis:
                 continue
             # Uses come first, so `$x = "${x}-1"` reads the previous $x.
             if expr is not None:  # a parameter without a default reads nothing
-                self._use(node, kind, names, state)
+                self._use(node, owner, names, state)
             if isinstance(owner, (VariableOwner, ParameterOwner)):
                 self._define(node, state)
 
@@ -90,15 +98,15 @@ class DataflowAnalysis:
         """Record the definition that *node* makes, and make it the only
         one of its variable in *state*."""
         var = node.var_name if isinstance(node, Assignment) else node.name
-        d = Definition(len(self.definitions), var, node, node.loc)
+        d = Definition(len(self.definitions), var, node)
         self.definitions.append(d)
         self._def_by_node[id(node)] = d
         state[var] = frozenset((d.index,))
 
-    def _use(self, node, kind: str, names: tuple[str, ...], state: _State) -> None:
+    def _use(self, node, owner: Optional[Owner], names: tuple[str, ...], state: _State) -> None:
         record = self._uses_by_node.get(id(node))
         if record is None:
-            record = self._uses_by_node[id(node)] = UseRecord(node, kind, set())
+            record = self._uses_by_node[id(node)] = UseRecord(node, owner, set())
             self.use_records.append(record)
         for name in names:
             # ChainMap.get would test every layer through a Python-level any()

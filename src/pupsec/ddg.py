@@ -2,10 +2,13 @@
 
 ``build_ddg`` reads the reaching-definitions sets into one def-use map,
 from each definition to the definitions and attributes that read it, and
-walks it once from the tainted definitions.  A graph is only built when it
-would contain at least one taint node and one sink node; a candidate whose
-value never flows into any resource attribute therefore produces no graph
-and no finding, which is exactly the false-positive filter.
+walks it once from the tainted definitions.  A use record's owner names its
+reader: an attribute is a sink, a variable or parameter is the definition
+made at the record's node, and no owner reads into nothing.  A graph is
+only built when it would contain at least one taint node and one sink
+node; a candidate whose value never flows into any resource attribute
+therefore produces no graph and no finding, which is exactly the
+false-positive filter.
 """
 
 from __future__ import annotations
@@ -13,14 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .classify import (
-    AttributeId,
-    AttributeOwner,
-    FunctionCallSite,
-    MembershipIndex,
-    ParameterOwner,
-    VariableOwner,
-)
+from .classify import AttributeId, AttributeOwner, MembershipIndex
 from .dataflow import DataflowAnalysis, Definition
 from .nodes import Manifest, SourceLocation
 from .report import Finding, PathStep
@@ -63,16 +59,12 @@ class PropagationResult:
 
 def _seed_for(candidate: WeaknessCandidate, analysis: DataflowAnalysis):
     """Where a candidate's tainted value lives: its ``Definition``, the
-    attribute node it is written to, or None when the value is never stored."""
-    element = candidate.element
-    if isinstance(element, FunctionCallSite):
-        owner, node = element.owner, element.owner_node
-    else:
-        owner, node = element.owner, element.node
+    ``AttributeId`` it is written to, or None when the value is never stored."""
+    owner = candidate.element.owner
     if isinstance(owner, AttributeOwner):
-        return node
-    if isinstance(owner, (VariableOwner, ParameterOwner)):
-        return analysis.definition_for(node)
+        return owner.attribute_id
+    if owner is not None:
+        return analysis.definition_for(candidate.element.node)
     return None
 
 
@@ -86,17 +78,19 @@ def build_ddg(
     if not candidates:
         return None
     analysis = DataflowAnalysis(index)
-    attr_id_of = {id(node): attr_id for node, attr_id in index.attribute_nodes}
-    attr_loc = {attr_id: node.loc for node, attr_id in index.attribute_nodes}
 
     # The def-use map: definition index -> the index of each definition
     # whose value reads it, or the AttributeId of each attribute that does.
+    # Every attribute has a use record, whose node gives the sink's place.
     readers: dict[int, list[Union[int, AttributeId]]] = {}
+    sink_loc: dict[AttributeId, SourceLocation] = {}
     for record in analysis.use_records:
-        if record.kind in ("rhs", "default"):
+        owner = record.owner
+        if isinstance(owner, AttributeOwner):
+            reader = owner.attribute_id
+            sink_loc[reader] = record.node.loc
+        elif owner is not None:
             reader = analysis.definition_for(record.node).index
-        elif record.kind == "attribute":
-            reader = attr_id_of[id(record.node)]
         else:
             continue
         for i in record.reaching:
@@ -106,7 +100,7 @@ def build_ddg(
     # Definitions strictly downstream of a tainted one, and the attributes
     # that a tainted or downstream definition reaches.
     downstream: set[int] = set()
-    sinks = {attr_id_of[id(s)] for s in seeds if s is not None and not isinstance(s, Definition)}
+    sinks = {s for s in seeds if isinstance(s, AttributeId)}
     frontier = list({s.index for s in seeds if isinstance(s, Definition)})
     for i in frontier:  # the loop also visits definitions appended while it runs
         for reader in readers.get(i, ()):
@@ -123,19 +117,19 @@ def build_ddg(
     defs = analysis.definitions
     nodes: list[DdgNode] = [TaintNode(c, c.location) for c in candidates]
     node_of: dict[Union[int, AttributeId], int] = {}  # reader -> node index
-    for i in sorted(downstream, key=lambda i: (defs[i].loc.line, defs[i].loc.column)):
+    for i in sorted(downstream, key=lambda i: (defs[i].node.loc.line, defs[i].node.loc.column)):
         node_of[i] = len(nodes)
-        nodes.append(IntermediateNode(defs[i].var, defs[i].loc))
-    for attr_id in sorted(sinks, key=lambda a: (attr_loc[a].line, attr_loc[a].column)):
+        nodes.append(IntermediateNode(defs[i].var, defs[i].node.loc))
+    for attr_id in sorted(sinks, key=lambda a: (sink_loc[a].line, sink_loc[a].column)):
         node_of[attr_id] = len(nodes)
-        nodes.append(SinkNode(attr_id, attr_loc[attr_id]))
+        nodes.append(SinkNode(attr_id, sink_loc[attr_id]))
 
     edges = {(node_of[i], node_of[r]) for i in downstream for r in readers.get(i, ())}
     for pos, seed in enumerate(seeds):
         if isinstance(seed, Definition):
             edges.update((pos, node_of[r]) for r in readers.get(seed.index, ()))
         elif seed is not None:
-            edges.add((pos, node_of[attr_id_of[id(seed)]]))
+            edges.add((pos, node_of[seed]))
 
     return DataDependenceGraph(manifest.path, tuple(nodes), tuple(sorted(edges)))
 
@@ -204,7 +198,8 @@ def confirm_findings(propagations: list[PropagationResult]) -> list[Finding]:
     ``propagations``.  ``collect_propagations`` lists them in candidate
     order and leaves out candidates that reach no sink, so these are
     dropped here too.  Each DDG node's ``PathStep`` is built once and
-    shared by every path through the node."""
+    shared by every path through the node, and each candidate's name is
+    made once for all of its sinks."""
     steps: dict[int, PathStep] = {}  # keyed by id: the propagations keep every node alive
 
     def step(node: DdgNode) -> PathStep:
@@ -213,16 +208,19 @@ def confirm_findings(propagations: list[PropagationResult]) -> list[Finding]:
             made = steps[id(node)] = _path_step(node)
         return made
 
-    return [
-        Finding(
-            category=prop.taint.category,
-            manifest_path=attr_id.manifest_path,
-            weakness_location=prop.taint.location,
-            weakness_name=prop.taint.display_name,
-            sink=attr_id,
-            sink_location=node_path[-1].loc,
-            path=tuple(map(step, node_path)),
+    findings: list[Finding] = []
+    for prop in propagations:
+        taint, name = prop.taint, prop.taint.display_name
+        findings.extend(
+            Finding(
+                category=taint.category,
+                manifest_path=attr_id.manifest_path,
+                weakness_location=taint.location,
+                weakness_name=name,
+                sink=attr_id,
+                sink_location=node_path[-1].loc,
+                path=tuple(map(step, node_path)),
+            )
+            for attr_id, node_path in prop.paths.items()
         )
-        for prop in propagations
-        for attr_id, node_path in prop.paths.items()
-    ]
+    return findings

@@ -235,7 +235,7 @@ def render_report(
     if fmt == "text":
         return _render_text(ordered, stats, mode, evaluation)
     if fmt == "sarif":
-        return _render_sarif(ordered, mode)
+        return _render_sarif(ordered, mode, evaluation)
     raise UnknownFormat(fmt)
 
 
@@ -412,7 +412,7 @@ def _sarif_result(f: Finding, uri: str) -> str:
 _SARIF_END = "[]\n    }\n  ]\n}"  # how an empty "results" array ends the document
 
 
-def _render_sarif(findings, mode) -> bytes:
+def _render_sarif(findings, mode, evaluation) -> bytes:
     doc = {
         "$schema": "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json",
         "version": "2.1.0",
@@ -436,6 +436,8 @@ def _render_sarif(findings, mode) -> bytes:
             }
         ],
     }
+    if evaluation is not None:
+        doc["runs"][0]["properties"]["evaluation"] = evaluation
     out = [json.dumps(doc, indent=2)[: -len(_SARIF_END)]]  # up to '"results": '
     blocks: dict[str, dict[int, str]] = {}  # per manifest, as _step_blocks keys them
     separator = "[\n        "

@@ -1,53 +1,57 @@
-"""Brute-force reachability oracle.
+"""Brute-force reachability and findings oracle.
 
 Enumerates every branch combination of a manifest as a linear trace of
 definition and use events, then answers reachability queries by scanning
 the traces.  Deliberately independent of the dataflow engine under test:
 no reaching-definitions machinery, just replaying assignments per trace.
+
+``oracle_findings`` goes on from the traces to the taint-mode findings
+without ``pupsec.dataflow`` or ``pupsec.ddg``: the union over all traces of
+the flows from a definition to each later use of its value, closed from
+the node that stores each candidate's value.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from pupsec.classify import AttributeId, ClassifiedExpression
 from pupsec.nodes import (
+    AccessExpr,
+    ArrayLiteral,
     Assignment,
+    AttributeNode,
+    BinaryOp,
     CaseStatement,
     ClassDef,
     DefinedTypeDef,
     ExprStatement,
+    FunctionCall,
+    HashLiteral,
     IfStatement,
+    InterpolatedString,
     Manifest,
+    Parameter,
     ResourceDecl,
     ResourceOverride,
+    ResourceRef,
+    SelectorExpr,
+    UnaryOp,
+    VarRef,
 )
 
 # An event is ('def', var, id(node)) or ('use', var, id(node)).
 Trace = tuple
 
 
-def _use_events(expr, node) -> list[tuple]:
-    # Local variable-collection so the oracle does not depend on the
-    # implementation's uses_of either.
-    from pupsec.nodes import (
-        AccessExpr,
-        ArrayLiteral,
-        BinaryOp,
-        FunctionCall,
-        HashLiteral,
-        InterpolatedString,
-        ResourceRef,
-        SelectorExpr,
-        UnaryOp,
-        VarRef,
-    )
-
-    names: list[str] = []
+def _expr_nodes(expr) -> list:
+    """Every expression node inside *expr*, *expr* included.  A local walk,
+    so the oracle depends neither on ``iter_nodes`` nor on ``uses_of``."""
+    out: list = []
 
     def walk(e):
-        if isinstance(e, VarRef):
-            names.append(e.name)
-        elif isinstance(e, InterpolatedString):
+        out.append(e)
+        if isinstance(e, InterpolatedString):
             for p in e.parts:
                 if not isinstance(p, str):
                     walk(p)
@@ -79,7 +83,12 @@ def _use_events(expr, node) -> list[tuple]:
             walk(e.operand)
 
     walk(expr)
-    return [("use", name, id(node)) for name in sorted(set(names))]
+    return out
+
+
+def _use_events(expr, node) -> list[tuple]:
+    names = {e.name for e in _expr_nodes(expr) if isinstance(e, VarRef)}
+    return [("use", name, id(node)) for name in sorted(names)]
 
 
 def _stmt_traces(stmt) -> list[list[tuple]]:
@@ -196,3 +205,98 @@ def all_def_use_pairs(manifest: Manifest):
 
 def _names_of(expr) -> set[str]:
     return {name for _, name, _ in _use_events(expr, expr)}
+
+
+def _stores(manifest: Manifest, resources) -> tuple[dict, dict]:
+    """``holder_of``: the id of each call inside an assignment's value, a
+    parameter's default or an attribute's value, mapped to that node, where
+    the call's result is stored.  ``sink_of``: the id of each attribute
+    node, mapped to its ``AttributeId``.  *resources* is the manifest's
+    ``MembershipIndex.resource_list``, whose entries name the resources in
+    textual order; only their titles are read from it."""
+    holder_of: dict[int, object] = {}
+    sink_of: dict[int, AttributeId] = {}
+    found = []
+
+    def store(expr, holder):
+        for e in _expr_nodes(expr):
+            if isinstance(e, FunctionCall):
+                holder_of[id(e)] = holder
+
+    def visit(statements):
+        for stmt in statements:
+            if isinstance(stmt, Assignment):
+                store(stmt.value, stmt)
+            elif isinstance(stmt, (ClassDef, DefinedTypeDef)):
+                for param in stmt.parameters:
+                    if param.default is not None:
+                        store(param.default, param)
+                visit(stmt.body)
+            elif isinstance(stmt, IfStatement):
+                visit(stmt.then_body)
+                visit(stmt.else_body)
+            elif isinstance(stmt, CaseStatement):
+                for arm in stmt.arms:
+                    visit(arm.body)
+            elif isinstance(stmt, (ResourceDecl, ResourceOverride)):
+                info = resources[len(found)]
+                assert (info.resource_type, info.ordinal) == (stmt.type_name, len(found))
+                found.append(stmt)
+                for attr in stmt.attributes:
+                    store(attr.value, attr)
+                    sink_of[id(attr)] = AttributeId(
+                        manifest.path, stmt.type_name, info.resource_title, attr.name, info.ordinal
+                    )
+
+    visit(manifest.statements)
+    assert len(found) == len(resources)
+    return holder_of, sink_of
+
+
+def oracle_findings(manifest: Manifest, candidates, resources) -> dict[tuple, int]:
+    """The (category, weakness location, sink) of every taint-mode finding
+    of *manifest*, from its pattern *candidates* (``detect_candidates``)
+    and its *resources* (``MembershipIndex.resource_list``), mapped to the
+    number of steps of its shortest witness path.
+
+    A definition flows into a use when some trace runs the use after it
+    with no other definition of the variable between.  A candidate's value
+    is stored by the assignment or parameter it is the value of, or by the
+    attribute it is written to (a call's value by the node whose expression
+    holds the call); a value stored nowhere else reaches no sink.  The sinks
+    of a candidate are the attributes among the uses that the flows reach
+    from the node that stores its value, and that attribute itself.  A
+    witness path has a step for the candidate, one for each definition the
+    value passes through, and one for the sink."""
+    flows: dict[int, set[int]] = {}  # id of a defining node -> ids of the nodes using it
+    for trace in enumerate_traces(manifest):
+        current: dict[str, int] = {}
+        for kind, name, node_id in trace:
+            if kind == "def":
+                current[name] = node_id
+            elif name in current:
+                flows.setdefault(current[name], set()).add(node_id)
+    holder_of, sink_of = _stores(manifest, resources)
+    out: dict[tuple, int] = {}
+    for candidate in candidates:
+        element = candidate.element
+        if isinstance(element, ClassifiedExpression):
+            holder = element.node
+        else:
+            holder = holder_of.get(id(element.call))
+        if isinstance(holder, AttributeNode):
+            out[candidate.category, candidate.location, sink_of[id(holder)]] = 2
+        elif isinstance(holder, (Assignment, Parameter)):
+            hops = {id(holder): 0}
+            queue = [id(holder)]
+            for n in queue:  # breadth first, so each count is the fewest
+                for m in flows.get(n, ()):
+                    if m not in hops:
+                        hops[m] = hops[n] + 1
+                        queue.append(m)
+            out.update(
+                ((candidate.category, candidate.location, sink_of[n]), count + 1)
+                for n, count in hops.items()
+                if n in sink_of
+            )
+    return out

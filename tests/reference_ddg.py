@@ -5,8 +5,10 @@ differential test in ``test_ddg.py`` requires ``pupsec.ddg.build_ddg`` to
 return an equal ``DataDependenceGraph`` (nodes, node order and edges), or
 ``None`` where this one does.  It keeps the old three-step construction:
 definition-level adjacency maps, a downstream search and a separate sink
-pass, then one index map per node kind.  The one change is that it reads
-``UseRecord.reaching`` as a flat set of definition indices.
+pass, then one index map per node kind.  The one change is in what it
+reads: ``UseRecord.reaching`` as a flat set of definition indices, and
+each use record's and candidate's ``owner`` for what the value feeds, in
+place of the use-kind tag and the attribute table it once read.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import Optional
 from pupsec.classify import (
     AttributeId,
     AttributeOwner,
-    FunctionCallSite,
     MembershipIndex,
     ParameterOwner,
     VariableOwner,
@@ -29,16 +30,12 @@ from pupsec.rules import WeaknessCandidate
 
 def _seed_for(candidate: WeaknessCandidate, analysis: DataflowAnalysis):
     """Where a candidate's tainted value lives: ('def', Definition),
-    ('attr', attribute node), or None when the value is never stored."""
-    element = candidate.element
-    if isinstance(element, FunctionCallSite):
-        owner, node = element.owner, element.owner_node
-    else:
-        owner, node = element.owner, element.node
+    ('attr', AttributeId), or None when the value is never stored."""
+    owner, node = candidate.element.owner, candidate.element.node
     if owner is None:
         return None
     if isinstance(owner, AttributeOwner):
-        return ("attr", node)
+        return ("attr", owner.attribute_id)
     if isinstance(owner, (VariableOwner, ParameterOwner)):
         definition = analysis.definition_for(node)
         return ("def", definition) if definition is not None else None
@@ -55,19 +52,19 @@ def build_ddg(
     if not candidates:
         return None
     analysis = DataflowAnalysis(index)
-    attr_id_of = {id(node): attr_id for node, attr_id in index.attribute_nodes}
-    attr_node_of = {attr_id: node for node, attr_id in index.attribute_nodes}
+    attr_node_of: dict[AttributeId, object] = {}
 
     # Definition-level def-use adjacency.
     def_succ: dict[int, set[int]] = {}
     def_attrs: dict[int, set[AttributeId]] = {}
     for record in analysis.use_records:
-        if record.kind in ("rhs", "default"):
+        if isinstance(record.owner, (VariableOwner, ParameterOwner)):
             target = analysis.definition_for(record.node)
             for i in record.reaching:
                 def_succ.setdefault(i, set()).add(target.index)
-        elif record.kind == "attribute":
-            attr_id = attr_id_of[id(record.node)]
+        elif isinstance(record.owner, AttributeOwner):
+            attr_id = record.owner.attribute_id
+            attr_node_of[attr_id] = record.node
             for i in record.reaching:
                 def_attrs.setdefault(i, set()).add(attr_id)
 
@@ -89,7 +86,7 @@ def build_ddg(
         sink_ids |= def_attrs.get(i, set())
     for _, seed in seeds:
         if seed is not None and seed[0] == "attr":
-            sink_ids.add(attr_id_of[id(seed[1])])
+            sink_ids.add(seed[1])
     if not sink_ids:
         return None
 
@@ -100,9 +97,9 @@ def build_ddg(
         taint_idx[pos] = len(nodes)
         nodes.append(TaintNode(candidate, candidate.location))
     inter_idx: dict[int, int] = {}  # definition index -> node index
-    for i in sorted(downstream, key=lambda i: (defs[i].loc.line, defs[i].loc.column)):
+    for i in sorted(downstream, key=lambda i: (defs[i].node.loc.line, defs[i].node.loc.column)):
         inter_idx[i] = len(nodes)
-        nodes.append(IntermediateNode(defs[i].var, defs[i].loc))
+        nodes.append(IntermediateNode(defs[i].var, defs[i].node.loc))
     sink_idx: dict[AttributeId, int] = {}
     sorted_sinks = sorted(
         sink_ids, key=lambda a: (attr_node_of[a].loc.line, attr_node_of[a].loc.column)
@@ -125,7 +122,7 @@ def build_ddg(
         if seed[0] == "def":
             connect_def(taint_idx[pos], seed[1].index)
         else:
-            edges.add((taint_idx[pos], sink_idx[attr_id_of[id(seed[1])]]))
+            edges.add((taint_idx[pos], sink_idx[seed[1]]))
     for i in downstream:
         connect_def(inter_idx[i], i)
 

@@ -19,8 +19,8 @@ def render_json(findings, stats, mode="taint", evaluation=None) -> bytes:
     return _render_json(sorted_findings(findings), stats, mode, evaluation)
 
 
-def render_sarif(findings, mode="taint") -> bytes:
-    return _render_sarif(sorted_findings(findings), mode)
+def render_sarif(findings, mode="taint", evaluation=None) -> bytes:
+    return _render_sarif(sorted_findings(findings), mode, evaluation)
 
 
 def _finding_to_dict(f: Finding) -> dict:
@@ -59,7 +59,7 @@ def _render_json(findings, stats, mode, evaluation) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
-def _render_sarif(findings, mode) -> bytes:
+def _render_sarif(findings, mode, evaluation) -> bytes:
     results = []
     for f in findings:
         related = [
@@ -120,4 +120,6 @@ def _render_sarif(findings, mode) -> bytes:
             }
         ],
     }
+    if evaluation is not None:
+        doc["runs"][0]["properties"]["evaluation"] = evaluation
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")

@@ -31,7 +31,13 @@ def entry_for(entries, name):
 
 
 def attribute_ids(index):
-    return [attr_id for _, attr_id in index.attribute_nodes]
+    """The id of every attribute, in textual order, from its slot's owner."""
+    return [owner.attribute_id for _, owner, _, _, _ in index.expressions
+            if isinstance(owner, AttributeOwner)]
+
+
+def attribute_count(manifest):
+    return sum(isinstance(n, AttributeNode) for n in iter_nodes(manifest))
 
 
 def test_string_expression():
@@ -92,8 +98,7 @@ def test_attribute_entries_one_per_attribute():
     index = build_membership_index(m)
     entries = classify_expressions(index)
     attr_entries = [e for e in entries if isinstance(e.owner, AttributeOwner)]
-    total_attrs = len(index.attribute_nodes)
-    assert len(attr_entries) == total_attrs == 3
+    assert len(attr_entries) == len(attribute_ids(index)) == attribute_count(m) == 3
 
 
 def test_attribute_entry_count_equals_total_attributes_on_generated():
@@ -101,7 +106,7 @@ def test_attribute_entry_count_equals_total_attributes_on_generated():
         m = parse_manifest(generate_manifest_text(seed), "gen.pp")
         entries = classify_expressions(build_membership_index(m))
         attr_entries = [e for e in entries if isinstance(e.owner, AttributeOwner)]
-        assert len(attr_entries) == len(build_membership_index(m).attribute_nodes)
+        assert len(attr_entries) == attribute_count(m)
 
 
 def test_attribute_ids_resolve_in_membership_index():
@@ -196,7 +201,8 @@ def _sorted_by_position(manifest):
     before attributes before parameters: the order the classifier's output
     had when it sorted its entries."""
     index = build_membership_index(manifest)
-    attr_id_of = {id(node): attr_id for node, attr_id in index.attribute_nodes}
+    attr_id_of = {id(node): owner.attribute_id for _, owner, node, _, _ in index.expressions
+                  if isinstance(owner, AttributeOwner)}
     entries = []
     for node in iter_nodes(manifest):
         if isinstance(node, Assignment):
@@ -222,7 +228,6 @@ def test_classification_keeps_the_position_order_it_was_sorted_into():
     for text, path in texts:
         m = parse_manifest(text, path)
         entries = classify_expressions(build_membership_index(m))
-        assert [e.id for e in entries] == list(range(len(entries))), path
         got = [(e.owner, e.name, e.location, e.value, id(e.node)) for e in entries]
         assert got == _sorted_by_position(m), path
 
@@ -278,6 +283,6 @@ def test_each_analyzed_file_walks_its_statements_once(tmp_path, monkeypatch):
             expression_walks.clear()
             assert _analyze_file(path, mode, DEFAULT_PATTERNS).error is None, path
             assert walked == [path], (mode, path)
-            slots = [s for s in collectors[0].exprs if s[3] not in ("open", "next", "join")]
+            slots = [s for s in collectors[0].exprs if s[2] is not None]  # markers hold nothing
             assert [id(e) for e in expression_walks] == [id(s[0]) for s in slots], (mode, path)
     assert len(dataflows) > len(paths) // 2

@@ -11,6 +11,7 @@ from pupsec.harness import _analyze_file, analyze_manifest
 from pupsec.nodes import Assignment, IfStatement, Manifest, ResourceDecl, VarRef
 from pupsec.parser import parse_manifest
 from pupsec.printer import manifest_source
+from pupsec.report import compute_stats, render_report
 from pupsec.rules import DEFAULT_PATTERNS
 from pupsec.synth import generate_manifest_text
 
@@ -253,10 +254,9 @@ def _branchy_text(lines):
     return "\n".join(out)
 
 
-def _pipeline_line_events(text):
-    """Lines run in each ``pupsec`` module, by file name, while parsing the
-    manifest *text* and running ``analyze_manifest`` on it; and the
-    findings."""
+def _line_events(call):
+    """Lines run in each ``pupsec`` module, by file name, during ``call()``;
+    and what it returns."""
     package = os.path.dirname(pupsec.__file__)
     counts = collections.Counter()
 
@@ -264,10 +264,9 @@ def _pipeline_line_events(text):
         counts[frame.f_code.co_filename] += event == "line"
         return local
 
-    findings, _ = _traced(lambda: analyze_manifest(parse(text)),
-                          lambda frame, event, arg: local
-                          if os.path.dirname(frame.f_code.co_filename) == package else None)
-    return {os.path.basename(name): count for name, count in counts.items()}, findings
+    result = _traced(call, lambda frame, event, arg: local
+                     if os.path.dirname(frame.f_code.co_filename) == package else None)
+    return {os.path.basename(name): count for name, count in counts.items()}, result
 
 
 def _deepest_stack(call):
@@ -308,9 +307,12 @@ def test_dataflow_work_grows_linearly_with_branchy_manifests(monkeypatch):
     # every module of the per-file pipeline, from lexing to confirmed
     # findings, are counted, which is exact where a timing would be noisy.
     # On `relay` one secret reaches the file of every 4th link, so the
-    # witness paths' total length grows quadratically; there the DDG
-    # module's lines are counted per unit of its output: graph nodes, edges
-    # and witness steps.
+    # witness paths' total length grows quadratically, and on `many` every
+    # earlier secret reaches every later file, so the findings grow
+    # quadratically and their steps cubically.  There the DDG module's lines
+    # are counted per unit of its output (graph nodes, edges and witness
+    # steps), and on `many` the JSON and SARIF renderers' per finding and
+    # witness step.
     monkeypatch.setattr(sys, "path", sys.path[:])  # sweep.py adds perfbench/
     sweep = load_script("sweep")
     graphs = []
@@ -324,21 +326,34 @@ def test_dataflow_work_grows_linearly_with_branchy_manifests(monkeypatch):
 
     def run(text):
         graphs.clear()
-        counts, findings = _pipeline_line_events(text)
+        counts, (findings, resources) = _line_events(lambda: analyze_manifest(parse(text)))
         (ddg,) = graphs
-        return counts, len(ddg.nodes) + len(ddg.edges) + sum(len(f.path) for f in findings)
+        return counts, ddg, list(findings), list(resources)
 
-    for name, template in (("local branchy", _branchy_text),
-                           ("chain", lambda n: sweep.chain_text(n)[0]),
-                           ("branchy", lambda n: sweep.branchy_text(n)[0]),
-                           ("relay", lambda n: sweep.relay_text(n)[0])):
-        (small, small_out), (large, large_out) = (run(template(n)) for n in (500, 1000))
+    def steps(findings):
+        return sum(len(f.path) for f in findings)
+
+    for name, template, n in (("local branchy", _branchy_text, 500),
+                              ("chain", lambda n: sweep.chain_text(n)[0], 500),
+                              ("branchy", lambda n: sweep.branchy_text(n)[0], 500),
+                              ("relay", lambda n: sweep.relay_text(n)[0], 500),
+                              ("many", lambda n: sweep.many_text(n)[0], 90)):
+        runs = [run(template(lines)) for lines in (n, 2 * n)]
+        (small, *_), (large, *_) = runs
+        small_out, large_out = (len(d.nodes) + len(d.edges) + steps(f) for _, d, f, _ in runs)
         assert set(large) == set(small), name
         for module in small:
             bound = 2.1 * small[module]
-            if name == "relay" and module == "ddg.py":
+            if name in ("relay", "many") and module == "ddg.py":
                 bound = 1.05 * small[module] * large_out / small_out
             assert large[module] <= bound, (name, module, small[module], large[module])
+    for fmt in ("json", "sarif"):  # `runs` still holds the two `many` manifests
+        per_unit = []
+        for _, _, findings, resources in runs:
+            stats = compute_stats(findings, resources)
+            counts, _ = _line_events(lambda: render_report(findings, stats, fmt))
+            per_unit.append(sum(counts.values()) / (len(findings) + steps(findings)))
+        assert per_unit[1] <= 1.05 * per_unit[0], (fmt, per_unit)
 
 
 # -- oracle agreement ----------------------------------------------------------

@@ -26,6 +26,7 @@ from pupsec.synth import generate_manifest_text
 
 import reference_ddg
 from conftest import FIXTURES, RARE_FORMS, load_fixture, load_script
+from oracle import oracle_findings
 
 
 def pipeline(manifest):
@@ -414,3 +415,28 @@ def test_build_ddg_equals_the_reference_on_every_input(monkeypatch):
         assert ddg == reference_ddg.build_ddg(m, candidates, index), path
         graphs += ddg is not None
     assert graphs > len(texts) // 3
+
+
+def test_findings_equal_the_trace_oracle(monkeypatch):
+    # The oracle replays every branch combination of a manifest and closes
+    # the def-use flows it sees from each candidate's stored value, with no
+    # use of the dataflow, the DDG or the slot owners that both read.  Each
+    # finding's witness path must be as short as the oracle's shortest.
+    sweep = _sweep(monkeypatch)
+    texts = [(p.read_text(encoding="utf-8"), str(p)) for p in sorted(FIXTURES.rglob("*.pp"))]
+    texts.append((RARE_FORMS, "rare.pp"))
+    texts.extend((generate_manifest_text(seed), f"synthetic_{seed}.pp") for seed in range(500))
+    for template in (sweep.chain_text, sweep.relay_text, sweep.many_text):
+        texts.append((template(90)[0], f"{template.__name__}.pp"))  # straight-line, one trace
+    with_findings = 0
+    for text, path in texts:
+        m = parse_manifest(text, path)
+        index = build_membership_index(m)
+        candidates = detect_candidates(classify_expressions(index), collect_function_calls(index))
+        expected = oracle_findings(m, candidates, index.resource_list)
+        findings = analyze_manifest(m)[0]
+        got = {(f.category, f.weakness_location, f.sink): len(f.path) for f in findings}
+        assert got == expected, path
+        assert len(findings) == len(got), path  # one finding per candidate and sink
+        with_findings += bool(expected)
+    assert with_findings > len(texts) // 3

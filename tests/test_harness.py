@@ -211,6 +211,21 @@ def test_scan_pauses_the_collector_while_analyzing(tmp_path, monkeypatch):
     assert seen and not any(seen)
 
 
+def test_same_reports_each_names_every_entry_of_the_awkward_tree(tmp_path):
+    # `scripts/same_reports.py --each` compares each file of a tree on its
+    # own, the directory and the dangling link included.
+    awkward_tree.write_tree(tmp_path)
+    names = ["a_good.pp", "broken.pp", "cp1252.pp", "heredoc.pp", "deep_array.pp",
+             "deep_if.pp", *awkward_tree.CHAIN_TITLES, "dir.pp", "dangling.pp"]
+    same_reports = load_script("same_reports")
+    assert same_reports.targets([str(tmp_path)], each=False) == [str(tmp_path)]
+    assert same_reports.targets([str(tmp_path)], each=True) == (
+        [str(tmp_path)] + sorted(str(tmp_path / name) for name in names)
+    )
+    file = str(tmp_path / "a_good.pp")
+    assert same_reports.targets([file], each=True) == [file]
+
+
 def test_scan_restores_the_callers_collector_state(tmp_path):
     assert gc.isenabled()
     try:
@@ -545,6 +560,20 @@ def test_cli_ground_truth_evaluation(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["evaluation"]["overall"]["recall"] == 1.0
     assert doc["evaluation"]["overall"]["fp"] == 6
+
+
+def test_cli_sarif_carries_the_ground_truth_evaluation(capsys):
+    # The SARIF run's properties hold the same evaluation as the JSON report.
+    args = ["scan", str(FIXTURES), "--ground-truth", str(CORPUS_TRUTH)]
+    assert main(args) == 0
+    evaluation = json.loads(capsys.readouterr().out)["evaluation"]
+    assert evaluation["overall"]["tp"] > 0
+    assert main(args + ["--format", "sarif"]) == 0
+    (run,) = json.loads(capsys.readouterr().out)["runs"]
+    assert run["properties"]["evaluation"] == evaluation
+    assert main(["scan", str(FIXTURES), "--format", "sarif"]) == 0
+    (run,) = json.loads(capsys.readouterr().out)["runs"]
+    assert "evaluation" not in run["properties"]
 
 
 def test_cli_jobs_flag_and_environment_do_not_change_output(monkeypatch, capsys):

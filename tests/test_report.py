@@ -246,8 +246,8 @@ def assert_same_as_reference(findings, stats, mode="taint", evaluation=None):
     assert render_report(findings, stats, "json", mode, evaluation) == reference_report.render_json(
         findings, stats, mode, evaluation
     )
-    assert render_report(findings, stats, "sarif", mode) == reference_report.render_sarif(
-        findings, mode
+    assert render_report(findings, stats, "sarif", mode, evaluation) == (
+        reference_report.render_sarif(findings, mode, evaluation)
     )
 
 
