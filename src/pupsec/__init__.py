@@ -8,7 +8,6 @@ reachability, into an attribute of a resource.
 from .classify import (
     AttributeId,
     ClassifiedExpression,
-    ExpressionKind,
     MembershipIndex,
     build_membership_index,
     classify_expressions,
@@ -71,7 +70,6 @@ __all__ = [
     "DEFAULT_PATTERNS",
     "DEFAULT_TAXONOMY",
     "EvalMetrics",
-    "ExpressionKind",
     "Finding",
     "GroundTruthEntry",
     "Manifest",

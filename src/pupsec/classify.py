@@ -1,10 +1,12 @@
 """Expression classification and attribute-to-resource membership.
 
-Every assigned value in a manifest is classified as a string, function,
-or parameter expression (or left unclassified) and tied to its owner:
-a variable, a resource attribute, or a class/defined-type parameter.
-Attributes additionally get a corpus-unique identifier recording which
-resource and manifest they belong to.
+Every assigned value in a manifest gets a value view (a string, a
+function call, undef, a composite or anything else) and is tied to its
+owner: a variable, a resource attribute, or a class/defined-type
+parameter.  Attributes additionally get a corpus-unique identifier
+recording which resource and manifest they belong to.  A classified entry
+and a call site keep their AST nodes, and read their place and a call's
+name from them.
 
 ``build_membership_index`` is the one walk over a manifest's statements,
 and it walks each expression once.  Its index keeps the walk's table of
@@ -17,7 +19,6 @@ passes it on, an attribute is a sink, and no owner feeds nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional, Union
 
 from .nodes import (
@@ -43,12 +44,6 @@ from .nodes import (
     iter_nodes,
 )
 from .printer import expr_text
-
-
-class ExpressionKind(Enum):
-    STRING = "string"
-    FUNCTION = "function"
-    PARAMETER = "parameter"
 
 
 # --- value views ----------------------------------------------------------
@@ -153,7 +148,7 @@ class ResourceInfo:
 @dataclass(slots=True, unsafe_hash=True)
 class MembershipIndex:
     """What one walk over a manifest's statements found: its resources and,
-    left out of comparison like ``ClassifiedExpression.node``, its slots."""
+    left out of comparison, its slots."""
 
     resource_list: tuple[ResourceInfo, ...]
     # the walk's slots in textual order; see ``_Collector``
@@ -162,21 +157,24 @@ class MembershipIndex:
 
 @dataclass(slots=True, unsafe_hash=True)
 class ClassifiedExpression:
+    """One assigned value; its place is ``node.loc``.  The node is compared
+    and shown, so entries alike in all else but their place differ."""
+
     owner: Owner
-    kind: Optional[ExpressionKind]
     name: str
     value: ValueView
-    location: SourceLocation
-    node: object = field(compare=False, repr=False)  # Assignment | AttributeNode | Parameter
+    node: object  # Assignment | AttributeNode | Parameter
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class FunctionCallSite:
-    name: str
-    location: SourceLocation
+    """One call; its name and place are ``call.name`` and ``call.loc``.  The
+    call is compared and shown, so calls alike in all else but their place
+    differ."""
+
     owner: Optional[Owner]
     node: object = field(compare=False, repr=False)  # the node holding the call
-    call: FunctionCall = field(compare=False, repr=False)
+    call: FunctionCall
 
 
 # --- collection walk --------------------------------------------------------
@@ -276,16 +274,6 @@ class _Collector:
 # --- public operations ------------------------------------------------------
 
 
-def _classify_value(owner: Owner, view: ValueView) -> Optional[ExpressionKind]:
-    if isinstance(view, FunctionValue):
-        return ExpressionKind.FUNCTION
-    if isinstance(view, StringValue):
-        if isinstance(owner, ParameterOwner):
-            return ExpressionKind.PARAMETER
-        return ExpressionKind.STRING
-    return None
-
-
 def classify_expressions(index: MembershipIndex) -> list[ClassifiedExpression]:
     """One classified entry per variable assignment, resource attribute,
     and class/defined-type parameter with a default value, in textual
@@ -294,14 +282,11 @@ def classify_expressions(index: MembershipIndex) -> list[ClassifiedExpression]:
     for expr, owner, node, _, _ in index.expressions:
         if owner is None or expr is None:
             continue
-        view = value_view(expr)
         out.append(
             ClassifiedExpression(
                 owner=owner,
-                kind=_classify_value(owner, view),
                 name=node.var_name if isinstance(node, Assignment) else node.name,
-                value=view,
-                location=node.loc,
+                value=value_view(expr),
                 node=node,
             )
         )
@@ -312,7 +297,7 @@ def collect_function_calls(index: MembershipIndex) -> list[FunctionCallSite]:
     """All function-call sites in the indexed manifest, with the variable,
     attribute, or parameter that receives the call result (if any)."""
     return [
-        FunctionCallSite(call.name, call.loc, owner, node, call)
+        FunctionCallSite(owner, node, call)
         for _, owner, node, _, calls in index.expressions
         for call in calls
     ]

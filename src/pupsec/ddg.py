@@ -26,7 +26,10 @@ from .rules import WeaknessCandidate
 @dataclass(slots=True, unsafe_hash=True)
 class TaintNode:
     candidate: WeaknessCandidate
-    loc: SourceLocation
+
+    @property
+    def loc(self) -> SourceLocation:
+        return self.candidate.location
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -115,7 +118,7 @@ def build_ddg(
     # Taints in candidate order, so taint node i is candidate i; then
     # intermediates and sinks, each by position.
     defs = analysis.definitions
-    nodes: list[DdgNode] = [TaintNode(c, c.location) for c in candidates]
+    nodes: list[DdgNode] = [TaintNode(c) for c in candidates]
     node_of: dict[Union[int, AttributeId], int] = {}  # reader -> node index
     for i in sorted(downstream, key=lambda i: (defs[i].node.loc.line, defs[i].node.loc.column)):
         node_of[i] = len(nodes)
@@ -183,9 +186,7 @@ def collect_propagations(ddg: DataDependenceGraph) -> list[PropagationResult]:
     return results
 
 
-def _path_step(node: DdgNode) -> PathStep:
-    if isinstance(node, TaintNode):
-        return PathStep("taint", node.candidate.display_name, node.loc.line, node.loc.column)
+def _path_step(node: Union[IntermediateNode, SinkNode]) -> PathStep:
     if isinstance(node, IntermediateNode):
         return PathStep("intermediate", f"${node.var_name}", node.loc.line, node.loc.column)
     attr = node.attribute
@@ -198,8 +199,9 @@ def confirm_findings(propagations: list[PropagationResult]) -> list[Finding]:
     ``propagations``.  ``collect_propagations`` lists them in candidate
     order and leaves out candidates that reach no sink, so these are
     dropped here too.  Each DDG node's ``PathStep`` is built once and
-    shared by every path through the node, and each candidate's name is
-    made once for all of its sinks."""
+    shared by every path through the node.  No edge leads into a taint
+    node, so a path's first step is its candidate's, made once for all of
+    its sinks."""
     steps: dict[int, PathStep] = {}  # keyed by id: the propagations keep every node alive
 
     def step(node: DdgNode) -> PathStep:
@@ -210,16 +212,17 @@ def confirm_findings(propagations: list[PropagationResult]) -> list[Finding]:
 
     findings: list[Finding] = []
     for prop in propagations:
-        taint, name = prop.taint, prop.taint.display_name
+        taint, name, loc = prop.taint, prop.taint.display_name, prop.taint.location
+        first = PathStep("taint", name, loc.line, loc.column)
         findings.extend(
             Finding(
                 category=taint.category,
                 manifest_path=attr_id.manifest_path,
-                weakness_location=taint.location,
+                weakness_location=loc,
                 weakness_name=name,
                 sink=attr_id,
                 sink_location=node_path[-1].loc,
-                path=tuple(map(step, node_path)),
+                path=(first, *map(step, node_path[1:])),
             )
             for attr_id, node_path in prop.paths.items()
         )

@@ -11,7 +11,9 @@ candidates come in this order: admin by default, empty password and
 hard-coded secret (string values only, from one ``isUser`` and one
 ``isPassword`` run on the name), then invalid IP binding and HTTP without
 TLS (the first matching value fragment each).  Weak-crypto call sites
-follow all expressions.  Taint node i of the DDG is candidate i.
+follow all expressions.  A candidate's place is its element's: the call's
+``loc`` for a call site, the holder node's otherwise.  Taint node i of the
+DDG is candidate i.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .classify import (
     AttributeOwner,
     ClassifiedExpression,
     CompositeValue,
-    ExpressionKind,
     FunctionCallSite,
+    ParameterOwner,
     StringValue,
 )
 from .errors import UnknownPredicate
@@ -134,12 +136,17 @@ class WeaknessCandidate:
     category: WeaknessCategory
     element: Union[ClassifiedExpression, FunctionCallSite] = field(repr=False)
     matched_text: str
-    location: SourceLocation
+
+    @property
+    def location(self) -> SourceLocation:
+        if isinstance(self.element, FunctionCallSite):
+            return self.element.call.loc
+        return self.element.node.loc
 
     @property
     def display_name(self) -> str:
         if isinstance(self.element, FunctionCallSite):
-            return self.element.name
+            return self.element.call.name
         owner = self.element.owner
         if isinstance(owner, AttributeOwner):
             return self.element.name
@@ -167,21 +174,14 @@ def detect_candidates(
             text = value.text
             user = evaluate_predicate("isUser", ce.name, patterns)
             password = evaluate_predicate("isPassword", ce.name, patterns)
-            if (
-                user
-                and ce.kind is ExpressionKind.PARAMETER
-                and evaluate_predicate("isAdmin", text, patterns)
-            ):
-                out.append(WeaknessCandidate(WeaknessCategory.ADMIN_BY_DEFAULT, ce, text, ce.location))
+            if user and isinstance(ce.owner, ParameterOwner):
+                if evaluate_predicate("isAdmin", text, patterns):
+                    out.append(WeaknessCandidate(WeaknessCategory.ADMIN_BY_DEFAULT, ce, text))
             if not text:
                 if password:
-                    out.append(
-                        WeaknessCandidate(WeaknessCategory.EMPTY_PASSWORD, ce, ce.name, ce.location)
-                    )
+                    out.append(WeaknessCandidate(WeaknessCategory.EMPTY_PASSWORD, ce, ce.name))
             elif user or password or evaluate_predicate("isPvtKey", ce.name, patterns):
-                out.append(
-                    WeaknessCandidate(WeaknessCategory.HARD_CODED_SECRET, ce, ce.name, ce.location)
-                )
+                out.append(WeaknessCandidate(WeaknessCategory.HARD_CODED_SECRET, ce, ce.name))
             fragments = (text,)
         elif isinstance(value, CompositeValue):
             fragments = value.literal_fragments
@@ -190,11 +190,11 @@ def detect_candidates(
         for category, predicate in _VALUE_RULES:
             for fragment in fragments:
                 if evaluate_predicate(predicate, fragment, patterns):
-                    out.append(WeaknessCandidate(category, ce, fragment, ce.location))
+                    out.append(WeaknessCandidate(category, ce, fragment))
                     break
     out.extend(
-        WeaknessCandidate(WeaknessCategory.WEAK_CRYPTO_ALGORITHM, site, site.name, site.location)
+        WeaknessCandidate(WeaknessCategory.WEAK_CRYPTO_ALGORITHM, site, site.call.name)
         for site in function_calls
-        if evaluate_predicate("usesWeakAlgo", site.name, patterns)
+        if evaluate_predicate("usesWeakAlgo", site.call.name, patterns)
     )
     return out

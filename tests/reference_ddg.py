@@ -95,7 +95,7 @@ def build_ddg(
     taint_idx: dict[int, int] = {}  # candidate position -> node index
     for pos, (candidate, _) in enumerate(seeds):
         taint_idx[pos] = len(nodes)
-        nodes.append(TaintNode(candidate, candidate.location))
+        nodes.append(TaintNode(candidate))
     inter_idx: dict[int, int] = {}  # definition index -> node index
     for i in sorted(downstream, key=lambda i: (defs[i].node.loc.line, defs[i].node.loc.column)):
         inter_idx[i] = len(nodes)

@@ -1,7 +1,6 @@
 from pupsec.classify import (
     AttributeOwner,
     CompositeValue,
-    ExpressionKind,
     FunctionValue,
     OtherValue,
     ParameterOwner,
@@ -44,7 +43,6 @@ def test_string_expression():
     entries = classify_expressions(build_membership_index(parse("$db_user = 'dbadmin'")))
     e = entry_for(entries, "db_user")
     assert e.owner == VariableOwner("db_user")
-    assert e.kind is ExpressionKind.STRING
     assert e.value == StringValue("dbadmin")
 
 
@@ -52,7 +50,6 @@ def test_function_expression():
     m = parse("$admin_password = pick($access_hash['password'])")
     entries = classify_expressions(build_membership_index(m))
     e = entry_for(entries, "admin_password")
-    assert e.kind is ExpressionKind.FUNCTION
     assert isinstance(e.value, FunctionValue)
     assert e.value.function_name == "pick"
 
@@ -61,14 +58,13 @@ def test_parameter_expression():
     entries = classify_expressions(build_membership_index(parse("class c ($workers = '1') { }")))
     e = entry_for(entries, "workers")
     assert e.owner == ParameterOwner("c", "workers")
-    assert e.kind is ExpressionKind.PARAMETER
+    assert e.value == StringValue("1")
 
 
 def test_undef_is_not_classified_as_string():
     entries = classify_expressions(build_membership_index(parse("$x = undef")))
     e = entry_for(entries, "x")
     assert e.value == UndefValue()
-    assert e.kind is None
 
 
 def test_parameter_without_default_is_not_an_entry():
@@ -85,7 +81,6 @@ def test_interpolated_string_keeps_literal_fragments():
     entries = classify_expressions(build_membership_index(parse('$x = "a${y}b"')))
     e = entry_for(entries, "x")
     assert e.value == CompositeValue(("a", "b"))
-    assert e.kind is None
 
 
 def test_var_ref_value_is_other():
@@ -185,7 +180,7 @@ def test_classification_is_a_pure_function_of_the_ast():
 def test_collect_function_calls_tracks_owner():
     m = load_fixture("nagios_htpasswd.pp")
     calls = collect_function_calls(build_membership_index(m))
-    by_name = {c.name: c for c in calls}
+    by_name = {c.call.name: c for c in calls}
     assert by_name["htpasswd_sha1"].owner == VariableOwner("nagiosadmin_pw")
     assert by_name["hiera"].owner == VariableOwner("nagios_hiera")
 
@@ -196,7 +191,7 @@ def test_statement_position_call_has_no_owner():
 
 
 def _sorted_by_position(manifest):
-    """(owner, name, location, value, node) of every assignment, attribute
+    """(owner, name, value, node) of every assignment, attribute
     and parameter default, sorted by (line, column, kind) with assignments
     before attributes before parameters: the order the classifier's output
     had when it sorted its entries."""
@@ -217,8 +212,7 @@ def _sorted_by_position(manifest):
                     owner = ParameterOwner(node.name, param.name)
                     entries.append((param.loc, 2, owner, param.name, param.default, param))
     entries.sort(key=lambda e: (e[0].line, e[0].column, e[1]))
-    return [(owner, name, loc, value_view(expr), id(node))
-            for loc, _, owner, name, expr, node in entries]
+    return [(owner, name, value_view(expr), id(node)) for _, _, owner, name, expr, node in entries]
 
 
 def test_classification_keeps_the_position_order_it_was_sorted_into():
@@ -228,7 +222,7 @@ def test_classification_keeps_the_position_order_it_was_sorted_into():
     for text, path in texts:
         m = parse_manifest(text, path)
         entries = classify_expressions(build_membership_index(m))
-        got = [(e.owner, e.name, e.location, e.value, id(e.node)) for e in entries]
+        got = [(e.owner, e.name, e.value, id(e.node)) for e in entries]
         assert got == _sorted_by_position(m), path
 
 

@@ -1,9 +1,7 @@
-import collections
 import os
 import random
 import sys
 
-import pupsec
 import pupsec.harness
 from pupsec.classify import build_membership_index
 from pupsec.dataflow import DataflowAnalysis, reaches, uses_of
@@ -15,7 +13,7 @@ from pupsec.report import compute_stats, render_report
 from pupsec.rules import DEFAULT_PATTERNS
 from pupsec.synth import generate_manifest_text
 
-from conftest import load_fixture, load_script
+from conftest import FIXTURES, load_fixture, load_script
 from oracle import all_def_use_pairs, enumerate_traces, oracle_reaches
 
 
@@ -254,19 +252,8 @@ def _branchy_text(lines):
     return "\n".join(out)
 
 
-def _line_events(call):
-    """Lines run in each ``pupsec`` module, by file name, during ``call()``;
-    and what it returns."""
-    package = os.path.dirname(pupsec.__file__)
-    counts = collections.Counter()
-
-    def local(frame, event, arg):
-        counts[frame.f_code.co_filename] += event == "line"
-        return local
-
-    result = _traced(call, lambda frame, event, arg: local
-                     if os.path.dirname(frame.f_code.co_filename) == package else None)
-    return {os.path.basename(name): count for name, count in counts.items()}, result
+# The lines run in each ``pupsec`` module during ``call()``, and its result.
+_line_events = load_script("line_events").line_events
 
 
 def _deepest_stack(call):
@@ -382,3 +369,28 @@ def test_module_level_reaches_matches_analysis_method():
     for stmt in m.statements[:2]:
         assert isinstance(stmt, Assignment)
         assert reaches(stmt, url_attribute(m), m) == analysis.reaches(stmt, url_attribute(m))
+
+
+def test_line_events_script_prints_the_same_table_twice(capsys, monkeypatch):
+    """``scripts/line_events.py`` on three fixture files: two runs print
+    identical tables, and a ``--parent`` count of this same tree reads
+    the same events and changes no module."""
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the script adds src/
+    script = load_script("line_events")
+    args = [str(FIXTURES), "--files", "3"]
+    tables = []
+    for _ in range(2):
+        assert script.main(args) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+    header, *rows = tables[0].splitlines()
+    assert header.split() == ["module", "events"]
+    assert rows[-1].split()[0] == "total" and int(rows[-1].split()[1].replace(",", "")) > 0
+    src = os.path.dirname(os.path.dirname(pupsec.harness.__file__))
+    assert script.main(args + ["--parent", src]) == 0
+    header, *paired = capsys.readouterr().out.splitlines()
+    assert header.split() == ["module", "parent", "this", "change"]
+    assert [row.split()[:3:2] for row in paired] == [row.split() for row in rows]
+    for row in paired:
+        _, parent, this, change = row.split()
+        assert parent == this and change == "+0", row

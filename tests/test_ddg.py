@@ -221,7 +221,7 @@ def _random_dag(rng, tied=False):
     m = parse("$seed_password = 'x'\n$other_password = 'y'")
     index = build_membership_index(m)
     candidates = detect_candidates(classify_expressions(index), collect_function_calls(index))
-    nodes = [TaintNode(c, c.location) for c in candidates]
+    nodes = [TaintNode(c) for c in candidates]
     for i in range(5):
         line = rng.randint(3, 5) if tied else i + 3
         nodes.append(IntermediateNode(f"v{i}", SourceLocation("dag.pp", line, 1)))

@@ -16,18 +16,26 @@ import pkgutil
 import pupsec
 import pupsec.harness as harness_mod
 from pupsec.classify import (
+    ClassifiedExpression,
+    FunctionCallSite,
     build_membership_index,
     classify_expressions,
     collect_function_calls,
 )
 from pupsec.dataflow import DataflowAnalysis, UseRecord
-from pupsec.ddg import PropagationResult, build_ddg, collect_propagations, confirm_findings
+from pupsec.ddg import (
+    PropagationResult,
+    TaintNode,
+    build_ddg,
+    collect_propagations,
+    confirm_findings,
+)
 from pupsec.harness import EvalMetrics, RunConfig, evaluate, load_ground_truth, scan
 from pupsec.lexer import Token, tokenize
-from pupsec.nodes import Manifest
+from pupsec.nodes import Manifest, iter_nodes
 from pupsec.parser import parse_manifest
 from pupsec.report import DEFAULT_TAXONOMY, ResourceTaxonomy
-from pupsec.rules import DEFAULT_PATTERNS, PatternSet, detect_candidates
+from pupsec.rules import DEFAULT_PATTERNS, PatternSet, WeaknessCandidate, detect_candidates
 from pupsec.synth import generate_manifest_text
 
 from conftest import CORPUS, CORPUS_TRUTH, FIXTURES, RARE_FORMS
@@ -169,3 +177,49 @@ def test_pipeline_never_mutates_its_inputs(tmp_path, monkeypatch):
             assert built["collect_function_calls"] == calls, path
             assert built["build_membership_index"] == index, path
             assert built["detect_candidates"] == detect_candidates(classified, calls), path
+
+
+def test_each_place_and_call_name_is_kept_once():
+    """A classified entry and a call site keep their AST nodes and nothing
+    derived from them; a candidate's place is read from its element."""
+    assert [f.name for f in dataclasses.fields(ClassifiedExpression)] == [
+        "owner", "name", "value", "node"]
+    assert [f.name for f in dataclasses.fields(FunctionCallSite)] == ["owner", "node", "call"]
+    assert "location" not in {f.name for f in dataclasses.fields(WeaknessCandidate)}
+    assert [f.name for f in dataclasses.fields(TaintNode)] == ["candidate"]
+    assert not any(hasattr(m, "ExpressionKind") for m in (pupsec, pupsec.classify))
+    seen = set()
+    for text, path in _texts():
+        manifest = parse_manifest(text, path)
+        ast_nodes = {id(n) for n in iter_nodes(manifest)}
+        index = build_membership_index(manifest)
+        for c in detect_candidates(classify_expressions(index), collect_function_calls(index)):
+            element = c.element
+            holder = element.call if isinstance(element, FunctionCallSite) else element.node
+            assert id(holder) in ast_nodes, path
+            assert c.location is holder.loc, path
+            assert TaintNode(c).loc is c.location
+            seen.add(type(element))
+    assert seen == {ClassifiedExpression, FunctionCallSite}
+
+
+def test_equal_records_still_tell_places_apart():
+    """With no location field, equality compares the AST node that holds
+    the place: two entries alike in all but their line are not equal."""
+    index = build_membership_index(parse_manifest("$db_user = 'root'\n$db_user = 'root'", "m.pp"))
+    first, second = classify_expressions(index)
+    assert (first.owner, first.name, first.value) == (second.owner, second.name, second.value)
+    assert first != second
+    a, b = detect_candidates([first, second], [])
+    assert (a.category, a.matched_text) == (b.category, b.matched_text)
+    assert a != b
+    assert TaintNode(a) != TaintNode(b)
+
+    index = build_membership_index(parse_manifest("md5('x')\nmd5('x')", "m.pp"))
+    first, second = collect_function_calls(index)
+    assert first.owner == second.owner is None
+    assert first != second
+    a, b = detect_candidates([], [first, second])
+    assert (a.category, a.matched_text) == (b.category, b.matched_text)
+    assert a != b
+    assert TaintNode(a) != TaintNode(b)

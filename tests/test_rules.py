@@ -233,6 +233,9 @@ def test_admin_by_default_requires_parameter_and_admin_value():
     # plain variables never produce admin-by-default
     cands3 = candidates_for("$api_user = 'admin'")
     assert WeaknessCategory.ADMIN_BY_DEFAULT not in categories(cands3)
+    # nor do attributes, though their value is a string too
+    cands4 = candidates_for("file { 'f': user => 'admin' }")
+    assert categories(cands4) == [WeaknessCategory.HARD_CODED_SECRET]
 
 
 def test_http_candidate_from_interpolation_fragment():
