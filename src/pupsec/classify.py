@@ -9,11 +9,13 @@ and a call site keep their AST nodes, and read their place and a call's
 name from them.
 
 ``build_membership_index`` is the one walk over a manifest's statements,
-and it walks each expression once.  Its index keeps the walk's table of
-slots, which ``classify_expressions``, ``collect_function_calls`` and the
-reaching-definitions analysis read instead of walking again.  A slot's
-owner is the one record of what its value feeds: a variable or parameter
-passes it on, an attribute is a sink, and no owner feeds nothing.
+and it walks each expression at most once: a leaf, a variable or an
+interpolated string of text and variables gives its names without a walk.
+Its index keeps the walk's table of slots, which ``classify_expressions``,
+``collect_function_calls`` and the reaching-definitions analysis read
+instead of walking again.  A slot's owner is the one record of what its
+value feeds: a variable or parameter passes it on, an attribute is a
+sink, and no owner feeds nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Optional, Union
 from .nodes import (
     ArrayLiteral,
     Assignment,
+    BoolLiteral,
     CaseStatement,
     ClassDef,
     DefinedTypeDef,
@@ -34,6 +37,7 @@ from .nodes import (
     IfStatement,
     InterpolatedString,
     Manifest,
+    NumberLiteral,
     ResourceDecl,
     ResourceOverride,
     SourceLocation,
@@ -81,18 +85,20 @@ ValueView = Union[StringValue, FunctionValue, UndefValue, CompositeValue, OtherV
 
 
 def value_view(expr: Expr) -> ValueView:
-    if isinstance(expr, StrLiteral):
+    kind = type(expr)
+    if kind is StrLiteral:
         return StringValue(expr.value)
-    if isinstance(expr, InterpolatedString):
-        if all(isinstance(p, str) for p in expr.parts):
-            return StringValue("".join(expr.parts))
-        fragments = tuple(p for p in expr.parts if isinstance(p, str))
+    if kind is InterpolatedString:
+        parts = expr.parts
+        fragments = tuple([p for p in parts if type(p) is str])
+        if len(fragments) == len(parts):
+            return StringValue("".join(fragments))
         return CompositeValue(fragments)
-    if isinstance(expr, FunctionCall):
+    if kind is FunctionCall:
         return FunctionValue(expr.name)
-    if isinstance(expr, UndefLiteral):
+    if kind is UndefLiteral:
         return UndefValue()
-    if isinstance(expr, (ArrayLiteral, HashLiteral)):
+    if kind is ArrayLiteral or kind is HashLiteral:
         return CompositeValue(())
     return OtherValue()
 
@@ -190,6 +196,12 @@ def _title_text(title: Expr) -> str:
 # slot ``(marker, None, None, (), ())`` has no owner, holder, names or calls.
 OPEN, NEXT, JOIN = object(), object(), object()
 
+# ``_Collector._slot`` walks no expression of a type that holds no node (a
+# parameter without a default has the expression None), and no interpolated
+# string whose parts are all text and variables: its names are its parts'.
+_LEAVES = frozenset({StrLiteral, NumberLiteral, BoolLiteral, UndefLiteral, type(None)})
+_TEXT_AND_VARIABLES = frozenset({str, VarRef})
+
 
 class _Collector:
     """The walk over the statements of a manifest; only
@@ -199,7 +211,8 @@ class _Collector:
     the value (None for a condition, scrutinee, case match, title or
     expression statement), the holder is the statement, attribute or
     parameter the use belongs to, and names and calls are the ``VarRef``
-    names and ``FunctionCall`` nodes of one walk of the expression.  A
+    names and ``FunctionCall`` nodes that a walk of the expression finds,
+    in its order (see ``_LEAVES`` for the expressions not walked).  A
     parameter without a default has no expression."""
 
     def __init__(self, manifest: Manifest):
@@ -209,13 +222,22 @@ class _Collector:
         self._walk(manifest.statements)
 
     def _slot(self, expr, owner, node) -> None:
-        names, calls = [], []
-        for n in iter_nodes(expr):
-            if isinstance(n, VarRef):
-                names.append(n.name)
-            elif isinstance(n, FunctionCall):
-                calls.append(n)
-        self.exprs.append((expr, owner, node, tuple(names), tuple(calls)))
+        kind = type(expr)
+        if kind is VarRef:
+            names, calls = (expr.name,), ()
+        elif kind in _LEAVES:
+            names = calls = ()
+        elif kind is InterpolatedString and _TEXT_AND_VARIABLES.issuperset(map(type, expr.parts)):
+            names, calls = tuple([p.name for p in expr.parts if type(p) is VarRef]), ()
+        else:
+            names, calls = [], []
+            for n in iter_nodes(expr):
+                if isinstance(n, VarRef):
+                    names.append(n.name)
+                elif isinstance(n, FunctionCall):
+                    calls.append(n)
+            names, calls = tuple(names), tuple(calls)
+        self.exprs.append((expr, owner, node, names, calls))
 
     def _walk(self, statements: tuple[Statement, ...]) -> None:
         for stmt in statements:
@@ -285,7 +307,7 @@ def classify_expressions(index: MembershipIndex) -> list[ClassifiedExpression]:
         out.append(
             ClassifiedExpression(
                 owner=owner,
-                name=node.var_name if isinstance(node, Assignment) else node.name,
+                name=node.var_name if type(node) is Assignment else node.name,
                 value=value_view(expr),
                 node=node,
             )

@@ -7,6 +7,7 @@ number, a name, a type reference, an unsupported operator, a symbol or
 the end of the input.  Each alternative ends in an empty marker group,
 and ``tokenize`` dispatches on the index of the marker that matched
 (``m.lastindex``, one of the module constants ``_TRIVIA`` ... ``_BAD_CHAR``).
+It tests the two most frequent matches first: symbols, then trivia.
 Blanks before a token on the same line are the match's group 1, so the
 token starts where that group ends.  Some alternatives name an error
 instead (``_OPEN_COMMENT``, ``_OPEN_SQ``, ``_BAD_VAR``, ``_BAD_COLONS``,
@@ -276,19 +277,21 @@ def tokenize(text: str, path: str) -> list[Token]:
             s = text[start:pos]
             append(Token(_SYMBOLS[s], s, s, line, column))
             continue
-        if alt == _NAME:
+        if alt == _TRIVIA:
+            pass  # its newlines are counted below, with the strings'
+        elif alt == _NAME:
             s = text[start:pos]
             append(Token(KEYWORDS.get(s, TokenKind.NAME), s, s, line, column))
             continue
-        if alt == _VAR:
+        elif alt == _VAR:
             name = text[start + 1 : pos].removeprefix("::")
             append(Token(TokenKind.VARIABLE, name, name, line, column))
             continue
-        if alt == _TYPE_REF:
+        elif alt == _TYPE_REF:
             s = text[start:pos]
             append(Token(TokenKind.TYPE_REF, s, s, line, column))
             continue
-        if alt == _NUMBER:
+        elif alt == _NUMBER:
             s = text[start:pos]
             try:
                 value = float(s) if "." in s else int(s)
@@ -296,7 +299,7 @@ def tokenize(text: str, path: str) -> list[Token]:
                 raise ParseError(SourceLocation(path, line, column), "number literal too long") from None
             append(Token(TokenKind.NUMBER, s, value, line, column))
             continue
-        if alt == _SQ:
+        elif alt == _SQ:
             body = text[start + 1 : pos - 1]
             if "\\" in body:
                 body = _SQ_ESCAPE.sub(r"\1", body)
@@ -315,7 +318,7 @@ def tokenize(text: str, path: str) -> list[Token]:
             raise UnsupportedConstruct(SourceLocation(path, line, column), _UNSUPPORTED[text[start:pos]])
         elif alt == _BAD_CHAR:
             raise ParseError(SourceLocation(path, line, column), f"unexpected character {text[start:pos]!r}")
-        elif alt != _TRIVIA:
+        else:
             raise ParseError(SourceLocation(path, line, column), _ERRORS[alt])
         # Only trivia and strings can span lines.
         newlines = text.count("\n", start, pos)

@@ -109,31 +109,15 @@ class _Parser:
     """Recursive descent over one token list, which ends in ``EOF``.
     ``pos`` indexes the next token and never moves past ``EOF``.
 
-    The paths taken once or more per token (``parse_expression``,
-    ``_unary``, ``_primary``, ``_delimited`` and ``expect``) read
-    ``self.tokens[self.pos]`` and move ``self.pos`` themselves: a call to
-    ``peek``, ``at``, ``advance`` or ``loc`` costs more than the work it
-    does.  Statement-level code, which runs once per statement, keeps those
-    helpers."""
+    Every path reads ``self.tokens[self.pos]`` and moves ``self.pos``
+    itself, the statement level included: a helper call per token read
+    costs more than the read.  The one token helper left is ``expect``,
+    which checks a token's kind and raises if it is wrong."""
 
     def __init__(self, tokens: list[Token], path: str):
         self.tokens = tokens
         self.path = path
         self.pos = 0
-
-    # -- token plumbing ----------------------------------------------------
-
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[self.pos + offset]
-
-    def at(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind is kind
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.EOF:
-            self.pos += 1
-        return tok
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.tokens[self.pos]
@@ -143,17 +127,15 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def loc(self, tok: Token) -> SourceLocation:
-        return tok.loc(self.path)
-
     # -- blocks and lists --------------------------------------------------
 
     def _block(self) -> tuple[Statement, ...]:
         """``{ statements }``.  The loop is its own rather than a call to
         ``parse_statements``, so each nesting level costs one frame less."""
         self.expect(TokenKind.LBRACE, "'{'")
+        tokens = self.tokens
         stmts: list[Statement] = []
-        while not self.at(TokenKind.RBRACE) and not self.at(TokenKind.EOF):
+        while (kind := tokens[self.pos].kind) is not TokenKind.RBRACE and kind is not TokenKind.EOF:
             stmts.append(self.parse_statement())
         self.expect(TokenKind.RBRACE, "'}'")
         return tuple(stmts)
@@ -169,35 +151,35 @@ class _Parser:
             if kind is TokenKind.COMMA:
                 self.pos += 1
             elif kind is not close:
-                raise ParseError(self.loc(self.peek()), f"expected ',' or '{_CLOSERS[close]}' in {what}")
+                raise ParseError(
+                    tokens[self.pos].loc(self.path), f"expected ',' or '{_CLOSERS[close]}' in {what}"
+                )
         self.pos += 1
         return tuple(items)
 
     # -- statements --------------------------------------------------------
 
     def parse_statements(self) -> tuple[Statement, ...]:
+        tokens = self.tokens
         stmts: list[Statement] = []
-        while not self.at(TokenKind.EOF):
+        while tokens[self.pos].kind is not TokenKind.EOF:
             stmts.append(self.parse_statement())
         return tuple(stmts)
 
     def parse_statement(self) -> Statement:
-        tok = self.peek()
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
         kind = tok.kind
         if kind is TokenKind.VARIABLE:
-            return self._assignment()
-        if kind is TokenKind.KW_CLASS:
-            return self._class_def()
-        if kind is TokenKind.KW_DEFINE:
-            return self._defined_type()
-        if kind is TokenKind.KW_IF:
-            return self._if_statement()
-        if kind is TokenKind.KW_CASE:
-            return self._case_statement()
+            self.pos = pos + 1
+            self.expect(TokenKind.ASSIGN, "'='")
+            value = self.parse_expression()
+            return Assignment(tok.text, value, SourceLocation(self.path, tok.line, tok.column))
         if kind is TokenKind.NAME:
             if tok.text in _UNSUPPORTED_STATEMENT_WORDS:
-                raise UnsupportedConstruct(self.loc(tok), _UNSUPPORTED_STATEMENT_WORDS[tok.text])
-            nxt = self.peek(1).kind
+                raise UnsupportedConstruct(tok.loc(self.path), _UNSUPPORTED_STATEMENT_WORDS[tok.text])
+            nxt = tokens[pos + 1].kind
             if nxt is TokenKind.LBRACE:
                 return self._resource_decl()
             if nxt is TokenKind.LPAREN:
@@ -205,117 +187,138 @@ class _Parser:
                 return ExprStatement(call, call.loc)
             if nxt in _EXPR_START:
                 # e.g. `include apache` -- statement calls without parentheses
-                raise UnsupportedConstruct(self.loc(tok), "statement_function_call")
-            raise ParseError(self.loc(tok), f"unexpected bare word {tok.text!r}")
+                raise UnsupportedConstruct(tok.loc(self.path), "statement_function_call")
+            raise ParseError(tok.loc(self.path), f"unexpected bare word {tok.text!r}")
+        if kind is TokenKind.KW_IF:
+            return self._if_statement()
+        if kind is TokenKind.KW_CLASS:
+            return self._class_def()
+        if kind is TokenKind.KW_DEFINE:
+            return self._defined_type()
+        if kind is TokenKind.KW_CASE:
+            return self._case_statement()
         if kind is TokenKind.TYPE_REF:
             return self._resource_override()
-        raise ParseError(self.loc(tok), f"expected statement, found {tok.text or 'end of input'!r}")
-
-    def _assignment(self) -> Assignment:
-        var = self.advance()
-        self.expect(TokenKind.ASSIGN, "'='")
-        value = self.parse_expression()
-        return Assignment(var.text, value, self.loc(var))
+        raise ParseError(tok.loc(self.path), f"expected statement, found {tok.text or 'end of input'!r}")
 
     def _class_def(self) -> ClassDef:
-        kw = self.advance()
+        kw = self.tokens[self.pos]
+        self.pos += 1
         name = self.expect(TokenKind.NAME, "class name")
         params = self._parameter_list()
-        if self.at(TokenKind.NAME) and self.peek().text == "inherits":
-            raise UnsupportedConstruct(self.loc(self.peek()), "class_inheritance")
-        return ClassDef(name.text, params, self._block(), self.loc(kw))
+        tok = self.tokens[self.pos]
+        if tok.kind is TokenKind.NAME and tok.text == "inherits":
+            raise UnsupportedConstruct(tok.loc(self.path), "class_inheritance")
+        return ClassDef(name.text, params, self._block(), kw.loc(self.path))
 
     def _defined_type(self) -> DefinedTypeDef:
-        kw = self.advance()
+        kw = self.tokens[self.pos]
+        self.pos += 1
         name = self.expect(TokenKind.NAME, "defined type name")
         params = self._parameter_list()
-        return DefinedTypeDef(name.text, params, self._block(), self.loc(kw))
+        return DefinedTypeDef(name.text, params, self._block(), kw.loc(self.path))
 
     def _parameter_list(self) -> tuple[Parameter, ...]:
-        if not self.at(TokenKind.LPAREN):
+        tokens = self.tokens
+        if tokens[self.pos].kind is not TokenKind.LPAREN:
             return ()
-        self.advance()
+        self.pos += 1
         seen: set[str] = set()
 
         def parameter() -> Parameter:
-            if self.at(TokenKind.TYPE_REF):
-                raise UnsupportedConstruct(self.loc(self.peek()), "typed_parameter")
+            tok = tokens[self.pos]
+            if tok.kind is TokenKind.TYPE_REF:
+                raise UnsupportedConstruct(tok.loc(self.path), "typed_parameter")
             var = self.expect(TokenKind.VARIABLE, "parameter")
             if var.text in seen:
-                raise ParseError(self.loc(var), f"duplicate parameter ${var.text}")
+                raise ParseError(var.loc(self.path), f"duplicate parameter ${var.text}")
             seen.add(var.text)
             default = None
-            if self.at(TokenKind.ASSIGN):
-                self.advance()
+            if tokens[self.pos].kind is TokenKind.ASSIGN:
+                self.pos += 1
                 default = self.parse_expression()
-            return Parameter(var.text, default, self.loc(var))
+            return Parameter(var.text, default, var.loc(self.path))
 
         return self._delimited(TokenKind.RPAREN, "parameter list", parameter)
 
     def _if_statement(self) -> IfStatement:
-        kw = self.advance()  # 'if' or 'elsif'
+        tokens = self.tokens
+        kw = tokens[self.pos]  # 'if' or 'elsif'
+        self.pos += 1
         condition = self.parse_expression()
         then_body = self._block()
         else_body: tuple[Statement, ...] = ()
-        if self.at(TokenKind.KW_ELSIF):
+        kind = tokens[self.pos].kind
+        if kind is TokenKind.KW_ELSIF:
             # Desugar `elsif` into a nested if inside the else branch.
             else_body = (self._if_statement(),)
-        elif self.at(TokenKind.KW_ELSE):
-            self.advance()
+        elif kind is TokenKind.KW_ELSE:
+            self.pos += 1
             else_body = self._block()
-        return IfStatement(condition, then_body, else_body, self.loc(kw))
+        return IfStatement(condition, then_body, else_body, SourceLocation(self.path, kw.line, kw.column))
 
     def _case_statement(self) -> CaseStatement:
-        kw = self.advance()
+        tokens = self.tokens
+        kw = tokens[self.pos]
+        self.pos += 1
         scrutinee = self.parse_expression()
         self.expect(TokenKind.LBRACE, "'{'")
         arms: list[CaseArm] = []
-        while not self.at(TokenKind.RBRACE):
-            arm_tok = self.peek()
+        while tokens[self.pos].kind is not TokenKind.RBRACE:
+            arm_tok = tokens[self.pos]
             matches: list[Expr] = []
             is_default = False
             while True:
-                if self.at(TokenKind.KW_DEFAULT):
-                    self.advance()
+                if tokens[self.pos].kind is TokenKind.KW_DEFAULT:
+                    self.pos += 1
                     is_default = True
                 else:
                     matches.append(self.parse_expression())
-                if self.at(TokenKind.COMMA):
-                    self.advance()
-                else:
+                if tokens[self.pos].kind is not TokenKind.COMMA:
                     break
+                self.pos += 1
             self.expect(TokenKind.COLON, "':'")
-            arms.append(CaseArm(tuple(matches), self._block(), is_default, self.loc(arm_tok)))
+            arms.append(CaseArm(tuple(matches), self._block(), is_default, arm_tok.loc(self.path)))
         self.expect(TokenKind.RBRACE, "'}'")
-        return CaseStatement(scrutinee, tuple(arms), self.loc(kw))
+        return CaseStatement(scrutinee, tuple(arms), kw.loc(self.path))
 
     def _resource_decl(self) -> ResourceDecl:
-        type_tok = self.advance()
-        self.expect(TokenKind.LBRACE, "'{'")
+        """``type { title: attributes }``; ``parse_statement`` has seen the
+        type name and the ``{``."""
+        type_tok = self.tokens[self.pos]
+        self.pos += 2
         title = self.parse_expression()
         self.expect(TokenKind.COLON, "':' after resource title")
-        return ResourceDecl(type_tok.text, title, self._attribute_list(), self.loc(type_tok))
+        loc = SourceLocation(self.path, type_tok.line, type_tok.column)
+        return ResourceDecl(type_tok.text, title, self._attribute_list(), loc)
 
     def _resource_override(self) -> ResourceOverride:
-        type_tok = self.advance()
+        type_tok = self.tokens[self.pos]
+        self.pos += 1
         self.expect(TokenKind.LBRACK, "'['")
         title = self.parse_expression()
         self.expect(TokenKind.RBRACK, "']'")
         self.expect(TokenKind.LBRACE, "'{' for resource override")
-        return ResourceOverride(type_tok.text, title, self._attribute_list(), self.loc(type_tok))
+        return ResourceOverride(type_tok.text, title, self._attribute_list(), type_tok.loc(self.path))
 
     def _attribute_list(self) -> tuple[AttributeNode, ...]:
+        tokens = self.tokens
         seen: set[str] = set()
 
         def attribute() -> AttributeNode:
-            if self.at(TokenKind.SEMI):
-                raise UnsupportedConstruct(self.loc(self.peek()), "multi_body_resource")
-            name_tok = self.expect(TokenKind.NAME, "attribute name")
-            if name_tok.text in seen:
-                raise ParseError(self.loc(name_tok), f"duplicate attribute {name_tok.text!r}")
-            seen.add(name_tok.text)
+            name_tok = tokens[self.pos]
+            if name_tok.kind is not TokenKind.NAME:
+                if name_tok.kind is TokenKind.SEMI:
+                    raise UnsupportedConstruct(name_tok.loc(self.path), "multi_body_resource")
+                self.expect(TokenKind.NAME, "attribute name")  # raises
+            name = name_tok.text
+            if name in seen:
+                raise ParseError(name_tok.loc(self.path), f"duplicate attribute {name!r}")
+            seen.add(name)
+            self.pos += 1
             self.expect(TokenKind.ARROW, "'=>'")
-            return AttributeNode(name_tok.text, self.parse_expression(), self.loc(name_tok))
+            value = self.parse_expression()
+            return AttributeNode(name, value, SourceLocation(self.path, name_tok.line, name_tok.column))
 
         return self._delimited(TokenKind.RBRACE, "resource body", attribute)
 
@@ -358,19 +361,19 @@ class _Parser:
                 self.pos += 1
                 self.expect(TokenKind.LBRACE, "'{'")
                 arms = self._delimited(TokenKind.RBRACE, "selector", self._selector_arm)
-                expr = SelectorExpr(expr, arms, self.loc(q))
+                expr = SelectorExpr(expr, arms, SourceLocation(self.path, q.line, q.column))
             else:
                 return expr
 
     def _selector_arm(self) -> SelectorArm:
-        arm_tok = self.peek()
+        arm_tok = self.tokens[self.pos]
         match = None
-        if self.at(TokenKind.KW_DEFAULT):
-            self.advance()
+        if arm_tok.kind is TokenKind.KW_DEFAULT:
+            self.pos += 1
         else:
             match = self.parse_expression()
         self.expect(TokenKind.ARROW, "'=>'")
-        return SelectorArm(match, self.parse_expression(), match is None, self.loc(arm_tok))
+        return SelectorArm(match, self.parse_expression(), match is None, arm_tok.loc(self.path))
 
     def _hash_entry(self) -> tuple[Expr, Expr]:
         key = self.parse_expression()
@@ -383,11 +386,11 @@ class _Parser:
         kind = tok.kind
         if kind is not TokenKind.EOF:
             self.pos += 1
+        if kind is TokenKind.DQ_STRING:  # placed at its body, one column in
+            return _interpolated_string(tok.value, SourceLocation(self.path, tok.line, tok.column + 1))
         loc = SourceLocation(self.path, tok.line, tok.column)
         if kind is TokenKind.SQ_STRING:
             return StrLiteral(tok.value, loc)
-        if kind is TokenKind.DQ_STRING:
-            return _interpolated_string(tok.value, SourceLocation(self.path, tok.line, tok.column + 1))
         if kind is TokenKind.VARIABLE:
             return VarRef(tok.text, loc)
         if kind is TokenKind.NUMBER:
@@ -439,8 +442,17 @@ def parse_manifest(text: str, path: str) -> Manifest:
 
 
 _ESCAPES = {'"': '"', "\\": "\\", "$": "$", "n": "\n", "t": "\t"}
-# A backslash escape, the start of `${...}`, or a `$name` reference.
-_INTERPOLATION_RE = re.compile(r"\\(.)|\$\{|\$((?:::)?[A-Za-z0-9_]+(?:::[A-Za-z0-9_]+)*)", re.DOTALL)
+# What ``_interpolated_string`` looks for, by ``m.lastindex``: a backslash
+# escape, a ``${name}`` whose name ``_parse_embedded`` would read as a
+# variable, a ``$name`` reference, or the ``{`` of any other ``${...}``.
+_INTERPOLATION_RE = re.compile(
+    r"\\(.)"
+    r"|\$\{(?!(?:true|false|undef)\})((?:::)?[A-Za-z_][A-Za-z0-9_]*(?:::[A-Za-z_][A-Za-z0-9_]*)*)\}"
+    r"|\$((?:::)?[A-Za-z0-9_]+(?:::[A-Za-z0-9_]+)*)"
+    r"|\$(\{)",
+    re.DOTALL,
+)
+_ESCAPED, _EMBEDDED = 1, 4  # groups 2 and 3 hold the name of a `${name}` and a `$name`
 
 
 def parse_interpolation(double_quoted_body: str, location: SourceLocation) -> InterpolatedString:
@@ -455,29 +467,28 @@ def parse_interpolation(double_quoted_body: str, location: SourceLocation) -> In
 def _interpolated_string(body: str, location: SourceLocation) -> InterpolatedString:
     # The parser calls this directly: parse_manifest reports RecursionError at 1:1.
     parts: list[object] = []
-    literal: list[str] = []
+    literal = ""  # the pending text before *pos*, escapes resolved
     pos = 0
-    while (m := _INTERPOLATION_RE.search(body, pos)) is not None:
-        i = m.start()
-        literal.append(body[pos:i])
-        pos = m.end()
-        escaped, name = m.group(1, 2)
-        if escaped is not None:
-            literal.append(_ESCAPES.get(escaped, m.group()))
+    multiline = "\n" in body
+    search = _INTERPOLATION_RE.search
+    while (m := search(body, pos)) is not None:
+        i, kind = m.start(), m.lastindex
+        if kind == _ESCAPED:
+            literal += body[pos:i] + _ESCAPES.get(m.group(1), m.group())
+            pos = m.end()
             continue
-        if text := "".join(literal):
+        if text := literal + body[pos:i]:
             parts.append(text)
-        literal = []
-        newlines = body.count("\n", 0, i)
-        if newlines:
+        literal, pos = "", m.end()
+        if multiline and (newlines := body.count("\n", 0, i)):
             line, column = location.line + newlines, i - body.rfind("\n", 0, i)
         else:
             # `location.line` itself, not `+ 0`: past line 256 that would be a
             # new int object, kept alive by every part's location.
             line, column = location.line, location.column + i
         part_loc = SourceLocation(location.path, line, column)
-        if name is not None:
-            parts.append(VarRef(name.removeprefix("::"), part_loc))
+        if kind != _EMBEDDED:
+            parts.append(VarRef(m.group(kind).removeprefix("::"), part_loc))
             continue
         end = interpolation_end(body, pos)
         if end < 0:
@@ -485,7 +496,7 @@ def _interpolated_string(body: str, location: SourceLocation) -> InterpolatedStr
         inner_loc = SourceLocation(location.path, line, column + 2)
         parts.append(_parse_embedded(body[pos:end], inner_loc, part_loc))
         pos = end + 1
-    if text := "".join(literal) + body[pos:]:
+    if text := literal + body[pos:]:
         parts.append(text)
     return InterpolatedString(tuple(parts), location)
 

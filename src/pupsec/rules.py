@@ -6,14 +6,15 @@ secrets are joined disjunctively (a name matching any of user/password/
 private-key counts); reports carry a ``rule_semantics`` marker recording
 that choice.
 
-``detect_candidates`` reads each value view once.  Per expression the
-candidates come in this order: admin by default, empty password and
-hard-coded secret (string values only, from one ``isUser`` and one
-``isPassword`` run on the name), then invalid IP binding and HTTP without
-TLS (the first matching value fragment each).  Weak-crypto call sites
-follow all expressions.  A candidate's place is its element's: the call's
-``loc`` for a call site, the holder node's otherwise.  Taint node i of the
-DDG is candidate i.
+``detect_candidates`` reads each value view once, and runs each predicate
+once per distinct text: its results are kept for the rest of the call,
+and only that long.  Per expression the candidates come in this order:
+admin by default, empty password and hard-coded secret (string values
+only, from the name's ``isUser`` and ``isPassword`` results), then invalid
+IP binding and HTTP without TLS (the first matching value fragment each).
+Weak-crypto call sites follow all expressions.  A candidate's place is its
+element's: the call's ``loc`` for a call site, the holder node's
+otherwise.  Taint node i of the DDG is candidate i.
 """
 
 from __future__ import annotations
@@ -167,34 +168,50 @@ def detect_candidates(
 ) -> list[WeaknessCandidate]:
     """Apply every rule to one manifest's classified expressions and call
     sites.  The result is the pattern-level (pre-propagation) finding set."""
+    # Each predicate's results by text, kept for this call only.
+    user_of, password_of, pvt_key_of, admin_of, weak_of = {}, {}, {}, {}, {}
+    value_rules = [(category, predicate, {}) for category, predicate in _VALUE_RULES]
     out: list[WeaknessCandidate] = []
     for ce in classified:
         value = ce.value
-        if isinstance(value, StringValue):
+        kind = type(value)
+        if kind is StringValue:
             text = value.text
-            user = evaluate_predicate("isUser", ce.name, patterns)
-            password = evaluate_predicate("isPassword", ce.name, patterns)
-            if user and isinstance(ce.owner, ParameterOwner):
-                if evaluate_predicate("isAdmin", text, patterns):
+            name = ce.name
+            if (user := user_of.get(name)) is None:
+                user = user_of[name] = evaluate_predicate("isUser", name, patterns)
+            if (password := password_of.get(name)) is None:
+                password = password_of[name] = evaluate_predicate("isPassword", name, patterns)
+            if user and type(ce.owner) is ParameterOwner:
+                if (admin := admin_of.get(text)) is None:
+                    admin = admin_of[text] = evaluate_predicate("isAdmin", text, patterns)
+                if admin:
                     out.append(WeaknessCandidate(WeaknessCategory.ADMIN_BY_DEFAULT, ce, text))
             if not text:
                 if password:
-                    out.append(WeaknessCandidate(WeaknessCategory.EMPTY_PASSWORD, ce, ce.name))
-            elif user or password or evaluate_predicate("isPvtKey", ce.name, patterns):
-                out.append(WeaknessCandidate(WeaknessCategory.HARD_CODED_SECRET, ce, ce.name))
+                    out.append(WeaknessCandidate(WeaknessCategory.EMPTY_PASSWORD, ce, name))
+            else:
+                secret = user or password
+                if not secret and (secret := pvt_key_of.get(name)) is None:
+                    secret = pvt_key_of[name] = evaluate_predicate("isPvtKey", name, patterns)
+                if secret:
+                    out.append(WeaknessCandidate(WeaknessCategory.HARD_CODED_SECRET, ce, name))
             fragments = (text,)
-        elif isinstance(value, CompositeValue):
+        elif kind is CompositeValue:
             fragments = value.literal_fragments
         else:
             continue
-        for category, predicate in _VALUE_RULES:
+        for category, predicate, holds in value_rules:
             for fragment in fragments:
-                if evaluate_predicate(predicate, fragment, patterns):
+                if (found := holds.get(fragment)) is None:
+                    found = holds[fragment] = evaluate_predicate(predicate, fragment, patterns)
+                if found:
                     out.append(WeaknessCandidate(category, ce, fragment))
                     break
-    out.extend(
-        WeaknessCandidate(WeaknessCategory.WEAK_CRYPTO_ALGORITHM, site, site.call.name)
-        for site in function_calls
-        if evaluate_predicate("usesWeakAlgo", site.call.name, patterns)
-    )
+    for site in function_calls:
+        name = site.call.name
+        if (weak := weak_of.get(name)) is None:
+            weak = weak_of[name] = evaluate_predicate("usesWeakAlgo", name, patterns)
+        if weak:
+            out.append(WeaknessCandidate(WeaknessCategory.WEAK_CRYPTO_ALGORITHM, site, name))
     return out

@@ -12,7 +12,17 @@ from pupsec.classify import (
     collect_function_calls,
     value_view,
 )
-from pupsec.nodes import Assignment, AttributeNode, ClassDef, DefinedTypeDef, iter_nodes
+import pupsec.nodes as nodes_mod
+from pupsec.nodes import (
+    Assignment,
+    AttributeNode,
+    ClassDef,
+    DefinedTypeDef,
+    FunctionCall,
+    InterpolatedString,
+    VarRef,
+    iter_nodes,
+)
 from pupsec.parser import parse_manifest
 from pupsec.synth import generate_manifest_text
 
@@ -226,14 +236,31 @@ def test_classification_keeps_the_position_order_it_was_sorted_into():
         assert got == _sorted_by_position(m), path
 
 
+# Interpolated strings whose parts are, and are not, only text and variables.
+EMBEDDED_FORMS = """\
+$b = "a${h['k']}b${f($x)}"
+$c = "${b}-${ b }-$b"
+file { "/tmp/${c}": content => "${b ? { 'x' => 'y', default => $c }}" }
+"""
+
+
+def _walk_free(expr) -> bool:
+    """A leaf, a ``VarRef``, or an interpolated string of text and
+    ``VarRef``s: the expressions whose slot needs no walk."""
+    if type(expr) not in nodes_mod._CHILDREN or type(expr) is VarRef:
+        return True
+    return type(expr) is InterpolatedString and all(type(p) in (str, VarRef) for p in expr.parts)
+
+
 def test_each_analyzed_file_walks_its_statements_once(tmp_path, monkeypatch):
-    """``build_membership_index`` is the one statement walk per file, and
-    it walks each expression of its table once: the classifier, the
-    call-site search and the dataflow read the slots it fills."""
+    """``build_membership_index`` is the one statement walk per file.  It
+    walks each expression of its table at most once, and a walk-free one
+    (see ``_walk_free``) not at all; every slot still holds the names and
+    calls a walk would find.  The classifier, the call-site search and the
+    dataflow read the slots it fills."""
     import pupsec.classify as classify_mod
     import pupsec.dataflow as dataflow_mod
     import pupsec.ddg as ddg_mod
-    import pupsec.nodes as nodes_mod
     from pupsec.harness import _analyze_file
     from pupsec.rules import DEFAULT_PATTERNS
 
@@ -245,8 +272,10 @@ def test_each_analyzed_file_walks_its_statements_once(tmp_path, monkeypatch):
         walked.append(manifest.path)
         collectors.append(self)
         real_init(self, manifest)
+        collectors.append(None)  # the collector is done
 
     def counting_iter_nodes(obj):
+        assert collectors and collectors[-1] is not None, "a walk outside the collector"
         expression_walks.append(obj)
         return iter_nodes(obj)
 
@@ -265,11 +294,12 @@ def test_each_analyzed_file_walks_its_statements_once(tmp_path, monkeypatch):
     monkeypatch.setattr(classify_mod, "iter_nodes", counting_iter_nodes)
     monkeypatch.setattr(ddg_mod, "DataflowAnalysis", guarded_dataflow)
     paths = [str(p) for p in sorted(FIXTURES.rglob("*.pp"))]
-    texts = [RARE_FORMS] + [generate_manifest_text(seed) for seed in range(100)]
+    texts = [RARE_FORMS, EMBEDDED_FORMS] + [generate_manifest_text(seed) for seed in range(100)]
     for i, text in enumerate(texts):
         paths.append(str(tmp_path / f"m{i}.pp"))
         with open(paths[-1], "w", encoding="utf-8") as fh:
             fh.write(text)
+    walk_free = walked_slots = 0
     for mode in ("taint", "pattern"):
         for path in paths:
             walked.clear()
@@ -278,5 +308,17 @@ def test_each_analyzed_file_walks_its_statements_once(tmp_path, monkeypatch):
             assert _analyze_file(path, mode, DEFAULT_PATTERNS).error is None, path
             assert walked == [path], (mode, path)
             slots = [s for s in collectors[0].exprs if s[2] is not None]  # markers hold nothing
-            assert [id(e) for e in expression_walks] == [id(s[0]) for s in slots], (mode, path)
+            walks = [id(e) for e in expression_walks]
+            assert len(set(walks)) == len(walks), (mode, path)
+            assert set(walks) <= {id(s[0]) for s in slots}, (mode, path)
+            for expr, _, _, names, calls in slots:
+                found = list(iter_nodes(expr))
+                assert names == tuple(n.name for n in found if isinstance(n, VarRef)), (mode, path)
+                assert [id(c) for c in calls] == [id(n) for n in found if isinstance(n, FunctionCall)]
+                if _walk_free(expr):
+                    assert id(expr) not in walks, (mode, path, expr)
+                    walk_free += 1
+                else:
+                    walked_slots += id(expr) in walks
+    assert walk_free > walked_slots > 0
     assert len(dataflows) > len(paths) // 2

@@ -1,9 +1,12 @@
+import collections
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pupsec.rules
 from pupsec.classify import (
+    CompositeValue,
     FunctionValue,
     UndefValue,
     build_membership_index,
@@ -15,6 +18,7 @@ from pupsec.errors import UnknownPredicate
 from pupsec.parser import parse_manifest
 from pupsec.rules import (
     DEFAULT_PATTERNS,
+    PatternSet,
     WeaknessCategory,
     detect_candidates,
     evaluate_predicate,
@@ -277,27 +281,64 @@ def test_candidate_order_when_several_rules_match_one_expression():
         assert ddg.nodes[i].candidate is cand
 
 
+# The shape of the benchmark's `chain` workload: every link's value has the
+# same "-" fragment, so the value rules see one text many times.
+CHAIN_TEXT = "$secret = 'p4ss'\n$link0 = $secret\n" + "".join(
+    f'$link{i} = "${{secret}}-${{link{i - 1}}}"\nfile {{ "/tmp/{i}": content => $link{i} }}\n'
+    for i in range(1, 40)
+)
+
+
 def test_each_name_predicate_runs_at_most_once_per_expression(monkeypatch):
+    """One ``detect_candidates`` call runs each predicate at most once per
+    distinct text, over all of a file's entries and call sites; so each
+    name predicate runs at most once per expression."""
     real = pupsec.rules.evaluate_predicate
     calls = []
 
     def spy(predicate, text, patterns=DEFAULT_PATTERNS):
-        calls.append(predicate)
+        calls.append((predicate, text))
         return real(predicate, text, patterns)
 
     monkeypatch.setattr(pupsec.rules, "evaluate_predicate", spy)
     texts = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.rglob("*.pp"))]
-    texts += [RARE_FORMS, "class c ($user = 'x') { }"]
+    texts += [RARE_FORMS, "class c ($user = 'x') { }", CHAIN_TEXT]
     texts += [generate_manifest_text(seed) for seed in range(100)]
     checked = 0
     for text in texts:
-        for ce in classify_expressions(build_membership_index(parse_manifest(text, "t.pp"))):
-            calls.clear()
-            detect_candidates([ce], [])
-            for predicate in ("isUser", "isPassword", "isPvtKey"):
-                assert calls.count(predicate) <= 1, (ce.name, ce.value, calls)
-            checked += bool(calls)
+        index = build_membership_index(parse_manifest(text, "t.pp"))
+        classified = classify_expressions(index)
+        calls.clear()
+        detect_candidates(classified, collect_function_calls(index))
+        repeated = [call for call, n in collections.Counter(calls).items() if n > 1]
+        assert repeated == [], repeated
+        checked += bool(calls)
     assert checked > 100  # the spy sees the rules run
+    chain = classify_expressions(build_membership_index(parse_manifest(CHAIN_TEXT, "t.pp")))
+    assert sum(ce.value == CompositeValue(("-",)) for ce in chain) > 30  # one text, many entries
+
+
+def test_each_call_matches_with_its_own_patterns():
+    """What one ``detect_candidates`` call learns about a text is not kept
+    for the next: two calls on the same entries with different pattern
+    sets each give their own set's candidates."""
+    src = "$db_pass = 'x'\n$token = 'y'\n$bind = '127.0.0.1'\n$h = sha256('z')\n"
+    index = build_membership_index(parse_manifest(src, "t.pp"))
+    classified, sites = classify_expressions(index), collect_function_calls(index)
+    other = PatternSet(is_password=("token",), is_invalid_bind=("127.",), uses_weak_algo=("sha256",))
+
+    def found(patterns):
+        return [(c.category.value, c.matched_text) for c in detect_candidates(classified, sites, patterns)]
+
+    default_found = [("hard_coded_secret", "db_pass")]
+    other_found = [
+        ("hard_coded_secret", "token"),
+        ("invalid_ip_binding", "127.0.0.1"),
+        ("weak_crypto_algorithm", "sha256"),
+    ]
+    assert found(DEFAULT_PATTERNS) == default_found
+    assert found(other) == other_found
+    assert found(DEFAULT_PATTERNS) == default_found
 
 
 def test_detection_is_deterministic():
