@@ -8,6 +8,10 @@ the `pupsec` package, largest first, and their total.  A file that does
 not parse counts the lines run until the parser gave up; one that is not
 UTF-8 counts none.  The counts are exact and the same for any hash seed,
 so they show a change in work where a CPU time on a noisy machine cannot.
+Only lines in the files of the `pupsec` package count: Python code that
+the package runs inside a standard-library helper (such as
+`collections.ChainMap`'s lookups) is not counted, so moving work out of
+such a helper into `pupsec` raises the count while the CPU time can fall.
 
 With `--parent SRC` the count runs twice, each in a subprocess: once with
 this tree's `pupsec` package and once with the one under SRC, the `src`

@@ -13,7 +13,7 @@ from .classify import (
     classify_expressions,
     collect_function_calls,
 )
-from .dataflow import DataflowAnalysis, reaches, uses_of
+from .dataflow import DataflowAnalysis
 from .ddg import (
     DataDependenceGraph,
     PropagationResult,
@@ -103,9 +103,7 @@ __all__ = [
     "load_ground_truth",
     "parse_interpolation",
     "parse_manifest",
-    "reaches",
     "render_report",
     "resources_per_weakness_stats",
     "scan",
-    "uses_of",
 ]

@@ -10,10 +10,13 @@ definition-use edges always point forward in textual order.
 
 The analysis is one loop over the slot table of a ``MembershipIndex``: at
 each slot its names are used in the current state, then its variable or
-parameter owner is defined.  At the table's branch markers each arm starts
-from its own overlay of the state before the branch, and the join gives
-each variable that some arm wrote the union over all arms of its value
-there.  A missing ``else`` or ``default`` is one more, empty, arm.
+parameter owner is defined.  The state is a list of dict layers, innermost
+first, each mapping a variable to the definitions of it that reach there;
+a lookup takes the first layer that holds the name.  At the table's branch
+markers each arm starts as a new empty layer on top of the layers before
+the branch, and the join writes into the innermost of those, for each
+variable that some arm wrote, the union over all arms of its value there.
+A missing ``else`` or ``default`` is one more, empty, arm.
 
 The result is one def-use map: each ``UseRecord`` holds the indices of
 every definition that may reach a use at its node, and its slot's owner,
@@ -24,7 +27,6 @@ from these records alone.
 
 from __future__ import annotations
 
-from collections import ChainMap
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -35,14 +37,8 @@ from .classify import (
     Owner,
     ParameterOwner,
     VariableOwner,
-    build_membership_index,
 )
-from .nodes import Assignment, Expr, Manifest, Parameter, VarRef, iter_nodes
-
-
-def uses_of(expr: Expr) -> set[str]:
-    """All variable names referenced anywhere inside *expr*."""
-    return {node.name for node in iter_nodes(expr) if isinstance(node, VarRef)}
+from .nodes import Assignment, Parameter
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -59,7 +55,7 @@ class UseRecord:
     reaching: set[int]  # indices of the definitions that may reach a use here
 
 
-_State = ChainMap[str, frozenset[int]]
+_State = list[dict[str, frozenset[int]]]  # dict layers, innermost first
 
 
 class DataflowAnalysis:
@@ -71,7 +67,7 @@ class DataflowAnalysis:
         self.use_records: list[UseRecord] = []
         self._def_by_node: dict[int, Definition] = {}
         self._uses_by_node: dict[int, UseRecord] = {}
-        state: _State = ChainMap()
+        state: _State = [{}]
         branches: list[tuple[_State, list[_State]]] = []  # (state before, finished arms)
         for expr, owner, node, names, _ in index.expressions:
             if node is None:  # a branch marker: OPEN, NEXT or JOIN
@@ -81,12 +77,17 @@ class DataflowAnalysis:
                     branches[-1][1].append(state)
                 if expr is JOIN:
                     state, arms = branches.pop()
-                    for var in set().union(*(arm.maps[0] for arm in arms)):
-                        state[var] = frozenset().union(*(arm.get(var, ()) for arm in arms))
+                    joined = state[0]
+                    for var in set().union(*(arm[0] for arm in arms)):
+                        reaching = []
+                        for arm in arms:
+                            for layer in arm:
+                                if (found := layer.get(var)) is not None:
+                                    reaching.append(found)
+                                    break
+                        joined[var] = frozenset().union(*reaching)
                 else:
-                    # a flat new_child() overlay: a nested ChainMap({}, arm)
-                    # would recurse per enclosing branch on every lookup
-                    state = branches[-1][0].new_child()
+                    state = [{}, *branches[-1][0]]
                 continue
             # Uses come first, so `$x = "${x}-1"` reads the previous $x.
             if expr is not None:  # a parameter without a default reads nothing
@@ -101,7 +102,7 @@ class DataflowAnalysis:
         d = Definition(len(self.definitions), var, node)
         self.definitions.append(d)
         self._def_by_node[id(node)] = d
-        state[var] = frozenset((d.index,))
+        state[0][var] = frozenset((d.index,))
 
     def _use(self, node, owner: Optional[Owner], names: tuple[str, ...], state: _State) -> None:
         record = self._uses_by_node.get(id(node))
@@ -109,10 +110,8 @@ class DataflowAnalysis:
             record = self._uses_by_node[id(node)] = UseRecord(node, owner, set())
             self.use_records.append(record)
         for name in names:
-            # ChainMap.get would test every layer through a Python-level any()
-            for layer in state.maps:
-                reaching = layer.get(name)
-                if reaching is not None:
+            for layer in state:
+                if (reaching := layer.get(name)) is not None:
                     record.reaching.update(reaching)
                     break
 
@@ -131,12 +130,3 @@ class DataflowAnalysis:
         if record is None:
             return False
         return definition.index in record.reaching
-
-
-def reaches(def_stmt, use_site, manifest: Manifest) -> bool:
-    """Convenience wrapper: index the manifest, build the analysis and
-    answer one query.
-
-    *def_stmt* is an Assignment (or Parameter) node of *manifest*;
-    *use_site* is a statement or resource attribute node."""
-    return DataflowAnalysis(build_membership_index(manifest)).reaches(def_stmt, use_site)

@@ -65,8 +65,6 @@ _UNSUPPORTED_STATEMENT_WORDS = {
     "plan": "plan_definition",
 }
 
-_BARE_NAME_RE = re.compile(r"(::)?[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*\Z")
-
 # Binary operators: the operator each token spells and how tightly it binds.
 _BINARY = {
     TokenKind.KW_OR: ("or", 1),
@@ -443,11 +441,12 @@ def parse_manifest(text: str, path: str) -> Manifest:
 
 _ESCAPES = {'"': '"', "\\": "\\", "$": "$", "n": "\n", "t": "\t"}
 # What ``_interpolated_string`` looks for, by ``m.lastindex``: a backslash
-# escape, a ``${name}`` whose name ``_parse_embedded`` would read as a
-# variable, a ``$name`` reference, or the ``{`` of any other ``${...}``.
+# escape, a ``${name}`` (blanks allowed inside the braces) whose name is
+# not ``true``, ``false`` or ``undef``, a ``$name`` reference, or the ``{``
+# of any other ``${...}``, which ``_parse_embedded`` reads.
 _INTERPOLATION_RE = re.compile(
     r"\\(.)"
-    r"|\$\{(?!(?:true|false|undef)\})((?:::)?[A-Za-z_][A-Za-z0-9_]*(?:::[A-Za-z_][A-Za-z0-9_]*)*)\}"
+    r"|\$\{\s*(?!(?:true|false|undef)\s*\})((?:::)?[A-Za-z_][A-Za-z0-9_]*(?:::[A-Za-z_][A-Za-z0-9_]*)*)\s*\}"
     r"|\$((?:::)?[A-Za-z0-9_]+(?:::[A-Za-z0-9_]+)*)"
     r"|\$(\{)",
     re.DOTALL,
@@ -502,12 +501,8 @@ def _interpolated_string(body: str, location: SourceLocation) -> InterpolatedStr
 
 
 def _parse_embedded(inner: str, inner_loc: SourceLocation, part_loc: SourceLocation) -> Expr:
-    text = inner.strip()
-    if not text:
+    if not inner.strip():
         raise ParseError(part_loc, "empty interpolation")
-    stripped = text[2:] if text.startswith("::") else text
-    if _BARE_NAME_RE.match(text) and text not in ("true", "false", "undef"):
-        return VarRef(stripped, part_loc)
     tokens = tokenize(inner, inner_loc.path)
     _shift_tokens(tokens, inner_loc)
     # Inside ${...} a leading bareword denotes a variable unless it is

@@ -19,6 +19,7 @@ otherwise.  Taint node i of the DDG is candidate i.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field, replace
@@ -78,6 +79,15 @@ _PREDICATE_FIELDS = {
 _HTTP_WORD = re.compile(r"\bhttp\b")
 
 
+@functools.cache
+def _pvt_key_regexes(entries: tuple[str, ...]) -> tuple[re.Pattern, ...]:
+    # One pattern per entry: one alternation would renumber a user's groups.
+    return tuple(re.compile(p, re.IGNORECASE) for p in entries)
+
+
+_pvt_key_regexes(DEFAULT_PATTERNS.is_pvt_key)  # compiled at import, not in a scan
+
+
 def load_pattern_overrides(path: str) -> PatternSet:
     """Load a JSON object mapping predicate names to pattern lists;
     predicates not present keep their defaults.  Substrings are lowered;
@@ -119,7 +129,7 @@ def evaluate_predicate(predicate: str, text: str, patterns: PatternSet = DEFAULT
     """Case-insensitive predicate match over *text*."""
     lowered = text.lower()
     if predicate == "isPvtKey":
-        return any(re.search(p, lowered, re.IGNORECASE) for p in patterns.is_pvt_key)
+        return any(r.search(lowered) for r in _pvt_key_regexes(patterns.is_pvt_key))
     if predicate == "isHTTP":
         # Plain-http values only: 'http:' anywhere or 'http' as a whole
         # word, and never anything that is already https.

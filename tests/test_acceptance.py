@@ -14,7 +14,7 @@ from pupsec.classify import (
     classify_expressions,
     collect_function_calls,
 )
-from pupsec.dataflow import DataflowAnalysis, reaches
+from pupsec.dataflow import DataflowAnalysis
 from pupsec.ddg import build_ddg, collect_propagations
 from pupsec.harness import RunConfig, analyze_manifest, evaluate, load_ground_truth, scan
 from pupsec.nodes import ResourceDecl
@@ -51,10 +51,12 @@ def test_criterion_1_fixture_suite_runs_the_documented_behaviors():
     # Reachability with and without an intervening redefinition.
     reach = load_fixture("proto_reaches.pp")
     url_attr = [s for s in reach.statements if isinstance(s, ResourceDecl)][0].attributes[1]
-    assert reaches(reach.statements[0], url_attr, reach) is True
+    analysis = DataflowAnalysis(build_membership_index(reach))
+    assert analysis.reaches(reach.statements[0], url_attr) is True
     redefined = load_fixture("proto_redefined.pp")
     url_attr2 = [s for s in redefined.statements if isinstance(s, ResourceDecl)][0].attributes[1]
-    assert reaches(redefined.statements[0], url_attr2, redefined) is False
+    analysis = DataflowAnalysis(build_membership_index(redefined))
+    assert analysis.reaches(redefined.statements[0], url_attr2) is False
 
     # Hard-coded user name flowing into a chat contact resource.
     findings = analyze(load_fixture("slack_contact.pp"))

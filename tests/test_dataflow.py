@@ -4,7 +4,7 @@ import sys
 
 import pupsec.harness
 from pupsec.classify import build_membership_index
-from pupsec.dataflow import DataflowAnalysis, reaches, uses_of
+from pupsec.dataflow import DataflowAnalysis
 from pupsec.harness import _analyze_file, analyze_manifest
 from pupsec.nodes import Assignment, IfStatement, Manifest, ResourceDecl, VarRef
 from pupsec.parser import parse_manifest
@@ -21,35 +21,39 @@ def parse(src):
     return parse_manifest(src, "test.pp")
 
 
-def expr_of(src):
-    return parse(f"$probe = {src}").statements[0].value
+def analysis_of(manifest):
+    return DataflowAnalysis(build_membership_index(manifest))
 
 
-# -- uses_of ------------------------------------------------------------------
+def slot_names(src):
+    """The names the dataflow reads at `$probe = SRC`: the names of the
+    one slot that the membership index gives it."""
+    (slot,) = build_membership_index(parse(f"$probe = {src}")).expressions
+    return set(slot[3])
+
+
+# -- the names a slot reads ---------------------------------------------------
 
 
 def test_uses_of_interpolation():
-    expr = expr_of('"${magnum_protocol}://${magnum_host}:5000/v3"')
-    assert uses_of(expr) == {"magnum_protocol", "magnum_host"}
+    assert slot_names('"${magnum_protocol}://${magnum_host}:5000/v3"') == {"magnum_protocol", "magnum_host"}
 
 
 def test_uses_of_function_args():
-    expr = expr_of("join(['a', \"${jenkins_management_password}\"], ' ')")
-    assert "jenkins_management_password" in uses_of(expr)
+    assert "jenkins_management_password" in slot_names("join(['a', \"${jenkins_management_password}\"], ' ')")
 
 
 def test_uses_of_literal_is_empty():
-    assert uses_of(expr_of("'literal'")) == set()
+    assert slot_names("'literal'") == set()
 
 
 def test_uses_of_covers_all_expression_forms():
-    expr = expr_of("join($h['k'], [$a, { 'x' => $b }], $c ? { 'v' => $d, default => $e })")
-    assert uses_of(expr) == {"h", "a", "b", "c", "d", "e"}
+    src = "join($h['k'], [$a, { 'x' => $b }], $c ? { 'v' => $d, default => $e })"
+    assert slot_names(src) == {"h", "a", "b", "c", "d", "e"}
 
 
 def test_uses_of_resource_ref_title():
-    expr = expr_of('File["${libdir}/cli.groovy"]')
-    assert uses_of(expr) == {"libdir"}
+    assert slot_names('File["${libdir}/cli.groovy"]') == {"libdir"}
 
 
 # -- reaches ------------------------------------------------------------------
@@ -63,14 +67,14 @@ def url_attribute(manifest):
 def test_definition_reaches_use():
     m = load_fixture("proto_reaches.pp")
     definition = m.statements[0]
-    assert reaches(definition, url_attribute(m), m) is True
+    assert analysis_of(m).reaches(definition, url_attribute(m)) is True
 
 
 def test_redefinition_kills_earlier_definition():
     m = load_fixture("proto_redefined.pp")
     first, second = m.statements[0], m.statements[1]
-    assert reaches(first, url_attribute(m), m) is False
-    assert reaches(second, url_attribute(m), m) is True
+    assert analysis_of(m).reaches(first, url_attribute(m)) is False
+    assert analysis_of(m).reaches(second, url_attribute(m)) is True
 
 
 def test_branch_definition_reaches_after_merge():
@@ -80,7 +84,7 @@ def test_branch_definition_reaches_after_merge():
     else_def = first_if.else_body[0]
     api_resource = [s for s in cls.body if isinstance(s, ResourceDecl)][0]
     vip_attr = api_resource.attributes[0]
-    assert reaches(else_def, vip_attr, m) is True
+    assert analysis_of(m).reaches(else_def, vip_attr) is True
 
 
 def test_defs_in_sibling_branches_do_not_reach_each_other():
@@ -95,7 +99,7 @@ if $cond {
     if_stmt = m.statements[0]
     x_def = if_stmt.then_body[0]
     y_def = if_stmt.else_body[0]
-    assert reaches(x_def, y_def, m) is False
+    assert analysis_of(m).reaches(x_def, y_def) is False
 
 
 def test_reassignment_in_one_branch_does_not_kill():
@@ -109,7 +113,7 @@ file { 'f': content => $x }
     m = parse(src)
     first = m.statements[0]
     attr = m.statements[2].attributes[0]
-    assert reaches(first, attr, m) is True
+    assert analysis_of(m).reaches(first, attr) is True
 
 
 def test_reassignment_in_all_branches_kills():
@@ -125,7 +129,7 @@ file { 'f': content => $x }
     m = parse(src)
     first = m.statements[0]
     attr = m.statements[2].attributes[0]
-    assert reaches(first, attr, m) is False
+    assert analysis_of(m).reaches(first, attr) is False
 
 
 def test_case_without_default_does_not_kill():
@@ -137,7 +141,7 @@ case $os {
 file { 'f': content => $x }
 """
     m = parse(src)
-    assert reaches(m.statements[0], m.statements[2].attributes[0], m) is True
+    assert analysis_of(m).reaches(m.statements[0], m.statements[2].attributes[0]) is True
 
 
 def test_self_reference_reads_previous_definition():
@@ -146,10 +150,10 @@ def test_self_reference_reads_previous_definition():
     first, second = m.statements[0], m.statements[1]
     attr = m.statements[2].attributes[0]
     # the old definition reaches the redefinition's right-hand side ...
-    assert reaches(first, second, m) is True
+    assert analysis_of(m).reaches(first, second) is True
     # ... but is killed for later uses; the new definition reaches them
-    assert reaches(first, attr, m) is False
-    assert reaches(second, attr, m) is True
+    assert analysis_of(m).reaches(first, attr) is False
+    assert analysis_of(m).reaches(second, attr) is True
 
 
 def test_class_parameter_reaches_body_use():
@@ -179,13 +183,13 @@ def test_inserting_reassignment_flips_reachability():
         m = parse("\n".join(src_lines))
         definition = m.statements[0]
         attr = m.statements[-1].attributes[0]
-        assert reaches(definition, attr, m) is True
+        assert analysis_of(m).reaches(definition, attr) is True
 
         killed_lines = src_lines[:-1] + [f"${var} = 'killer'"] + src_lines[-1:]
         m2 = parse("\n".join(killed_lines))
         definition2 = m2.statements[0]
         attr2 = m2.statements[-1].attributes[0]
-        assert reaches(definition2, attr2, m2) is False
+        assert analysis_of(m2).reaches(definition2, attr2) is False
         checked += 1
     assert checked == 40
 
@@ -361,14 +365,6 @@ def test_reaches_agrees_with_bruteforce_oracle_on_small_sample():
                 var,
                 text,
             )
-
-
-def test_module_level_reaches_matches_analysis_method():
-    m = load_fixture("proto_redefined.pp")
-    analysis = DataflowAnalysis(build_membership_index(m))
-    for stmt in m.statements[:2]:
-        assert isinstance(stmt, Assignment)
-        assert reaches(stmt, url_attribute(m), m) == analysis.reaches(stmt, url_attribute(m))
 
 
 def test_line_events_script_prints_the_same_table_twice(capsys, monkeypatch):

@@ -461,6 +461,7 @@ INTERPOLATION_PIECES = [
     "\\", "\\n", "\\t", "\\$", '\\"', "\\\\", "\\q", "\\\n", "$x", "$::a::b", "$a::", "$1", "$", "$::",
     "${", "${x}", "${ y }", "${::z}", "${h['k']}", "${f(1)}", "${'}'}", "${}", "{", "}", "'", '"',
     "\n", "a", " ", "${true}", "${false}", "${undef}", "${Ab::c}", "${_x}", "${::a::b}",
+    "${ true }", "${\ty\n}", "${ Ab::c }", "${ ::a }", "${ a b }",
 ]
 
 

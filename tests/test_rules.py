@@ -1,4 +1,5 @@
 import collections
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,23 @@ PVT_KEY_NAMES = [
 def test_private_key_predicate_against_enumerated_names():
     for name, expected in PVT_KEY_NAMES:
         assert evaluate_predicate("isPvtKey", name, DEFAULT_PATTERNS) is expected, name
+
+
+def test_private_key_patterns_are_compiled_once_per_entry(monkeypatch):
+    """``isPvtKey`` matches with each pattern tuple compiled once, the
+    defaults at import, and each entry compiled on its own: a user's
+    back-reference keeps its group number."""
+    calls = []
+    for name in ("compile", "search", "match", "fullmatch"):
+        real = getattr(re, name)
+        monkeypatch.setattr(re, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    for name, expected in PVT_KEY_NAMES:
+        assert evaluate_predicate("isPvtKey", name) is expected, name
+    assert calls == []
+    patterns = PatternSet(is_pvt_key=("(a)(b)", r"(x)\1"))
+    for _ in range(3):
+        assert [evaluate_predicate("isPvtKey", t, patterns) for t in ("ab", "xx", "xa")] == [True, True, False]
+    assert calls == ["compile", "compile"]
 
 
 # Hand-built URL list: no https URL may ever satisfy isHTTP.
