@@ -1,8 +1,8 @@
 """Expression classification and attribute-to-resource membership.
 
-Every assigned value in a manifest gets a value view (a string, a
-function call, undef, a composite or anything else) and is tied to its
-owner: a variable, a resource attribute, or a class/defined-type
+Every assigned value in a manifest is kept as the text the rules read (a
+plain string's text, or an interpolation's literal fragments) and is tied
+to its owner: a variable, a resource attribute, or a class/defined-type
 parameter.  Attributes additionally get a corpus-unique identifier
 recording which resource and manifest they belong to.  A classified entry
 and a call site keep their AST nodes, and read their place and a call's
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .nodes import (
-    ArrayLiteral,
     Assignment,
     BoolLiteral,
     CaseStatement,
@@ -33,7 +32,6 @@ from .nodes import (
     Expr,
     ExprStatement,
     FunctionCall,
-    HashLiteral,
     IfStatement,
     InterpolatedString,
     Manifest,
@@ -50,57 +48,20 @@ from .nodes import (
 from .printer import expr_text
 
 
-# --- value views ----------------------------------------------------------
+# --- plain strings ---------------------------------------------------------
+
+_TEXT_ONLY = frozenset({str})
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class StringValue:
-    text: str
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class FunctionValue:
-    function_name: str
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class UndefValue:
-    pass
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class CompositeValue:
-    """Interpolated string, array, or hash.  For interpolated strings the
-    literal text fragments are kept for value-pattern matching."""
-
-    literal_fragments: tuple[str, ...]
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class OtherValue:
-    pass
-
-
-ValueView = Union[StringValue, FunctionValue, UndefValue, CompositeValue, OtherValue]
-
-
-def value_view(expr: Expr) -> ValueView:
+def string_text(expr: Expr) -> Optional[str]:
+    """The text of a string with nothing embedded: a single-quoted literal,
+    or a double-quoted one whose parts are all text.  None otherwise."""
     kind = type(expr)
     if kind is StrLiteral:
-        return StringValue(expr.value)
-    if kind is InterpolatedString:
-        parts = expr.parts
-        fragments = tuple([p for p in parts if type(p) is str])
-        if len(fragments) == len(parts):
-            return StringValue("".join(fragments))
-        return CompositeValue(fragments)
-    if kind is FunctionCall:
-        return FunctionValue(expr.name)
-    if kind is UndefLiteral:
-        return UndefValue()
-    if kind is ArrayLiteral or kind is HashLiteral:
-        return CompositeValue(())
-    return OtherValue()
+        return expr.value
+    if kind is InterpolatedString and _TEXT_ONLY.issuperset(map(type, expr.parts)):
+        return "".join(expr.parts)
+    return None
 
 
 # --- owners and identifiers ------------------------------------------------
@@ -164,12 +125,20 @@ class MembershipIndex:
 @dataclass(slots=True, unsafe_hash=True)
 class ClassifiedExpression:
     """One assigned value; its place is ``node.loc``.  The node is compared
-    and shown, so entries alike in all else but their place differ."""
+    and shown, so entries alike in all else but their place differ.
+    ``value`` is the text of a plain string (see ``string_text``), else the
+    literal text fragments the value rules scan: an interpolation's text
+    parts, and ``()`` for any other expression."""
 
     owner: Owner
-    name: str
-    value: ValueView
+    value: Union[str, tuple[str, ...]]
     node: object  # Assignment | AttributeNode | Parameter
+
+    @property
+    def name(self) -> str:
+        """The variable, attribute or parameter name, read from the holder."""
+        node = self.node
+        return node.var_name if type(node) is Assignment else node.name
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -187,8 +156,8 @@ class FunctionCallSite:
 
 
 def _title_text(title: Expr) -> str:
-    view = value_view(title)
-    return view.text if isinstance(view, StringValue) else expr_text(title)
+    text = string_text(title)
+    return expr_text(title) if text is None else text
 
 
 # Branch markers, before the first arm of an ``if`` or ``case``, between arms
@@ -304,14 +273,11 @@ def classify_expressions(index: MembershipIndex) -> list[ClassifiedExpression]:
     for expr, owner, node, _, _ in index.expressions:
         if owner is None or expr is None:
             continue
-        out.append(
-            ClassifiedExpression(
-                owner=owner,
-                name=node.var_name if type(node) is Assignment else node.name,
-                value=value_view(expr),
-                node=node,
-            )
-        )
+        value = string_text(expr)
+        if value is None:  # an interpolation's text parts; no text for anything else
+            value = (tuple([p for p in expr.parts if type(p) is str])
+                     if type(expr) is InterpolatedString else ())
+        out.append(ClassifiedExpression(owner, value, node))
     return out
 
 

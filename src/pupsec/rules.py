@@ -6,12 +6,14 @@ secrets are joined disjunctively (a name matching any of user/password/
 private-key counts); reports carry a ``rule_semantics`` marker recording
 that choice.
 
-``detect_candidates`` reads each value view once, and runs each predicate
-once per distinct text: its results are kept for the rest of the call,
-and only that long.  Per expression the candidates come in this order:
-admin by default, empty password and hard-coded secret (string values
+``detect_candidates`` reads each entry's value once, and runs each
+predicate once per distinct text: its results are kept for the rest of
+the call, and only that long.  A value is a plain string's text or a tuple
+of literal fragments.  Per expression the candidates come in this order:
+admin by default, empty password and hard-coded secret (plain strings
 only, from the name's ``isUser`` and ``isPassword`` results), then invalid
-IP binding and HTTP without TLS (the first matching value fragment each).
+IP binding and HTTP without TLS (the first matching fragment each; a plain
+string is its own one fragment).
 Weak-crypto call sites follow all expressions.  A candidate's place is its
 element's: the call's ``loc`` for a call site, the holder node's
 otherwise.  Taint node i of the DDG is candidate i.
@@ -26,14 +28,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Union
 
-from .classify import (
-    AttributeOwner,
-    ClassifiedExpression,
-    CompositeValue,
-    FunctionCallSite,
-    ParameterOwner,
-    StringValue,
-)
+from .classify import AttributeOwner, ClassifiedExpression, FunctionCallSite, ParameterOwner
 from .errors import UnknownPredicate
 from .nodes import SourceLocation
 
@@ -184,20 +179,18 @@ def detect_candidates(
     out: list[WeaknessCandidate] = []
     for ce in classified:
         value = ce.value
-        kind = type(value)
-        if kind is StringValue:
-            text = value.text
+        if type(value) is str:
             name = ce.name
             if (user := user_of.get(name)) is None:
                 user = user_of[name] = evaluate_predicate("isUser", name, patterns)
             if (password := password_of.get(name)) is None:
                 password = password_of[name] = evaluate_predicate("isPassword", name, patterns)
             if user and type(ce.owner) is ParameterOwner:
-                if (admin := admin_of.get(text)) is None:
-                    admin = admin_of[text] = evaluate_predicate("isAdmin", text, patterns)
+                if (admin := admin_of.get(value)) is None:
+                    admin = admin_of[value] = evaluate_predicate("isAdmin", value, patterns)
                 if admin:
-                    out.append(WeaknessCandidate(WeaknessCategory.ADMIN_BY_DEFAULT, ce, text))
-            if not text:
+                    out.append(WeaknessCandidate(WeaknessCategory.ADMIN_BY_DEFAULT, ce, value))
+            if not value:
                 if password:
                     out.append(WeaknessCandidate(WeaknessCategory.EMPTY_PASSWORD, ce, name))
             else:
@@ -206,11 +199,9 @@ def detect_candidates(
                     secret = pvt_key_of[name] = evaluate_predicate("isPvtKey", name, patterns)
                 if secret:
                     out.append(WeaknessCandidate(WeaknessCategory.HARD_CODED_SECRET, ce, name))
-            fragments = (text,)
-        elif kind is CompositeValue:
-            fragments = value.literal_fragments
+            fragments = (value,)
         else:
-            continue
+            fragments = value
         for category, predicate, holds in value_rules:
             for fragment in fragments:
                 if (found := holds.get(fragment)) is None:

@@ -1,16 +1,10 @@
 from pupsec.classify import (
     AttributeOwner,
-    CompositeValue,
-    FunctionValue,
-    OtherValue,
     ParameterOwner,
-    StringValue,
-    UndefValue,
     VariableOwner,
     build_membership_index,
     classify_expressions,
     collect_function_calls,
-    value_view,
 )
 import pupsec.nodes as nodes_mod
 from pupsec.nodes import (
@@ -20,10 +14,12 @@ from pupsec.nodes import (
     DefinedTypeDef,
     FunctionCall,
     InterpolatedString,
+    StrLiteral,
     VarRef,
     iter_nodes,
 )
 from pupsec.parser import parse_manifest
+from pupsec.printer import expr_text
 from pupsec.synth import generate_manifest_text
 
 from conftest import FIXTURES, RARE_FORMS, load_fixture
@@ -53,28 +49,29 @@ def test_string_expression():
     entries = classify_expressions(build_membership_index(parse("$db_user = 'dbadmin'")))
     e = entry_for(entries, "db_user")
     assert e.owner == VariableOwner("db_user")
-    assert e.value == StringValue("dbadmin")
+    assert e.value == "dbadmin"
 
 
 def test_function_expression():
     m = parse("$admin_password = pick($access_hash['password'])")
     entries = classify_expressions(build_membership_index(m))
     e = entry_for(entries, "admin_password")
-    assert isinstance(e.value, FunctionValue)
-    assert e.value.function_name == "pick"
+    assert e.value == ()
+    assert isinstance(e.node.value, FunctionCall)
+    assert e.node.value.name == "pick"
 
 
 def test_parameter_expression():
     entries = classify_expressions(build_membership_index(parse("class c ($workers = '1') { }")))
     e = entry_for(entries, "workers")
     assert e.owner == ParameterOwner("c", "workers")
-    assert e.value == StringValue("1")
+    assert e.value == "1"
 
 
 def test_undef_is_not_classified_as_string():
     entries = classify_expressions(build_membership_index(parse("$x = undef")))
     e = entry_for(entries, "x")
-    assert e.value == UndefValue()
+    assert e.value == ()
 
 
 def test_parameter_without_default_is_not_an_entry():
@@ -84,18 +81,18 @@ def test_parameter_without_default_is_not_an_entry():
 
 def test_quoted_string_without_interpolation_is_a_string_value():
     entries = classify_expressions(build_membership_index(parse('$x = "plain"')))
-    assert entry_for(entries, "x").value == StringValue("plain")
+    assert entry_for(entries, "x").value == "plain"
 
 
 def test_interpolated_string_keeps_literal_fragments():
     entries = classify_expressions(build_membership_index(parse('$x = "a${y}b"')))
     e = entry_for(entries, "x")
-    assert e.value == CompositeValue(("a", "b"))
+    assert e.value == ("a", "b")
 
 
 def test_var_ref_value_is_other():
     entries = classify_expressions(build_membership_index(parse("$x = $y")))
-    assert isinstance(entry_for(entries, "x").value, OtherValue)
+    assert entry_for(entries, "x").value == ()
 
 
 def test_attribute_entries_one_per_attribute():
@@ -161,6 +158,12 @@ def test_variable_title_uses_source_text():
     m = load_fixture("gerrit_mysql.pp")
     index = build_membership_index(m)
     assert index.resource_list[0].resource_title == "$database_name"
+    # A double-quoted title is its text when nothing is embedded, else its source.
+    plain = build_membership_index(parse('file { "plain": }'))
+    assert plain.resource_list[0].resource_title == "plain"
+    m = parse('file { "a${x}": }')
+    title = expr_text(m.statements[0].title)
+    assert build_membership_index(m).resource_list[0].resource_title == title == '"a${x}"'
 
 
 def test_resources_inside_branches_are_indexed():
@@ -222,7 +225,18 @@ def _sorted_by_position(manifest):
                     owner = ParameterOwner(node.name, param.name)
                     entries.append((param.loc, 2, owner, param.name, param.default, param))
     entries.sort(key=lambda e: (e[0].line, e[0].column, e[1]))
-    return [(owner, name, value_view(expr), id(node)) for _, _, owner, name, expr, node in entries]
+    return [(owner, name, _rule_value(expr), id(node)) for _, _, owner, name, expr, node in entries]
+
+
+def _rule_value(expr):
+    """The text a plain string holds, else the text parts of an
+    interpolation, else no text at all."""
+    if isinstance(expr, StrLiteral):
+        return expr.value
+    if isinstance(expr, InterpolatedString):
+        text = [p for p in expr.parts if isinstance(p, str)]
+        return "".join(text) if len(text) == len(expr.parts) else tuple(text)
+    return ()
 
 
 def test_classification_keeps_the_position_order_it_was_sorted_into():

@@ -16,8 +16,10 @@ import pkgutil
 import pupsec
 import pupsec.harness as harness_mod
 from pupsec.classify import (
+    AttributeOwner,
     ClassifiedExpression,
     FunctionCallSite,
+    ParameterOwner,
     build_membership_index,
     classify_expressions,
     collect_function_calls,
@@ -32,7 +34,7 @@ from pupsec.ddg import (
 )
 from pupsec.harness import EvalMetrics, RunConfig, evaluate, load_ground_truth, scan
 from pupsec.lexer import Token, tokenize
-from pupsec.nodes import Manifest, iter_nodes
+from pupsec.nodes import Assignment, Manifest, iter_nodes
 from pupsec.parser import parse_manifest
 from pupsec.report import DEFAULT_TAXONOMY, ResourceTaxonomy
 from pupsec.rules import DEFAULT_PATTERNS, PatternSet, WeaknessCandidate, detect_candidates
@@ -179,21 +181,34 @@ def test_pipeline_never_mutates_its_inputs(tmp_path, monkeypatch):
             assert built["detect_candidates"] == detect_candidates(classified, calls), path
 
 
+def _owner_name(owner):
+    if isinstance(owner, AttributeOwner):
+        return owner.attribute_id.attribute_name
+    if isinstance(owner, ParameterOwner):
+        return owner.param_name
+    return owner.var_name
+
+
 def test_each_place_and_call_name_is_kept_once():
     """A classified entry and a call site keep their AST nodes and nothing
     derived from them; a candidate's place is read from its element."""
-    assert [f.name for f in dataclasses.fields(ClassifiedExpression)] == [
-        "owner", "name", "value", "node"]
+    assert [f.name for f in dataclasses.fields(ClassifiedExpression)] == ["owner", "value", "node"]
     assert [f.name for f in dataclasses.fields(FunctionCallSite)] == ["owner", "node", "call"]
     assert "location" not in {f.name for f in dataclasses.fields(WeaknessCandidate)}
     assert [f.name for f in dataclasses.fields(TaintNode)] == ["candidate"]
-    assert not any(hasattr(m, "ExpressionKind") for m in (pupsec, pupsec.classify))
+    removed = ("ExpressionKind", "StringValue", "FunctionValue", "UndefValue", "CompositeValue",
+               "OtherValue", "ValueView", "value_view")
+    assert not any(hasattr(m, name) for m in (pupsec, pupsec.classify) for name in removed)
     seen = set()
     for text, path in _texts():
         manifest = parse_manifest(text, path)
         ast_nodes = {id(n) for n in iter_nodes(manifest)}
         index = build_membership_index(manifest)
-        for c in detect_candidates(classify_expressions(index), collect_function_calls(index)):
+        classified = classify_expressions(index)
+        for ce in classified:  # the name is read from the holder, and is the owner's
+            holder_name = ce.node.var_name if isinstance(ce.node, Assignment) else ce.node.name
+            assert ce.name == holder_name == _owner_name(ce.owner), path
+        for c in detect_candidates(classified, collect_function_calls(index)):
             element = c.element
             holder = element.call if isinstance(element, FunctionCallSite) else element.node
             assert id(holder) in ast_nodes, path
