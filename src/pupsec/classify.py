@@ -1,21 +1,22 @@
 """Expression classification and attribute-to-resource membership.
 
 Every assigned value in a manifest is kept as the text the rules read (a
-plain string's text, or an interpolation's literal fragments) and is tied
-to its owner: a variable, a resource attribute, or a class/defined-type
-parameter.  Attributes additionally get a corpus-unique identifier
-recording which resource and manifest they belong to.  A classified entry
-and a call site keep their AST nodes, and read their place and a call's
-name from them.
+plain string's text, or an interpolation's literal fragments) together
+with its holder node: a variable assignment, a resource attribute, or a
+class/defined-type parameter.  Attributes additionally get a corpus-unique
+identifier recording which resource and manifest they belong to.  A
+classified entry and a call site keep their AST nodes, and read their
+place and a call's name from them.
 
 ``build_membership_index`` is the one walk over a manifest's statements,
 and it walks each expression at most once: a leaf, a variable or an
 interpolated string of text and variables gives its names without a walk.
 Its index keeps the walk's table of slots, which ``classify_expressions``,
 ``collect_function_calls`` and the reaching-definitions analysis read
-instead of walking again.  A slot's owner is the one record of what its
-value feeds: a variable or parameter passes it on, an attribute is a
-sink, and no owner feeds nothing.
+instead of walking again.  A slot's holder node is the one record of what
+its value feeds: an ``Assignment`` or ``Parameter`` defines a variable
+that passes it on, an ``AttributeNode`` is a sink, and any other holder
+feeds nothing.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Optional, Union
 
 from .nodes import (
     Assignment,
+    AttributeNode,
     BoolLiteral,
     CaseStatement,
     ClassDef,
@@ -36,6 +38,7 @@ from .nodes import (
     InterpolatedString,
     Manifest,
     NumberLiteral,
+    Parameter,
     ResourceDecl,
     ResourceOverride,
     SourceLocation,
@@ -64,26 +67,7 @@ def string_text(expr: Expr) -> Optional[str]:
     return None
 
 
-# --- owners and identifiers ------------------------------------------------
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class VariableOwner:
-    var_name: str
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class AttributeOwner:
-    attribute_id: "AttributeId"
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class ParameterOwner:
-    class_name: str
-    param_name: str
-
-
-Owner = Union[VariableOwner, AttributeOwner, ParameterOwner]
+# --- identifiers -----------------------------------------------------------
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -130,7 +114,7 @@ class ClassifiedExpression:
     literal text fragments the value rules scan: an interpolation's text
     parts, and ``()`` for any other expression."""
 
-    owner: Owner
+    attribute_id: Optional[AttributeId]  # set exactly when the node is an attribute
     value: Union[str, tuple[str, ...]]
     node: object  # Assignment | AttributeNode | Parameter
 
@@ -147,7 +131,7 @@ class FunctionCallSite:
     call is compared and shown, so calls alike in all else but their place
     differ."""
 
-    owner: Optional[Owner]
+    attribute_id: Optional[AttributeId]  # set exactly when the holder is an attribute
     node: object = field(compare=False, repr=False)  # the node holding the call
     call: FunctionCall
 
@@ -162,7 +146,7 @@ def _title_text(title: Expr) -> str:
 
 # Branch markers, before the first arm of an ``if`` or ``case``, between arms
 # and after the last; a missing ``else`` or ``default`` is one more arm.  Its
-# slot ``(marker, None, None, (), ())`` has no owner, holder, names or calls.
+# slot ``(marker, None, None, (), ())`` has no attribute, holder, names or calls.
 OPEN, NEXT, JOIN = object(), object(), object()
 
 # ``_Collector._slot`` walks no expression of a type that holds no node (a
@@ -171,18 +155,23 @@ OPEN, NEXT, JOIN = object(), object(), object()
 _LEAVES = frozenset({StrLiteral, NumberLiteral, BoolLiteral, UndefLiteral, type(None)})
 _TEXT_AND_VARIABLES = frozenset({str, VarRef})
 
+# The holders of an assigned value; any other holder is a statement whose
+# expression feeds nothing.
+_VALUE_HOLDERS = frozenset({Assignment, AttributeNode, Parameter})
+
 
 class _Collector:
     """The walk over the statements of a manifest; only
     ``build_membership_index`` runs it.  ``exprs`` is its table in textual
     order, the order of ``classify_expressions``' entries.  Each slot is
-    ``(expression, owner, holder node, names, calls)``: the owner receives
-    the value (None for a condition, scrutinee, case match, title or
-    expression statement), the holder is the statement, attribute or
-    parameter the use belongs to, and names and calls are the ``VarRef``
-    names and ``FunctionCall`` nodes that a walk of the expression finds,
-    in its order (see ``_LEAVES`` for the expressions not walked).  A
-    parameter without a default has no expression."""
+    ``(expression, attribute id, holder node, names, calls)``: the holder
+    is the statement, attribute or parameter the use belongs to, and says
+    what the value feeds (see the module docstring); the attribute id is
+    the holder's when it is an ``AttributeNode``, else None; names and
+    calls are the ``VarRef`` names and ``FunctionCall`` nodes that a walk
+    of the expression finds, in its order (see ``_LEAVES`` for the
+    expressions not walked).  A parameter without a default has no
+    expression."""
 
     def __init__(self, manifest: Manifest):
         self.manifest = manifest
@@ -190,7 +179,7 @@ class _Collector:
         self.exprs: list[tuple] = []
         self._walk(manifest.statements)
 
-    def _slot(self, expr, owner, node) -> None:
+    def _slot(self, expr, attr_id, node) -> None:
         kind = type(expr)
         if kind is VarRef:
             names, calls = (expr.name,), ()
@@ -206,17 +195,17 @@ class _Collector:
                 elif isinstance(n, FunctionCall):
                     calls.append(n)
             names, calls = tuple(names), tuple(calls)
-        self.exprs.append((expr, owner, node, names, calls))
+        self.exprs.append((expr, attr_id, node, names, calls))
 
     def _walk(self, statements: tuple[Statement, ...]) -> None:
         for stmt in statements:
             if isinstance(stmt, Assignment):
-                self._slot(stmt.value, VariableOwner(stmt.var_name), stmt)
+                self._slot(stmt.value, None, stmt)
             elif isinstance(stmt, (ResourceDecl, ResourceOverride)):
                 self._resource(stmt)
             elif isinstance(stmt, (ClassDef, DefinedTypeDef)):
                 for param in stmt.parameters:
-                    self._slot(param.default, ParameterOwner(stmt.name, param.name), param)
+                    self._slot(param.default, None, param)
                 self._walk(stmt.body)
             elif isinstance(stmt, IfStatement):
                 self._slot(stmt.condition, None, stmt)
@@ -259,7 +248,7 @@ class _Collector:
                 attribute_name=attr.name,
                 ordinal=ordinal,
             )
-            self._slot(attr.value, AttributeOwner(attr_id), attr)
+            self._slot(attr.value, attr_id, attr)
 
 
 # --- public operations ------------------------------------------------------
@@ -270,23 +259,23 @@ def classify_expressions(index: MembershipIndex) -> list[ClassifiedExpression]:
     and class/defined-type parameter with a default value, in textual
     order."""
     out: list[ClassifiedExpression] = []
-    for expr, owner, node, _, _ in index.expressions:
-        if owner is None or expr is None:
+    for expr, attr_id, node, _, _ in index.expressions:
+        if type(node) not in _VALUE_HOLDERS or expr is None:
             continue
         value = string_text(expr)
         if value is None:  # an interpolation's text parts; no text for anything else
             value = (tuple([p for p in expr.parts if type(p) is str])
                      if type(expr) is InterpolatedString else ())
-        out.append(ClassifiedExpression(owner, value, node))
+        out.append(ClassifiedExpression(attr_id, value, node))
     return out
 
 
 def collect_function_calls(index: MembershipIndex) -> list[FunctionCallSite]:
-    """All function-call sites in the indexed manifest, with the variable,
-    attribute, or parameter that receives the call result (if any)."""
+    """All function-call sites in the indexed manifest, each with the node
+    holding it, which says what receives the call result."""
     return [
-        FunctionCallSite(owner, node, call)
-        for _, owner, node, _, calls in index.expressions
+        FunctionCallSite(attr_id, node, call)
+        for _, attr_id, node, _, calls in index.expressions
         for call in calls
     ]
 

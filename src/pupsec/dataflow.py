@@ -9,20 +9,22 @@ defined just before the body.  There are no loops in the subset, so
 definition-use edges always point forward in textual order.
 
 The analysis is one loop over the slot table of a ``MembershipIndex``: at
-each slot its names are used in the current state, then its variable or
-parameter owner is defined.  The state is a list of dict layers, innermost
-first, each mapping a variable to the definitions of it that reach there;
-a lookup takes the first layer that holds the name.  At the table's branch
-markers each arm starts as a new empty layer on top of the layers before
-the branch, and the join writes into the innermost of those, for each
-variable that some arm wrote, the union over all arms of its value there.
-A missing ``else`` or ``default`` is one more, empty, arm.
+each slot its names are used in the current state, then an ``Assignment``
+or ``Parameter`` holder defines its variable.  The state is a list of dict
+layers, innermost first, each mapping a variable to the definitions of it
+that reach there; a lookup takes the first layer that holds the name.  At
+the table's branch markers each arm starts as a new empty layer on top of
+the layers before the branch, and the join writes into the innermost of
+those, for each variable that some arm wrote, the union over all arms of
+its value there.  A missing ``else`` or ``default`` is one more, empty,
+arm.
 
 The result is one def-use map: each ``UseRecord`` holds the indices of
-every definition that may reach a use at its node, and its slot's owner,
-which says what the value read there feeds.  A definition index names its
-variable, so the set needs no per-variable split, and the DDG is built
-from these records alone.
+every definition that may reach a use at its node, the node itself, which
+says what the value read there feeds, and the node's ``AttributeId`` when
+it is an attribute.  A definition index names its variable, so the set
+needs no per-variable split, and the DDG is built from these records
+alone.
 """
 
 from __future__ import annotations
@@ -30,14 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .classify import (
-    JOIN,
-    OPEN,
-    MembershipIndex,
-    Owner,
-    ParameterOwner,
-    VariableOwner,
-)
+from .classify import JOIN, OPEN, AttributeId, MembershipIndex
 from .nodes import Assignment, Parameter
 
 
@@ -51,11 +46,12 @@ class Definition:
 @dataclass(slots=True)
 class UseRecord:
     node: object  # statement, AttributeNode or Parameter the use belongs to
-    owner: Optional[Owner]  # what the value read here feeds; None for nothing
+    attribute_id: Optional[AttributeId]  # the node's when it is an attribute, else None
     reaching: set[int]  # indices of the definitions that may reach a use here
 
 
 _State = list[dict[str, frozenset[int]]]  # dict layers, innermost first
+_DEFINERS = frozenset({Assignment, Parameter})  # the holders that define their variable
 
 
 class DataflowAnalysis:
@@ -69,7 +65,7 @@ class DataflowAnalysis:
         self._uses_by_node: dict[int, UseRecord] = {}
         state: _State = [{}]
         branches: list[tuple[_State, list[_State]]] = []  # (state before, finished arms)
-        for expr, owner, node, names, _ in index.expressions:
+        for expr, attr_id, node, names, _ in index.expressions:
             if node is None:  # a branch marker: OPEN, NEXT or JOIN
                 if expr is OPEN:
                     branches.append((state, []))
@@ -91,8 +87,8 @@ class DataflowAnalysis:
                 continue
             # Uses come first, so `$x = "${x}-1"` reads the previous $x.
             if expr is not None:  # a parameter without a default reads nothing
-                self._use(node, owner, names, state)
-            if isinstance(owner, (VariableOwner, ParameterOwner)):
+                self._use(node, attr_id, names, state)
+            if type(node) in _DEFINERS:
                 self._define(node, state)
 
     def _define(self, node: Union[Assignment, Parameter], state: _State) -> None:
@@ -104,10 +100,10 @@ class DataflowAnalysis:
         self._def_by_node[id(node)] = d
         state[0][var] = frozenset((d.index,))
 
-    def _use(self, node, owner: Optional[Owner], names: tuple[str, ...], state: _State) -> None:
+    def _use(self, node, attr_id, names: tuple[str, ...], state: _State) -> None:
         record = self._uses_by_node.get(id(node))
         if record is None:
-            record = self._uses_by_node[id(node)] = UseRecord(node, owner, set())
+            record = self._uses_by_node[id(node)] = UseRecord(node, attr_id, set())
             self.use_records.append(record)
         for name in names:
             for layer in state:

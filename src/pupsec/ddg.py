@@ -2,13 +2,13 @@
 
 ``build_ddg`` reads the reaching-definitions sets into one def-use map,
 from each definition to the definitions and attributes that read it, and
-walks it once from the tainted definitions.  A use record's owner names its
-reader: an attribute is a sink, a variable or parameter is the definition
-made at the record's node, and no owner reads into nothing.  A graph is
-only built when it would contain at least one taint node and one sink
-node; a candidate whose value never flows into any resource attribute
-therefore produces no graph and no finding, which is exactly the
-false-positive filter.
+walks it once from the tainted definitions.  A use record's node names its
+reader: an attribute, named by its ``AttributeId``, is a sink; an
+assignment or parameter is the definition made there; any other node, a
+statement, reads into nothing.  A graph is only built when it would
+contain at least one taint node and one sink node; a candidate whose
+value never flows into any resource attribute therefore produces no graph
+and no finding, which is exactly the false-positive filter.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .classify import AttributeId, AttributeOwner, MembershipIndex
+from .classify import AttributeId, MembershipIndex
 from .dataflow import DataflowAnalysis, Definition
 from .nodes import Manifest, SourceLocation
 from .report import Finding, PathStep
@@ -63,12 +63,10 @@ class PropagationResult:
 def _seed_for(candidate: WeaknessCandidate, analysis: DataflowAnalysis):
     """Where a candidate's tainted value lives: its ``Definition``, the
     ``AttributeId`` it is written to, or None when the value is never stored."""
-    owner = candidate.element.owner
-    if isinstance(owner, AttributeOwner):
-        return owner.attribute_id
-    if owner is not None:
-        return analysis.definition_for(candidate.element.node)
-    return None
+    element = candidate.element
+    if element.attribute_id is not None:
+        return element.attribute_id
+    return analysis.definition_for(element.node)
 
 
 def build_ddg(
@@ -88,12 +86,11 @@ def build_ddg(
     readers: dict[int, list[Union[int, AttributeId]]] = {}
     sink_loc: dict[AttributeId, SourceLocation] = {}
     for record in analysis.use_records:
-        owner = record.owner
-        if isinstance(owner, AttributeOwner):
-            reader = owner.attribute_id
+        reader = record.attribute_id
+        if reader is not None:
             sink_loc[reader] = record.node.loc
-        elif owner is not None:
-            reader = analysis.definition_for(record.node).index
+        elif (definition := analysis.definition_for(record.node)) is not None:
+            reader = definition.index
         else:
             continue
         for i in record.reaching:

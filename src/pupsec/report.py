@@ -49,10 +49,12 @@ class Finding:
 # --- resource taxonomy ------------------------------------------------------
 
 
+FALLBACK_CATEGORY = "Unknown"  # the category of a resource that no keyword matches
+
+
 @dataclass(slots=True, unsafe_hash=True)
 class ResourceTaxonomy:
     categories: tuple[tuple[str, tuple[str, ...]], ...]
-    fallback: str = "Unknown"
 
 
 DEFAULT_TAXONOMY = ResourceTaxonomy(
@@ -94,12 +96,12 @@ def categorize_resource(
     resource_type: str, resource_title: str, taxonomy: ResourceTaxonomy = DEFAULT_TAXONOMY
 ) -> str:
     """First taxonomy category whose keywords appear in the resource type
-    or title; the fallback category if none match."""
+    or title; ``FALLBACK_CATEGORY`` if none match."""
     haystack = f"{resource_type} {resource_title}".lower()
     for name, keywords in taxonomy.categories:
         if any(k in haystack for k in keywords):
             return name
-    return taxonomy.fallback
+    return FALLBACK_CATEGORY
 
 
 # --- statistics -------------------------------------------------------------

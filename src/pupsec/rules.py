@@ -28,9 +28,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Union
 
-from .classify import AttributeOwner, ClassifiedExpression, FunctionCallSite, ParameterOwner
+from .classify import ClassifiedExpression, FunctionCallSite
 from .errors import UnknownPredicate
-from .nodes import SourceLocation
+from .nodes import Parameter, SourceLocation
 
 RULE_SEMANTICS = "disjunctive-names"
 
@@ -153,8 +153,7 @@ class WeaknessCandidate:
     def display_name(self) -> str:
         if isinstance(self.element, FunctionCallSite):
             return self.element.call.name
-        owner = self.element.owner
-        if isinstance(owner, AttributeOwner):
+        if self.element.attribute_id is not None:
             return self.element.name
         return f"${self.element.name}"
 
@@ -185,7 +184,7 @@ def detect_candidates(
                 user = user_of[name] = evaluate_predicate("isUser", name, patterns)
             if (password := password_of.get(name)) is None:
                 password = password_of[name] = evaluate_predicate("isPassword", name, patterns)
-            if user and type(ce.owner) is ParameterOwner:
+            if user and type(ce.node) is Parameter:
                 if (admin := admin_of.get(value)) is None:
                     admin = admin_of[value] = evaluate_predicate("isAdmin", value, patterns)
                 if admin:

@@ -7,36 +7,29 @@ return an equal ``DataDependenceGraph`` (nodes, node order and edges), or
 definition-level adjacency maps, a downstream search and a separate sink
 pass, then one index map per node kind.  The one change is in what it
 reads: ``UseRecord.reaching`` as a flat set of definition indices, and
-each use record's and candidate's ``owner`` for what the value feeds, in
-place of the use-kind tag and the attribute table it once read.
+each use record's and candidate's ``attribute_id`` and holder node type
+for what the value feeds, in place of the use-kind tag and the attribute
+table it once read.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from pupsec.classify import (
-    AttributeId,
-    AttributeOwner,
-    MembershipIndex,
-    ParameterOwner,
-    VariableOwner,
-)
+from pupsec.classify import AttributeId, MembershipIndex
 from pupsec.dataflow import DataflowAnalysis
 from pupsec.ddg import DataDependenceGraph, DdgNode, IntermediateNode, SinkNode, TaintNode
-from pupsec.nodes import Manifest
+from pupsec.nodes import Assignment, AttributeNode, Manifest, Parameter
 from pupsec.rules import WeaknessCandidate
 
 
 def _seed_for(candidate: WeaknessCandidate, analysis: DataflowAnalysis):
     """Where a candidate's tainted value lives: ('def', Definition),
     ('attr', AttributeId), or None when the value is never stored."""
-    owner, node = candidate.element.owner, candidate.element.node
-    if owner is None:
-        return None
-    if isinstance(owner, AttributeOwner):
-        return ("attr", owner.attribute_id)
-    if isinstance(owner, (VariableOwner, ParameterOwner)):
+    attr_id, node = candidate.element.attribute_id, candidate.element.node
+    if isinstance(node, AttributeNode):
+        return ("attr", attr_id)
+    if isinstance(node, (Assignment, Parameter)):
         definition = analysis.definition_for(node)
         return ("def", definition) if definition is not None else None
     return None
@@ -58,12 +51,12 @@ def build_ddg(
     def_succ: dict[int, set[int]] = {}
     def_attrs: dict[int, set[AttributeId]] = {}
     for record in analysis.use_records:
-        if isinstance(record.owner, (VariableOwner, ParameterOwner)):
+        if isinstance(record.node, (Assignment, Parameter)):
             target = analysis.definition_for(record.node)
             for i in record.reaching:
                 def_succ.setdefault(i, set()).add(target.index)
-        elif isinstance(record.owner, AttributeOwner):
-            attr_id = record.owner.attribute_id
+        elif isinstance(record.node, AttributeNode):
+            attr_id = record.attribute_id
             attr_node_of[attr_id] = record.node
             for i in record.reaching:
                 def_attrs.setdefault(i, set()).add(attr_id)

@@ -1,19 +1,22 @@
 from pupsec.classify import (
-    AttributeOwner,
-    ParameterOwner,
-    VariableOwner,
+    AttributeId,
     build_membership_index,
     classify_expressions,
     collect_function_calls,
 )
 import pupsec.nodes as nodes_mod
+from pupsec.dataflow import DataflowAnalysis
 from pupsec.nodes import (
     Assignment,
     AttributeNode,
     ClassDef,
     DefinedTypeDef,
+    ExprStatement,
     FunctionCall,
     InterpolatedString,
+    Parameter,
+    ResourceDecl,
+    ResourceOverride,
     StrLiteral,
     VarRef,
     iter_nodes,
@@ -36,9 +39,8 @@ def entry_for(entries, name):
 
 
 def attribute_ids(index):
-    """The id of every attribute, in textual order, from its slot's owner."""
-    return [owner.attribute_id for _, owner, _, _, _ in index.expressions
-            if isinstance(owner, AttributeOwner)]
+    """The id of every attribute, in textual order, from its slot."""
+    return [attr_id for _, attr_id, _, _, _ in index.expressions if attr_id is not None]
 
 
 def attribute_count(manifest):
@@ -48,7 +50,8 @@ def attribute_count(manifest):
 def test_string_expression():
     entries = classify_expressions(build_membership_index(parse("$db_user = 'dbadmin'")))
     e = entry_for(entries, "db_user")
-    assert e.owner == VariableOwner("db_user")
+    assert type(e.node) is Assignment and e.node.var_name == "db_user"
+    assert e.attribute_id is None
     assert e.value == "dbadmin"
 
 
@@ -62,9 +65,13 @@ def test_function_expression():
 
 
 def test_parameter_expression():
-    entries = classify_expressions(build_membership_index(parse("class c ($workers = '1') { }")))
+    m = parse("class c ($workers = '1') { }")
+    entries = classify_expressions(build_membership_index(m))
     e = entry_for(entries, "workers")
-    assert e.owner == ParameterOwner("c", "workers")
+    assert m.statements[0].name == "c"
+    assert e.node is m.statements[0].parameters[0]
+    assert type(e.node) is Parameter and e.node.name == "workers"
+    assert e.attribute_id is None
     assert e.value == "1"
 
 
@@ -99,7 +106,7 @@ def test_attribute_entries_one_per_attribute():
     m = load_fixture("sha1_password_file.pp")
     index = build_membership_index(m)
     entries = classify_expressions(index)
-    attr_entries = [e for e in entries if isinstance(e.owner, AttributeOwner)]
+    attr_entries = [e for e in entries if e.attribute_id is not None]
     assert len(attr_entries) == len(attribute_ids(index)) == attribute_count(m) == 3
 
 
@@ -107,7 +114,7 @@ def test_attribute_entry_count_equals_total_attributes_on_generated():
     for seed in range(40):
         m = parse_manifest(generate_manifest_text(seed), "gen.pp")
         entries = classify_expressions(build_membership_index(m))
-        attr_entries = [e for e in entries if isinstance(e.owner, AttributeOwner)]
+        attr_entries = [e for e in entries if e.attribute_id is not None]
         assert len(attr_entries) == attribute_count(m)
 
 
@@ -116,8 +123,8 @@ def test_attribute_ids_resolve_in_membership_index():
         m = load_fixture(name)
         index = build_membership_index(m)
         for e in classify_expressions(index):
-            if isinstance(e.owner, AttributeOwner):
-                assert e.owner.attribute_id in attribute_ids(index)
+            if e.attribute_id is not None:
+                assert e.attribute_id in attribute_ids(index)
 
 
 def test_membership_index_maps_attributes_to_resource():
@@ -194,38 +201,51 @@ def test_collect_function_calls_tracks_owner():
     m = load_fixture("nagios_htpasswd.pp")
     calls = collect_function_calls(build_membership_index(m))
     by_name = {c.call.name: c for c in calls}
-    assert by_name["htpasswd_sha1"].owner == VariableOwner("nagiosadmin_pw")
-    assert by_name["hiera"].owner == VariableOwner("nagios_hiera")
+    for call, var_name in (("htpasswd_sha1", "nagiosadmin_pw"), ("hiera", "nagios_hiera")):
+        site = by_name[call]
+        assert type(site.node) is Assignment and site.node.var_name == var_name
+        assert site.attribute_id is None
 
 
 def test_statement_position_call_has_no_owner():
-    calls = collect_function_calls(build_membership_index(parse("notice('hello')")))
-    assert calls[0].owner is None
+    """A call in statement position is held by its statement, which feeds
+    nothing: it is no attribute and defines no variable."""
+    index = build_membership_index(parse("notice('hello')"))
+    calls = collect_function_calls(index)
+    assert type(calls[0].node) is ExprStatement
+    assert calls[0].attribute_id is None
+    assert DataflowAnalysis(index).definition_for(calls[0].node) is None
 
 
 def _sorted_by_position(manifest):
-    """(owner, name, value, node) of every assignment, attribute
+    """(attribute id, name, value, node) of every assignment, attribute
     and parameter default, sorted by (line, column, kind) with assignments
     before attributes before parameters: the order the classifier's output
-    had when it sorted its entries."""
-    index = build_membership_index(manifest)
-    attr_id_of = {id(node): owner.attribute_id for _, owner, node, _, _ in index.expressions
-                  if isinstance(owner, AttributeOwner)}
+    had when it sorted its entries.  An attribute's id is read off the
+    AST: its resource's type, its title's text (see ``_rule_value``) or
+    source, and the resource's pre-order position among the manifest's
+    resources and overrides."""
+    attr_id_of = {}
+    resources = [n for n in iter_nodes(manifest) if isinstance(n, (ResourceDecl, ResourceOverride))]
+    for ordinal, res in enumerate(resources):
+        title = _rule_value(res.title)
+        if type(title) is not str:
+            title = expr_text(res.title)
+        for attr in res.attributes:
+            attr_id_of[id(attr)] = AttributeId(manifest.path, res.type_name, title, attr.name, ordinal)
     entries = []
     for node in iter_nodes(manifest):
         if isinstance(node, Assignment):
-            owner = VariableOwner(node.var_name)
-            entries.append((node.loc, 0, owner, node.var_name, node.value, node))
+            entries.append((node.loc, 0, None, node.var_name, node.value, node))
         elif isinstance(node, AttributeNode):
-            owner = AttributeOwner(attr_id_of[id(node)])
-            entries.append((node.loc, 1, owner, node.name, node.value, node))
+            entries.append((node.loc, 1, attr_id_of[id(node)], node.name, node.value, node))
         elif isinstance(node, (ClassDef, DefinedTypeDef)):
             for param in node.parameters:
                 if param.default is not None:
-                    owner = ParameterOwner(node.name, param.name)
-                    entries.append((param.loc, 2, owner, param.name, param.default, param))
+                    entries.append((param.loc, 2, None, param.name, param.default, param))
     entries.sort(key=lambda e: (e[0].line, e[0].column, e[1]))
-    return [(owner, name, _rule_value(expr), id(node)) for _, _, owner, name, expr, node in entries]
+    return [(attr_id, name, _rule_value(expr), id(node))
+            for _, _, attr_id, name, expr, node in entries]
 
 
 def _rule_value(expr):
@@ -246,7 +266,7 @@ def test_classification_keeps_the_position_order_it_was_sorted_into():
     for text, path in texts:
         m = parse_manifest(text, path)
         entries = classify_expressions(build_membership_index(m))
-        got = [(e.owner, e.name, e.value, id(e.node)) for e in entries]
+        got = [(e.attribute_id, e.name, e.value, id(e.node)) for e in entries]
         assert got == _sorted_by_position(m), path
 
 

@@ -420,7 +420,7 @@ def test_build_ddg_equals_the_reference_on_every_input(monkeypatch):
 def test_findings_equal_the_trace_oracle(monkeypatch):
     # The oracle replays every branch combination of a manifest and closes
     # the def-use flows it sees from each candidate's stored value, with no
-    # use of the dataflow, the DDG or the slot owners that both read.  Each
+    # use of the dataflow, the DDG or the slot table that both read.  Each
     # finding's witness path must be as short as the oracle's shortest.
     sweep = _sweep(monkeypatch)
     texts = [(p.read_text(encoding="utf-8"), str(p)) for p in sorted(FIXTURES.rglob("*.pp"))]

@@ -16,10 +16,8 @@ import pkgutil
 import pupsec
 import pupsec.harness as harness_mod
 from pupsec.classify import (
-    AttributeOwner,
     ClassifiedExpression,
     FunctionCallSite,
-    ParameterOwner,
     build_membership_index,
     classify_expressions,
     collect_function_calls,
@@ -34,7 +32,7 @@ from pupsec.ddg import (
 )
 from pupsec.harness import EvalMetrics, RunConfig, evaluate, load_ground_truth, scan
 from pupsec.lexer import Token, tokenize
-from pupsec.nodes import Assignment, Manifest, iter_nodes
+from pupsec.nodes import Assignment, AttributeNode, Manifest, Parameter, iter_nodes
 from pupsec.parser import parse_manifest
 from pupsec.report import DEFAULT_TAXONOMY, ResourceTaxonomy
 from pupsec.rules import DEFAULT_PATTERNS, PatternSet, WeaknessCandidate, detect_candidates
@@ -181,33 +179,40 @@ def test_pipeline_never_mutates_its_inputs(tmp_path, monkeypatch):
             assert built["detect_candidates"] == detect_candidates(classified, calls), path
 
 
-def _owner_name(owner):
-    if isinstance(owner, AttributeOwner):
-        return owner.attribute_id.attribute_name
-    if isinstance(owner, ParameterOwner):
-        return owner.param_name
-    return owner.var_name
-
-
 def test_each_place_and_call_name_is_kept_once():
     """A classified entry and a call site keep their AST nodes and nothing
-    derived from them; a candidate's place is read from its element."""
-    assert [f.name for f in dataclasses.fields(ClassifiedExpression)] == ["owner", "value", "node"]
-    assert [f.name for f in dataclasses.fields(FunctionCallSite)] == ["owner", "node", "call"]
+    derived from them; a candidate's place is read from its element.  What
+    a value feeds is read from its holder node too: a slot keeps only the
+    ``AttributeId`` of an attribute, which the node cannot give, and the
+    dataflow defines once at each assignment and parameter holder."""
+    assert [f.name for f in dataclasses.fields(ClassifiedExpression)] == [
+        "attribute_id", "value", "node"]
+    assert [f.name for f in dataclasses.fields(FunctionCallSite)] == [
+        "attribute_id", "node", "call"]
     assert "location" not in {f.name for f in dataclasses.fields(WeaknessCandidate)}
     assert [f.name for f in dataclasses.fields(TaintNode)] == ["candidate"]
     removed = ("ExpressionKind", "StringValue", "FunctionValue", "UndefValue", "CompositeValue",
                "OtherValue", "ValueView", "value_view")
     assert not any(hasattr(m, name) for m in (pupsec, pupsec.classify) for name in removed)
+    owners = ("VariableOwner", "ParameterOwner", "AttributeOwner", "Owner")
+    modules = (pupsec, pupsec.classify, pupsec.dataflow)
+    assert not any(hasattr(m, name) for m in modules for name in owners)
     seen = set()
     for text, path in _texts():
         manifest = parse_manifest(text, path)
         ast_nodes = {id(n) for n in iter_nodes(manifest)}
         index = build_membership_index(manifest)
+        for _, attr_id, holder, _, _ in index.expressions:
+            if holder is not None:  # branch markers have no holder
+                assert (attr_id is not None) == (type(holder) is AttributeNode), path
+                assert attr_id is None or attr_id.attribute_name == holder.name, path
+        definers = [h for _, _, h, _, _ in index.expressions if type(h) in (Assignment, Parameter)]
+        definitions = DataflowAnalysis(index).definitions
+        assert [id(d.node) for d in definitions] == [id(h) for h in definers], path
         classified = classify_expressions(index)
-        for ce in classified:  # the name is read from the holder, and is the owner's
+        for ce in classified:  # the name is read from the holder
             holder_name = ce.node.var_name if isinstance(ce.node, Assignment) else ce.node.name
-            assert ce.name == holder_name == _owner_name(ce.owner), path
+            assert ce.name == holder_name, path
         for c in detect_candidates(classified, collect_function_calls(index)):
             element = c.element
             holder = element.call if isinstance(element, FunctionCallSite) else element.node
@@ -223,7 +228,8 @@ def test_equal_records_still_tell_places_apart():
     the place: two entries alike in all but their line are not equal."""
     index = build_membership_index(parse_manifest("$db_user = 'root'\n$db_user = 'root'", "m.pp"))
     first, second = classify_expressions(index)
-    assert (first.owner, first.name, first.value) == (second.owner, second.name, second.value)
+    assert (first.attribute_id, first.name, first.value) == (
+        second.attribute_id, second.name, second.value)
     assert first != second
     a, b = detect_candidates([first, second], [])
     assert (a.category, a.matched_text) == (b.category, b.matched_text)
@@ -232,7 +238,7 @@ def test_equal_records_still_tell_places_apart():
 
     index = build_membership_index(parse_manifest("md5('x')\nmd5('x')", "m.pp"))
     first, second = collect_function_calls(index)
-    assert first.owner == second.owner is None
+    assert first.attribute_id == second.attribute_id is None
     assert first != second
     a, b = detect_candidates([], [first, second])
     assert (a.category, a.matched_text) == (b.category, b.matched_text)
