@@ -3,7 +3,8 @@
 
 Runs both modes over the bundled 20-manifest corpus, evaluates each
 against the hand-labeled ground truth, and prints per-category and
-overall precision/recall/F-measure side by side.
+overall precision and recall side by side, from the rates (rounded to
+4 places) of the report's evaluation object.
 
 Usage: python scripts/compare_modes.py [corpus_dir truth_csv]
 """
@@ -36,21 +37,20 @@ def main() -> int:
     print(f"{'category':<24} {'prec(pattern)':>14} {'prec(taint)':>12} "
           f"{'rec(pattern)':>13} {'rec(taint)':>11}")
     categories = sorted(
-        set(metrics["pattern"].per_category) | set(metrics["taint"].per_category)
+        set(metrics["pattern"]["per_category"]) | set(metrics["taint"]["per_category"])
     )
     for cat in categories:
-        p = metrics["pattern"].per_category.get(cat)
-        t = metrics["taint"].per_category.get(cat)
-        print(f"{cat:<24} {fmt(p.precision if p else None):>14} "
-              f"{fmt(t.precision if t else None):>12} "
-              f"{fmt(p.recall if p else None):>13} {fmt(t.recall if t else None):>11}")
-    po, to = metrics["pattern"].overall, metrics["taint"].overall
-    print(f"{'overall':<24} {fmt(po.precision):>14} {fmt(to.precision):>12} "
-          f"{fmt(po.recall):>13} {fmt(to.recall):>11}")
+        p = metrics["pattern"]["per_category"].get(cat, {})
+        t = metrics["taint"]["per_category"].get(cat, {})
+        print(f"{cat:<24} {fmt(p.get('precision')):>14} {fmt(t.get('precision')):>12} "
+              f"{fmt(p.get('recall')):>13} {fmt(t.get('recall')):>11}")
+    po, to = metrics["pattern"]["overall"], metrics["taint"]["overall"]
+    print(f"{'overall':<24} {fmt(po['precision']):>14} {fmt(to['precision']):>12} "
+          f"{fmt(po['recall']):>13} {fmt(to['recall']):>11}")
     print()
-    if po.precision and to.precision:
-        print(f"taint-mode precision is {to.precision / po.precision:.2f}x pattern-mode "
-              f"precision (recall {fmt(to.recall)} in both modes)")
+    if po["precision"] and to["precision"]:
+        print(f"taint-mode precision is {to['precision'] / po['precision']:.2f}x pattern-mode "
+              f"precision (recall {fmt(to['recall'])} in both modes)")
     return 0
 
 

@@ -7,10 +7,12 @@ and in json, sarif and text format, and compares the exit code, stdout
 and stderr of each pair.  With `--each`, every `*.pp` under a directory
 PATH (files, directories and dangling links alike) is also scanned on its
 own, because a tree-wide report changes as soon as one file's outcome
-does and so cannot say which file changed.  Prints every pair that
+does and so cannot say which file changed.  With `--ground-truth FILE`,
+every scan of both trees also evaluates against that labels CSV, so the
+reports' evaluation blocks are compared too.  Prints every pair that
 differs, then `N compared, M differ`.  Exits 1 if any pair differs.
 
-Usage: python scripts/same_reports.py [--each] OLD_SRC NEW_SRC PATH...
+Usage: python scripts/same_reports.py [--each] [--ground-truth FILE] OLD_SRC NEW_SRC PATH...
   (OLD_SRC and NEW_SRC are the `src` directories of the two trees)
 """
 
@@ -43,7 +45,11 @@ def targets(paths: list[str], each: bool) -> list[str]:
 def main() -> int:
     each = "--each" in sys.argv
     argv = [a for a in sys.argv[1:] if a != "--each"]
-    if len(argv) < 3:
+    options: list[str] = []  # passed to every scan
+    if "--ground-truth" in argv:
+        at = argv.index("--ground-truth")
+        options, argv = argv[at : at + 2], argv[:at] + argv[at + 2 :]
+    if len(argv) < 3 or len(options) == 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     old_src, new_src, paths = argv[0], argv[1], argv[2:]
@@ -55,7 +61,7 @@ def main() -> int:
     for path in targets(paths, each):
         for mode in MODES:
             for fmt in FORMATS:
-                args = ["scan", path, "--mode", mode, "--format", fmt]
+                args = ["scan", path, "--mode", mode, "--format", fmt, *options]
                 compared += 1
                 if run(old_src, args) != run(new_src, args):
                     differ += 1

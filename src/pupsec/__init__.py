@@ -30,8 +30,6 @@ from .errors import (
     ZeroTotal,
 )
 from .harness import (
-    EvalMetrics,
-    GroundTruthEntry,
     Report,
     RunConfig,
     analyze_manifest,
@@ -45,7 +43,6 @@ from .report import (
     DEFAULT_TAXONOMY,
     CorpusStats,
     Finding,
-    ResourceTaxonomy,
     categorize_resource,
     impacted_resource_pct,
     render_report,
@@ -69,16 +66,13 @@ __all__ = [
     "DataflowAnalysis",
     "DEFAULT_PATTERNS",
     "DEFAULT_TAXONOMY",
-    "EvalMetrics",
     "Finding",
-    "GroundTruthEntry",
     "Manifest",
     "MembershipIndex",
     "ParseError",
     "PatternSet",
     "PropagationResult",
     "Report",
-    "ResourceTaxonomy",
     "RunConfig",
     "ScanError",
     "SourceLocation",

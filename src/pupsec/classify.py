@@ -91,10 +91,6 @@ class ResourceInfo:
     ordinal: int
     loc: SourceLocation
 
-    @property
-    def resource_key(self) -> tuple[str, str, str, int]:
-        return (self.manifest_path, self.resource_type, self.resource_title, self.ordinal)
-
 
 @dataclass(slots=True, unsafe_hash=True)
 class MembershipIndex:

@@ -11,13 +11,7 @@ import sys
 from typing import Optional
 
 from .errors import ScanError
-from .harness import (
-    RunConfig,
-    evaluate,
-    load_ground_truth,
-    metrics_to_dict,
-    scan,
-)
+from .harness import RunConfig, evaluate, load_ground_truth, scan
 from .report import render_report
 
 
@@ -61,8 +55,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         report = scan(config)
         evaluation = None
         if args.ground_truth:
-            truth = load_ground_truth(args.ground_truth)
-            evaluation = metrics_to_dict(evaluate(report, truth))
+            evaluation = evaluate(report, load_ground_truth(args.ground_truth))
         payload = render_report(
             list(report.findings), report.stats, args.format,
             mode=report.mode, evaluation=evaluation,

@@ -113,16 +113,18 @@ def build_ddg(
         return None
 
     # Taints in candidate order, so taint node i is candidate i; then
-    # intermediates and sinks, each by position.
+    # intermediates and sinks, each by position: definitions are numbered,
+    # and use records listed, in textual order.
     defs = analysis.definitions
     nodes: list[DdgNode] = [TaintNode(c) for c in candidates]
     node_of: dict[Union[int, AttributeId], int] = {}  # reader -> node index
-    for i in sorted(downstream, key=lambda i: (defs[i].node.loc.line, defs[i].node.loc.column)):
+    for i in sorted(downstream):
         node_of[i] = len(nodes)
         nodes.append(IntermediateNode(defs[i].var, defs[i].node.loc))
-    for attr_id in sorted(sinks, key=lambda a: (sink_loc[a].line, sink_loc[a].column)):
-        node_of[attr_id] = len(nodes)
-        nodes.append(SinkNode(attr_id, sink_loc[attr_id]))
+    for attr_id, loc in sink_loc.items():
+        if attr_id in sinks:
+            node_of[attr_id] = len(nodes)
+            nodes.append(SinkNode(attr_id, loc))
 
     edges = {(node_of[i], node_of[r]) for i in downstream for r in readers.get(i, ())}
     for pos, seed in enumerate(seeds):
@@ -143,8 +145,9 @@ def _node_order_key(node: DdgNode):
 
 def collect_propagations(ddg: DataDependenceGraph) -> list[PropagationResult]:
     """For every taint node that reaches a sink, in node order (which
-    ``build_ddg`` makes the candidate order), one witness path per sink
-    (shortest; ties broken by the textual order of the next node).
+    ``build_ddg`` makes the candidate order), one witness path per sink,
+    also in node order (which ``build_ddg`` makes the textual order of the
+    sinks): shortest, ties broken by the textual order of the next node.
 
     A FIFO BFS that visits each node's successors in textual order first
     discovers every node from the predecessor whose own witness path comes
@@ -167,10 +170,7 @@ def collect_propagations(ddg: DataDependenceGraph) -> list[PropagationResult]:
                 if m not in parent:
                     parent[m] = n
                     queue.append(m)
-        sinks = sorted(
-            (i for i in queue if isinstance(ddg.nodes[i], SinkNode)),
-            key=lambda i: _node_order_key(ddg.nodes[i]),
-        )
+        sinks = sorted(i for i in queue if isinstance(ddg.nodes[i], SinkNode))
         if not sinks:
             continue
         paths: dict[AttributeId, tuple[DdgNode, ...]] = {}

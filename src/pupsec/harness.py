@@ -6,6 +6,10 @@ confirmation.  ``scan`` reads and parses each ``.pp`` file of its inputs,
 one at a time in sorted path order, and runs that pipeline on it.  Every
 stage is looked up in this module's globals at call time, so a tracer or
 a test can wrap one by replacing its name here.
+
+The evaluation is plain data: ``load_ground_truth`` returns the set of
+labels, and ``evaluate`` returns the ``evaluation`` object that the report
+prints.
 """
 
 from __future__ import annotations
@@ -130,7 +134,8 @@ def _analyze_file(path: str, mode: str, patterns: PatternSet) -> _FileResult:
     try:
         # A UTF-8 byte-order mark is encoding, not text; one anywhere else
         # is still an unexpected character.
-        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read().removeprefix("\ufeff")
         manifest = parse_manifest(text, path)
     except OSError as exc:
         return _FileResult(path, (), (), str(exc), abort_as="cannot read")
@@ -202,40 +207,17 @@ def scan(config: RunConfig) -> Report:
 # --- ground truth evaluation --------------------------------------------------
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class GroundTruthEntry:
-    manifest_path: str
-    category: WeaknessCategory
-    line: int
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class MetricRow:
-    tp: int
-    fp: int
-    fn: int
-    precision: Optional[float]
-    recall: Optional[float]
-    f_measure: Optional[float]
-
-
-@dataclass(slots=True)
-class EvalMetrics:
-    overall: MetricRow
-    per_category: dict[str, MetricRow]
-
-
-def load_ground_truth(path: str) -> list[GroundTruthEntry]:
-    """Read a header-bearing CSV of labeled true weaknesses.  Manifest
-    paths are taken relative to the CSV file's own directory.  A file that
-    is not UTF-8 or a malformed row raises ``ValueError`` naming the file
-    (and the row's line); so does a row that no finding could match, one
-    with an empty manifest path, a directory or a line below 1.  A UTF-8
-    byte-order mark is skipped."""
+def load_ground_truth(path: str) -> set[tuple[str, str, int]]:
+    """Read a header-bearing CSV of labeled true weaknesses into the set of
+    their ``(absolute manifest path, category value, line)`` labels.
+    Manifest paths are taken relative to the CSV file's own directory.  A
+    file that is not UTF-8 or a malformed row raises ``ValueError`` naming
+    the file (and the row's line); so does a duplicate row, a row that no
+    finding could match, one with an empty manifest path, a directory or a
+    line below 1.  A UTF-8 byte-order mark is skipped."""
     base = Path(path).resolve().parent
-    entries: list[GroundTruthEntry] = []
-    seen: set[tuple[str, str, int]] = set()
-    valid = {c.value: c for c in WeaknessCategory}
+    labels: set[tuple[str, str, int]] = set()
+    valid = {c.value for c in WeaknessCategory}
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -250,8 +232,8 @@ def load_ground_truth(path: str) -> list[GroundTruthEntry]:
         missing = [name for name in required if row[name] is None]
         if missing:
             raise ValueError(f"{where}: no {', '.join(missing)}")
-        category = valid.get(row["category"].strip())
-        if category is None:
+        category = row["category"].strip()
+        if category not in valid:
             raise ValueError(f"{where}: unknown category {row['category']!r}")
         try:
             line = int(row["line"])
@@ -265,62 +247,44 @@ def load_ground_truth(path: str) -> list[GroundTruthEntry]:
         resolved = str((base / manifest).resolve())  # an absolute manifest replaces base
         if os.path.isdir(resolved):
             raise ValueError(f"{where}: manifest_path {manifest!r} is a directory")
-        key = (resolved, category.value, line)
-        if key in seen:
+        key = (resolved, category, line)
+        if key in labels:
             raise ValueError(f"{where}: duplicate ground truth entry {key}")
-        seen.add(key)
-        entries.append(GroundTruthEntry(resolved, category, line))
-    return entries
+        labels.add(key)
+    return labels
 
 
-def _metric_row(tp: int, fp: int, fn: int) -> MetricRow:
+def _metric_row(found: set, labeled: set) -> dict:
+    """One row of the evaluation: counts, and rates rounded to 4 places
+    (None where a rate's denominator is 0)."""
+    tp, fp, fn = len(found & labeled), len(found - labeled), len(labeled - found)
     precision = tp / (tp + fp) if tp + fp > 0 else None
     recall = tp / (tp + fn) if tp + fn > 0 else None
     f_measure = None
     if precision is not None and recall is not None and precision + recall > 0:
         f_measure = 2 * precision * recall / (precision + recall)
-    return MetricRow(tp, fp, fn, precision, recall, f_measure)
+    rnd = lambda x: None if x is None else round(x, 4)
+    return {
+        "tp": tp, "fp": fp, "fn": fn,
+        "precision": rnd(precision), "recall": rnd(recall), "f_measure": rnd(f_measure),
+    }
 
 
-def evaluate(report: Report, truth: list[GroundTruthEntry]) -> EvalMetrics:
-    """Precision/recall/F-measure of the report against labeled truths,
-    matched at (manifest, category, line) granularity.  A weakness that
-    reaches several sinks counts once."""
-    found: set[tuple[str, str, int]] = {
+def evaluate(report: Report, truth: set[tuple[str, str, int]]) -> dict:
+    """Precision/recall/F-measure of the report against the labels that
+    ``load_ground_truth`` returns, matched at (manifest, category, line)
+    granularity.  A weakness that reaches several sinks counts once.  The
+    result is the report's ``evaluation`` object: ``{"overall": row,
+    "per_category": {category: row}}``, with a row for each category that
+    is found or labeled, in sorted order."""
+    found = {
         (str(Path(f.manifest_path).resolve()), f.category.value, f.weakness_location.line)
         for f in report.findings
     }
-    labeled: set[tuple[str, str, int]] = {
-        (t.manifest_path, t.category.value, t.line) for t in truth
-    }
-    per_category: dict[str, MetricRow] = {}
-    for category in WeaknessCategory:
-        f_cat = {k for k in found if k[1] == category.value}
-        t_cat = {k for k in labeled if k[1] == category.value}
-        if not f_cat and not t_cat:
-            continue
-        per_category[category.value] = _metric_row(
-            tp=len(f_cat & t_cat), fp=len(f_cat - t_cat), fn=len(t_cat - f_cat)
+    per_category = {
+        category: _metric_row(
+            {k for k in found if k[1] == category}, {k for k in truth if k[1] == category}
         )
-    overall = _metric_row(
-        tp=len(found & labeled), fp=len(found - labeled), fn=len(labeled - found)
-    )
-    return EvalMetrics(overall=overall, per_category=per_category)
-
-
-def metrics_to_dict(metrics: EvalMetrics) -> dict:
-    def row(r: MetricRow) -> dict:
-        rnd = lambda x: round(x, 4) if x is not None else None
-        return {
-            "tp": r.tp,
-            "fp": r.fp,
-            "fn": r.fn,
-            "precision": rnd(r.precision),
-            "recall": rnd(r.recall),
-            "f_measure": rnd(r.f_measure),
-        }
-
-    return {
-        "overall": row(metrics.overall),
-        "per_category": {k: row(v) for k, v in sorted(metrics.per_category.items())},
+        for category in sorted({k[1] for k in found} | {k[1] for k in truth})
     }
+    return {"overall": _metric_row(found, truth), "per_category": per_category}

@@ -1,5 +1,9 @@
 """Findings, resource taxonomy, corpus statistics, and report rendering.
 
+A taxonomy is its category table: a tuple of ``(name, keywords)`` pairs,
+tried in order.  ``render_report`` prints a given ``evaluation`` object
+(what ``pupsec.harness.evaluate`` returns) as it is.
+
 The JSON and SARIF reports are written by fixed-schema emitters, not by
 encoding a dict: each finding's text is joined from literal indented
 fragments, strings go through ``json.encoder.encode_basestring_ascii`` and
@@ -52,25 +56,20 @@ class Finding:
 FALLBACK_CATEGORY = "Unknown"  # the category of a resource that no keyword matches
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class ResourceTaxonomy:
-    categories: tuple[tuple[str, tuple[str, ...]], ...]
+Taxonomy = tuple[tuple[str, tuple[str, ...]], ...]  # (category name, keywords), in order
 
-
-DEFAULT_TAXONOMY = ResourceTaxonomy(
-    categories=(
-        ("ContinuousIntegration", ("jenkins", "gitlab-ci")),
-        ("CommunicationPlatforms", ("slack", "discourse", "irc")),
-        ("Containerization", ("docker", "magnum", "kubernetes")),
-        ("DataStorage", ("mysql", "postgres", "memcached")),
-        ("File", ("file", "file_line", "concat")),
-        ("LoadBalancers", ("haproxy",)),
-        ("Networking", ("firewall", "vlan", "onos", "network")),
-    )
+DEFAULT_TAXONOMY: Taxonomy = (
+    ("ContinuousIntegration", ("jenkins", "gitlab-ci")),
+    ("CommunicationPlatforms", ("slack", "discourse", "irc")),
+    ("Containerization", ("docker", "magnum", "kubernetes")),
+    ("DataStorage", ("mysql", "postgres", "memcached")),
+    ("File", ("file", "file_line", "concat")),
+    ("LoadBalancers", ("haproxy",)),
+    ("Networking", ("firewall", "vlan", "onos", "network")),
 )
 
 
-def load_taxonomy(path: str) -> ResourceTaxonomy:
+def load_taxonomy(path: str) -> Taxonomy:
     """Load a JSON object mapping category names to keyword lists.
     Object order is significant: the first matching category wins.  A
     keyword that is empty or only whitespace raises ``ValueError``.  Every
@@ -89,16 +88,16 @@ def load_taxonomy(path: str) -> ResourceTaxonomy:
         if any(not k.strip() for k in keywords):
             raise ValueError(f"{path}: {name} has an empty keyword, which would match everything")
         categories.append((name, tuple(k.lower() for k in keywords)))
-    return ResourceTaxonomy(categories=tuple(categories))
+    return tuple(categories)
 
 
 def categorize_resource(
-    resource_type: str, resource_title: str, taxonomy: ResourceTaxonomy = DEFAULT_TAXONOMY
+    resource_type: str, resource_title: str, taxonomy: Taxonomy = DEFAULT_TAXONOMY
 ) -> str:
     """First taxonomy category whose keywords appear in the resource type
     or title; ``FALLBACK_CATEGORY`` if none match."""
     haystack = f"{resource_type} {resource_title}".lower()
-    for name, keywords in taxonomy.categories:
+    for name, keywords in taxonomy:
         if any(k in haystack for k in keywords):
             return name
     return FALLBACK_CATEGORY
@@ -155,7 +154,7 @@ class CorpusStats:
 def compute_stats(
     findings: list[Finding],
     resources: list[ResourceInfo],
-    taxonomy: ResourceTaxonomy = DEFAULT_TAXONOMY,
+    taxonomy: Taxonomy = DEFAULT_TAXONOMY,
 ) -> CorpusStats:
     total = len(resources)
     impacted_keys = {f.sink.resource_key for f in findings if f.sink is not None}

@@ -174,11 +174,11 @@ def test_criterion_5_taint_findings_subset_of_pattern_findings():
 
 def test_criterion_6_corpus_precision_and_recall():
     truth = load_ground_truth(str(CORPUS_TRUTH))
-    taint = evaluate(scan(RunConfig(inputs=(str(CORPUS),), mode="taint")), truth)
-    pattern = evaluate(scan(RunConfig(inputs=(str(CORPUS),), mode="pattern")), truth)
-    assert taint.overall.recall == 1.0
-    assert pattern.overall.recall == 1.0
-    assert taint.overall.precision > pattern.overall.precision
+    taint = evaluate(scan(RunConfig(inputs=(str(CORPUS),), mode="taint")), truth)["overall"]
+    pattern = evaluate(scan(RunConfig(inputs=(str(CORPUS),), mode="pattern")), truth)["overall"]
+    assert taint["recall"] == 1.0
+    assert pattern["recall"] == 1.0
+    assert taint["precision"] > pattern["precision"]
 
 
 def test_criterion_7_reports_identical_across_worker_counts():

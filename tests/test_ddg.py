@@ -414,6 +414,9 @@ def test_build_ddg_equals_the_reference_on_every_input(monkeypatch):
         ddg = build_ddg(m, candidates, index)
         assert ddg == reference_ddg.build_ddg(m, candidates, index), path
         graphs += ddg is not None
+        for prop in collect_propagations(ddg) if ddg is not None else ():
+            sinks = [(p[-1].loc.line, p[-1].loc.column) for p in prop.paths.values()]
+            assert sinks == sorted(sinks), path  # each candidate's sinks in textual order
     assert graphs > len(texts) // 3
 
 

@@ -9,16 +9,15 @@ from pathlib import Path
 
 import pytest
 
+import pupsec
 from pupsec.cli import main
 from pupsec.errors import ScanError
 from pupsec.harness import (
-    GroundTruthEntry,
     RunConfig,
     _analyze_file,
     analyze_manifest,
     evaluate,
     load_ground_truth,
-    metrics_to_dict,
     scan,
 )
 from pupsec.parser import parse_manifest
@@ -420,16 +419,28 @@ def test_an_exception_in_any_stage_after_parsing_skips_the_file(monkeypatch):
 
 def test_load_ground_truth_resolves_paths_and_validates():
     truth = load_ground_truth(str(CORPUS_TRUTH))
+    assert type(truth) is set
     assert len(truth) == 12
-    assert all(Path(t.manifest_path).is_absolute() for t in truth)
-    assert {t.category for t in truth} == {
-        WeaknessCategory.EMPTY_PASSWORD,
-        WeaknessCategory.HARD_CODED_SECRET,
-        WeaknessCategory.INVALID_IP_BINDING,
-        WeaknessCategory.HTTP_WITHOUT_TLS,
-        WeaknessCategory.WEAK_CRYPTO_ALGORITHM,
-        WeaknessCategory.ADMIN_BY_DEFAULT,
+    assert all(Path(manifest).is_absolute() for manifest, _, _ in truth)
+    assert all(type(line) is int and line >= 1 for _, _, line in truth)
+    assert {category for _, category, _ in truth} == {
+        WeaknessCategory.EMPTY_PASSWORD.value,
+        WeaknessCategory.HARD_CODED_SECRET.value,
+        WeaknessCategory.INVALID_IP_BINDING.value,
+        WeaknessCategory.HTTP_WITHOUT_TLS.value,
+        WeaknessCategory.WEAK_CRYPTO_ALGORITHM.value,
+        WeaknessCategory.ADMIN_BY_DEFAULT.value,
     }
+
+
+def test_evaluation_and_taxonomy_are_plain_data():
+    """Labels are a set, the evaluation is the report's own object and a
+    taxonomy is its table: the records that wrapped them are gone."""
+    removed = ("GroundTruthEntry", "MetricRow", "EvalMetrics", "metrics_to_dict",
+               "ResourceTaxonomy")
+    modules = (pupsec, pupsec.harness, pupsec.report)
+    assert not any(hasattr(m, name) for m in modules for name in removed)
+    assert type(pupsec.DEFAULT_TAXONOMY) is tuple
 
 
 def test_load_ground_truth_rejects_duplicates(tmp_path):
@@ -468,10 +479,7 @@ def test_load_ground_truth_rejects_unknown_category(tmp_path):
 def test_evaluate_arithmetic():
     # 9 true findings plus one extra, nothing missed
     report_findings = [("m.pp", "hard_coded_secret", i) for i in range(1, 11)]
-    truth = [
-        GroundTruthEntry(str(Path("m.pp").resolve()), WeaknessCategory.HARD_CODED_SECRET, i)
-        for i in range(1, 10)
-    ]
+    truth = {(str(Path("m.pp").resolve()), "hard_coded_secret", i) for i in range(1, 10)}
 
     class FakeReport:
         findings = tuple(
@@ -488,36 +496,31 @@ def test_evaluate_arithmetic():
         )
 
     metrics = evaluate(FakeReport(), truth)
-    assert metrics.overall.tp == 9
-    assert metrics.overall.fp == 1
-    assert metrics.overall.fn == 0
-    assert metrics.overall.precision == pytest.approx(0.90)
-    assert metrics.overall.recall == pytest.approx(1.0)
-    assert metrics.overall.f_measure == pytest.approx(0.947, abs=0.001)
+    # rates are rounded to 4 places: F = 2 * 0.9 / 1.9 = 0.947368...
+    row = {"tp": 9, "fp": 1, "fn": 0, "precision": 0.9, "recall": 1.0, "f_measure": 0.9474}
+    assert metrics == {"overall": row, "per_category": {"hard_coded_secret": row}}
+    assert list(row) == list(metrics["overall"])  # the report's key order
 
 
 def test_evaluate_identity_is_perfect():
     report = run_scan([CORPUS], mode="taint")
-    truth = [
-        GroundTruthEntry(
-            str(Path(f.manifest_path).resolve()), f.category, f.weakness_location.line
-        )
+    truth = {
+        (str(Path(f.manifest_path).resolve()), f.category.value, f.weakness_location.line)
         for f in report.findings
-    ]
-    metrics = evaluate(report, truth)
-    assert metrics.overall.precision == 1.0
-    assert metrics.overall.recall == 1.0
-    assert metrics.overall.f_measure == 1.0
+    }
+    overall = evaluate(report, truth)["overall"]
+    assert overall["precision"] == 1.0
+    assert overall["recall"] == 1.0
+    assert overall["f_measure"] == 1.0
 
 
 def test_metrics_na_when_no_predictions():
     report = run_scan([WEAKNESS_SUITE / "sha1_unused.pp"], mode="taint")
     truth = load_ground_truth(str(CORPUS_TRUTH))
-    metrics = evaluate(report, truth)
-    assert metrics.overall.precision is None
-    assert metrics.overall.recall == 0.0
-    data = metrics_to_dict(metrics)
-    assert data["overall"]["precision"] is None
+    overall = evaluate(report, truth)["overall"]
+    assert overall["precision"] is None
+    assert overall["recall"] == 0.0
+    assert overall["f_measure"] is None
 
 
 # -- command line ------------------------------------------------------------------
@@ -571,6 +574,9 @@ def test_cli_sarif_carries_the_ground_truth_evaluation(capsys):
     assert main(args + ["--format", "sarif"]) == 0
     (run,) = json.loads(capsys.readouterr().out)["runs"]
     assert run["properties"]["evaluation"] == evaluation
+    # ... and both are what the library's evaluate returns
+    truth = load_ground_truth(str(CORPUS_TRUTH))
+    assert evaluate(run_scan([FIXTURES]), truth) == evaluation
     assert main(["scan", str(FIXTURES), "--format", "sarif"]) == 0
     (run,) = json.loads(capsys.readouterr().out)["runs"]
     assert "evaluation" not in run["properties"]
@@ -592,14 +598,15 @@ def test_evaluate_reports_per_category_rows():
     report = run_scan([CORPUS], mode="pattern")
     truth = load_ground_truth(str(CORPUS_TRUTH))
     metrics = evaluate(report, truth)
-    rows = metrics.per_category
-    assert rows["empty_password"].tp == 2
-    assert rows["empty_password"].fp == 0
-    assert rows["invalid_ip_binding"].tp == 1
-    assert rows["invalid_ip_binding"].fp == 2
-    assert rows["admin_by_default"].recall == 1.0
-    total_tp = sum(r.tp for r in rows.values())
-    assert total_tp == metrics.overall.tp == 12
+    rows = metrics["per_category"]
+    assert list(rows) == sorted(rows)
+    assert rows["empty_password"]["tp"] == 2
+    assert rows["empty_password"]["fp"] == 0
+    assert rows["invalid_ip_binding"]["tp"] == 1
+    assert rows["invalid_ip_binding"]["fp"] == 2
+    assert rows["admin_by_default"]["recall"] == 1.0
+    total_tp = sum(r["tp"] for r in rows.values())
+    assert total_tp == metrics["overall"]["tp"] == 12
 
 
 @pytest.mark.parametrize(

@@ -30,11 +30,10 @@ from pupsec.ddg import (
     collect_propagations,
     confirm_findings,
 )
-from pupsec.harness import EvalMetrics, RunConfig, evaluate, load_ground_truth, scan
+from pupsec.harness import RunConfig, evaluate, load_ground_truth, scan
 from pupsec.lexer import Token, tokenize
 from pupsec.nodes import Assignment, AttributeNode, Manifest, Parameter, iter_nodes
 from pupsec.parser import parse_manifest
-from pupsec.report import DEFAULT_TAXONOMY, ResourceTaxonomy
 from pupsec.rules import DEFAULT_PATTERNS, PatternSet, WeaknessCandidate, detect_candidates
 from pupsec.synth import generate_manifest_text
 
@@ -57,8 +56,8 @@ def _record_types() -> set:
 
 RECORDS = _record_types()
 # Unhashable: tokens and use records are mutable while they are built,
-# and a propagation result and the evaluation metrics each hold a dict.
-UNHASHABLE = {Token, UseRecord, PropagationResult, EvalMetrics}
+# and a propagation result holds a dict.
+UNHASHABLE = {Token, UseRecord, PropagationResult}
 
 
 @functools.cache
@@ -108,7 +107,7 @@ def _results() -> list:
     out.append((
         config, report, truth, evaluate(report, truth),
         harness_mod._analyze_file(first, "taint", PatternSet()),
-        PatternSet(), ResourceTaxonomy(DEFAULT_TAXONOMY.categories),
+        PatternSet(),
     ))
     return out
 
@@ -207,8 +206,17 @@ def test_each_place_and_call_name_is_kept_once():
                 assert (attr_id is not None) == (type(holder) is AttributeNode), path
                 assert attr_id is None or attr_id.attribute_name == holder.name, path
         definers = [h for _, _, h, _, _ in index.expressions if type(h) in (Assignment, Parameter)]
-        definitions = DataflowAnalysis(index).definitions
+        analysis = DataflowAnalysis(index)
+        definitions = analysis.definitions
         assert [id(d.node) for d in definitions] == [id(h) for h in definers], path
+        # build_ddg takes textual order from the records: definitions and
+        # attribute use records are made in it, and no two share a place
+        for places in (
+            [d.node.loc for d in definitions],
+            [r.node.loc for r in analysis.use_records if r.attribute_id is not None],
+        ):
+            keys = [(loc.line, loc.column) for loc in places]
+            assert all(a < b for a, b in zip(keys, keys[1:])), path
         classified = classify_expressions(index)
         for ce in classified:  # the name is read from the holder
             holder_name = ce.node.var_name if isinstance(ce.node, Assignment) else ce.node.name
