@@ -90,7 +90,9 @@ def count_line_events(tree: str, files: int) -> dict[str, int]:
     return line_events(scan)[0]
 
 
-def _count_in_child(src: str, tree: str, files: int) -> dict[str, int]:
+def count_in_child(src: str, tree: str, files: int) -> dict[str, int]:
+    """`count_line_events` in a fresh interpreter, with the `pupsec`
+    package under *src*."""
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, os.path.abspath(src), __file__, tree, str(files)],
         capture_output=True, text=True, check=True,
@@ -126,7 +128,7 @@ def main(argv=None) -> int:
     else:
         # Both sides run in a fresh process from the same stack depth, so a
         # file nested up to the recursion limit fails at the same point.
-        counts, parent = (_count_in_child(src, args.tree, args.files) for src in (SRC, args.parent))
+        counts, parent = (count_in_child(src, args.tree, args.files) for src in (SRC, args.parent))
         print(format_table(counts, parent))
     return 0
 

@@ -24,15 +24,16 @@ def main() -> int:
 
     print(f"manifest inputs:     {', '.join(inputs)}")
     print(f"findings:            {len(report.findings)}")
-    print(f"total resources:     {stats.total_resources}")
-    print(f"impacted resources:  {stats.impacted_resources} ({stats.impacted_pct:.2f}%)")
-    if stats.per_weakness:
-        mn, med, mx = stats.per_weakness
-        print(f"resources per weakness (min, median, max): {mn}, {med}, {mx}")
+    print(f"total resources:     {stats['total_resources']}")
+    print(f"impacted resources:  {stats['impacted_resources']} ({stats['impacted_pct']:.2f}%)")
+    per_weakness = stats["per_weakness_stats"]
+    if per_weakness:
+        print("resources per weakness (min, median, max): {min}, {median}, {max}".format(
+            **per_weakness))
     print()
     print(f"{'resource category':<24} {'resources':>9} {'% of impacted':>14}")
-    for cat in stats.per_category:
-        print(f"{cat.name:<24} {cat.impacted_resources:>9} {cat.pct_of_impacted:>13.1f}%")
+    for name, cat in stats["per_category"].items():
+        print(f"{name:<24} {cat['resources']:>9} {cat['pct']:>13.1f}%")
     if report.skipped:
         print()
         for path, reason in report.skipped:

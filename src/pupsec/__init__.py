@@ -3,31 +3,22 @@
 Detects six categories of security weaknesses and confirms each finding
 only when the tainted value provably propagates, via def-use
 reachability, into an attribute of a resource.
+
+``__all__`` is the public API: the scan and its configuration, the
+per-manifest pipeline, the report and its records, the evaluation, the
+default patterns and taxonomy, and the errors.  The stages and records
+that pass between them are importable from their own modules
+(``pupsec.classify``, ``pupsec.dataflow``, ``pupsec.ddg``,
+``pupsec.rules``, ``pupsec.report``, ...).
 """
 
-from .classify import (
-    AttributeId,
-    ClassifiedExpression,
-    MembershipIndex,
-    build_membership_index,
-    classify_expressions,
-    collect_function_calls,
-)
-from .dataflow import DataflowAnalysis
-from .ddg import (
-    DataDependenceGraph,
-    PropagationResult,
-    build_ddg,
-    collect_propagations,
-    confirm_findings,
-)
+from .classify import AttributeId
 from .errors import (
     ParseError,
     ScanError,
     UnknownFormat,
     UnknownPredicate,
     UnsupportedConstruct,
-    ZeroTotal,
 )
 from .harness import (
     Report,
@@ -38,66 +29,32 @@ from .harness import (
     scan,
 )
 from .nodes import Manifest, SourceLocation
-from .parser import parse_interpolation, parse_manifest
-from .report import (
-    DEFAULT_TAXONOMY,
-    CorpusStats,
-    Finding,
-    categorize_resource,
-    impacted_resource_pct,
-    render_report,
-    resources_per_weakness_stats,
-)
+from .parser import parse_manifest
+from .report import DEFAULT_TAXONOMY, Finding, PathStep, render_report
 from .report import VERSION as __version__
-from .rules import (
-    DEFAULT_PATTERNS,
-    PatternSet,
-    WeaknessCandidate,
-    WeaknessCategory,
-    detect_candidates,
-    evaluate_predicate,
-)
+from .rules import DEFAULT_PATTERNS, PatternSet, WeaknessCategory
 
 __all__ = [
+    "scan",
+    "RunConfig",
+    "Report",
+    "analyze_manifest",
+    "parse_manifest",
+    "Manifest",
+    "render_report",
+    "load_ground_truth",
+    "evaluate",
+    "Finding",
+    "PathStep",
     "AttributeId",
-    "ClassifiedExpression",
-    "CorpusStats",
-    "DataDependenceGraph",
-    "DataflowAnalysis",
+    "SourceLocation",
+    "WeaknessCategory",
+    "PatternSet",
     "DEFAULT_PATTERNS",
     "DEFAULT_TAXONOMY",
-    "Finding",
-    "Manifest",
-    "MembershipIndex",
-    "ParseError",
-    "PatternSet",
-    "PropagationResult",
-    "Report",
-    "RunConfig",
     "ScanError",
-    "SourceLocation",
-    "UnknownFormat",
-    "UnknownPredicate",
+    "ParseError",
     "UnsupportedConstruct",
-    "WeaknessCandidate",
-    "WeaknessCategory",
-    "ZeroTotal",
-    "analyze_manifest",
-    "build_ddg",
-    "build_membership_index",
-    "categorize_resource",
-    "classify_expressions",
-    "collect_function_calls",
-    "collect_propagations",
-    "confirm_findings",
-    "detect_candidates",
-    "evaluate",
-    "evaluate_predicate",
-    "impacted_resource_pct",
-    "load_ground_truth",
-    "parse_interpolation",
-    "parse_manifest",
-    "render_report",
-    "resources_per_weakness_stats",
-    "scan",
+    "UnknownPredicate",
+    "UnknownFormat",
 ]

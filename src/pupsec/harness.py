@@ -7,9 +7,9 @@ one at a time in sorted path order, and runs that pipeline on it.  Every
 stage is looked up in this module's globals at call time, so a tracer or
 a test can wrap one by replacing its name here.
 
-The evaluation is plain data: ``load_ground_truth`` returns the set of
-labels, and ``evaluate`` returns the ``evaluation`` object that the report
-prints.
+A report's statistics and evaluation are plain data: ``Report.stats`` is
+the ``stats`` object that the report prints, ``load_ground_truth`` returns
+the set of labels, and ``evaluate`` returns the ``evaluation`` object.
 """
 
 from __future__ import annotations
@@ -32,14 +32,7 @@ from .ddg import build_ddg, collect_propagations, confirm_findings
 from .errors import ScanError
 from .nodes import Manifest
 from .parser import parse_manifest
-from .report import (
-    CorpusStats,
-    Finding,
-    DEFAULT_TAXONOMY,
-    compute_stats,
-    load_taxonomy,
-    sorted_findings,
-)
+from .report import Finding, DEFAULT_TAXONOMY, compute_stats, load_taxonomy, sorted_findings
 from .rules import (
     DEFAULT_PATTERNS,
     PatternSet,
@@ -59,11 +52,11 @@ class RunConfig:
     jobs: int = 0  # accepted for compatibility; has no effect
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class Report:
     mode: str
     findings: tuple[Finding, ...]
-    stats: CorpusStats
+    stats: dict  # the report's ``stats`` object, as ``compute_stats`` returns it
     skipped: tuple[tuple[str, str], ...] = ()  # (path, reason) for skipped files
 
 
@@ -195,11 +188,10 @@ def scan(config: RunConfig) -> Report:
         if enabled:
             gc.enable()
 
-    stats = compute_stats(findings, resources, taxonomy)
     return Report(
         mode=config.mode,
         findings=tuple(sorted_findings(findings)),
-        stats=stats,
+        stats=compute_stats(findings, resources, taxonomy),
         skipped=tuple(skipped),
     )
 

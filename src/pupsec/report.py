@@ -1,8 +1,10 @@
 """Findings, resource taxonomy, corpus statistics, and report rendering.
 
 A taxonomy is its category table: a tuple of ``(name, keywords)`` pairs,
-tried in order.  ``render_report`` prints a given ``evaluation`` object
-(what ``pupsec.harness.evaluate`` returns) as it is.
+tried in order.  Statistics and evaluation are plain data: ``render_report``
+prints the ``stats`` object that ``compute_stats`` returns, and a given
+``evaluation`` object (what ``pupsec.harness.evaluate`` returns), as they
+are.
 
 The JSON and SARIF reports are written by fixed-schema emitters, not by
 encoding a dict: each finding's text is joined from literal indented
@@ -135,48 +137,37 @@ def resources_per_weakness_stats(
     return (counts[0], median, counts[-1])
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class CategoryStat:
-    name: str
-    impacted_resources: int
-    pct_of_impacted: float
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class CorpusStats:
-    total_resources: int
-    impacted_resources: int
-    impacted_pct: float
-    per_category: tuple[CategoryStat, ...]
-    per_weakness: Optional[tuple[int, int, int]]
-
-
 def compute_stats(
     findings: list[Finding],
     resources: list[ResourceInfo],
     taxonomy: Taxonomy = DEFAULT_TAXONOMY,
-) -> CorpusStats:
+) -> dict:
+    """The report's ``stats`` object: ``total_resources``,
+    ``impacted_resources`` (distinct resources that some finding's sink
+    is in), ``impacted_pct``, ``per_category {name: {resources, pct}}``
+    over the impacted resources, sorted by name, and
+    ``per_weakness_stats {min, median, max}``, or ``None`` when no finding
+    has a sink."""
     total = len(resources)
     impacted_keys = {f.sink.resource_key for f in findings if f.sink is not None}
     impacted = len(impacted_keys)
-    pct = impacted_resource_pct(impacted, total) if total else 0.0
-
     by_category: dict[str, int] = {}
-    for key in impacted_keys:
-        _, rtype, rtitle, _ = key
+    for _, rtype, rtitle, _ in impacted_keys:
         name = categorize_resource(rtype, rtitle, taxonomy)
         by_category[name] = by_category.get(name, 0) + 1
-    per_category = tuple(
-        CategoryStat(name, count, round(count / impacted * 100.0, 2) if impacted else 0.0)
-        for name, count in sorted(by_category.items())
-    )
-    return CorpusStats(
-        total_resources=total,
-        impacted_resources=impacted,
-        impacted_pct=pct,
-        per_category=per_category,
-        per_weakness=resources_per_weakness_stats(findings),
-    )
+    per_weakness = resources_per_weakness_stats(findings)
+    return {
+        "total_resources": total,
+        "impacted_resources": impacted,
+        "impacted_pct": impacted_resource_pct(impacted, total) if total else 0.0,
+        "per_category": {
+            name: {"resources": count, "pct": round(count / impacted * 100.0, 2)}
+            for name, count in sorted(by_category.items())
+        },
+        "per_weakness_stats": (
+            None if per_weakness is None else dict(zip(("min", "median", "max"), per_weakness))
+        ),
+    }
 
 
 # --- rendering ---------------------------------------------------------------
@@ -201,29 +192,9 @@ def sorted_findings(findings: list[Finding]) -> list[Finding]:
     return sorted(findings, key=_finding_sort_key)
 
 
-def _stats_to_dict(stats: CorpusStats) -> dict:
-    per_weakness = None
-    if stats.per_weakness is not None:
-        per_weakness = {
-            "min": stats.per_weakness[0],
-            "median": stats.per_weakness[1],
-            "max": stats.per_weakness[2],
-        }
-    return {
-        "total_resources": stats.total_resources,
-        "impacted_resources": stats.impacted_resources,
-        "impacted_pct": stats.impacted_pct,
-        "per_category": {
-            c.name: {"resources": c.impacted_resources, "pct": c.pct_of_impacted}
-            for c in stats.per_category
-        },
-        "per_weakness_stats": per_weakness,
-    }
-
-
 def render_report(
     findings: list[Finding],
-    stats: CorpusStats,
+    stats: dict,
     fmt: str,
     mode: str = "taint",
     evaluation: Optional[dict] = None,
@@ -304,7 +275,7 @@ def _render_json(findings, stats, mode, evaluation) -> bytes:
         {"version": VERSION, "mode": mode, "rule_semantics": RULE_SEMANTICS, "findings": []},
         indent=2,
     )
-    tail = {"stats": _stats_to_dict(stats)}
+    tail = {"stats": stats}
     if evaluation is not None:
         tail["evaluation"] = evaluation
     out = [head[: -len("[]\n}")]]  # up to '"findings": '
@@ -336,8 +307,8 @@ def _render_text(findings, stats, mode, evaluation) -> bytes:
     lines.append("")
     lines.append(
         f"{len(findings)} finding(s), mode={mode}; "
-        f"{stats.impacted_resources}/{stats.total_resources} resources impacted "
-        f"({stats.impacted_pct:.2f}%)"
+        f"{stats['impacted_resources']}/{stats['total_resources']} resources impacted "
+        f"({stats['impacted_pct']:.2f}%)"
     )
     if evaluation is not None:
         overall = {k: ("NA" if v is None else v) for k, v in evaluation["overall"].items()}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from pupsec.report import _RULE_DESCRIPTIONS, VERSION, Finding, _stats_to_dict, sorted_findings
+from pupsec.report import _RULE_DESCRIPTIONS, VERSION, Finding, sorted_findings
 from pupsec.rules import RULE_SEMANTICS, WeaknessCategory
 
 
@@ -52,7 +52,7 @@ def _render_json(findings, stats, mode, evaluation) -> bytes:
         "mode": mode,
         "rule_semantics": RULE_SEMANTICS,
         "findings": [_finding_to_dict(f) for f in findings],
-        "stats": _stats_to_dict(stats),
+        "stats": stats,
     }
     if evaluation is not None:
         doc["evaluation"] = evaluation

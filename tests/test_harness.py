@@ -48,7 +48,7 @@ def test_taint_and_pattern_counts_on_hash_fixture_pair():
 def test_empty_directory_scan(tmp_path):
     report = run_scan([tmp_path])
     assert report.findings == ()
-    assert report.stats.total_resources == 0
+    assert report.stats["total_resources"] == 0
 
 
 def test_parse_error_skip_policy(tmp_path):
@@ -59,7 +59,7 @@ def test_parse_error_skip_policy(tmp_path):
     report = run_scan([tmp_path], on_parse_error="skip")
     assert len(report.skipped) == 1
     assert report.skipped[0][0].endswith("bad.pp")
-    assert report.stats.total_resources == 1
+    assert report.stats["total_resources"] == 1
 
 
 def test_parse_error_abort_policy(tmp_path):
@@ -81,7 +81,7 @@ def test_scan_analyzes_files_serially_in_sorted_order(tmp_path, monkeypatch):
     monkeypatch.setattr(harness_mod, "_analyze_file", spy)
     for name in ("c.pp", "a.pp", "b.pp"):
         (tmp_path / name).write_text("$x = 'ok'\nfile { 'f': content => $x }\n")
-    assert run_scan([tmp_path]).stats.total_resources == 3
+    assert run_scan([tmp_path]).stats["total_resources"] == 3
     assert calls == [(threading.get_ident(), name) for name in ("a.pp", "b.pp", "c.pp")]
 
     calls.clear()
@@ -107,7 +107,7 @@ def test_unreadable_manifests_are_skipped(tmp_path):
     _tree_with_unreadable_manifests(tmp_path)
     report = run_scan([tmp_path], on_parse_error="skip")
     assert sorted(Path(p).name for p, _ in report.skipped) == ["dangling.pp", "dir.pp"]
-    assert report.stats.total_resources == 1
+    assert report.stats["total_resources"] == 1
 
 
 def test_unreadable_manifest_aborts_under_abort_policy(tmp_path):
@@ -148,14 +148,15 @@ def test_disjoint_inputs_scan_to_the_union():
         both = run_scan([CORPUS, WEAKNESS_SUITE], mode=mode)
         assert both.findings == tuple(sorted_findings([*a.findings, *b.findings]))
         assert both.skipped == tuple(sorted(a.skipped + b.skipped))
-        assert both.stats.total_resources == a.stats.total_resources + b.stats.total_resources
+        total = a.stats["total_resources"] + b.stats["total_resources"]
+        assert both.stats["total_resources"] == total
 
 
 def test_overlapping_inputs_scan_each_file_once(monkeypatch):
     monkeypatch.chdir(FIXTURES.parent.parent)
     relative = os.path.relpath(CORPUS)
     alone = run_scan([relative])
-    assert alone.findings and alone.stats.total_resources
+    assert alone.findings and alone.stats["total_resources"]
     # the same directory spelled twice reads as the shorter spelling alone
     assert run_scan([relative, CORPUS]) == alone
     assert run_scan([CORPUS, relative]) == alone
@@ -311,9 +312,48 @@ def test_readme_library_example_finds_what_scan_finds(tmp_path, monkeypatch):
         exec(example, namespace)
         report = run_scan(["site.pp"])
         assert sorted_findings(namespace["findings"]) == list(report.findings), fixture
-        assert len(namespace["resources"]) == report.stats.total_resources, fixture
+        assert len(namespace["resources"]) == report.stats["total_resources"], fixture
         found += len(namespace["findings"])
     assert found > 10
+
+
+# The names README's usage and library sections use, in the order of its
+# "Public API" section.
+PUBLIC_API = [
+    "scan", "RunConfig", "Report", "analyze_manifest", "parse_manifest", "Manifest",
+    "render_report", "load_ground_truth", "evaluate",
+    "Finding", "PathStep", "AttributeId", "SourceLocation", "WeaknessCategory", "PatternSet",
+    "DEFAULT_PATTERNS", "DEFAULT_TAXONOMY",
+    "ScanError", "ParseError", "UnsupportedConstruct", "UnknownPredicate", "UnknownFormat",
+]
+# Names that left `pupsec.__all__`, by the module that still exports them.
+FORMERLY_PUBLIC = {
+    "classify": ("ClassifiedExpression", "MembershipIndex", "build_membership_index",
+                 "classify_expressions", "collect_function_calls"),
+    "dataflow": ("DataflowAnalysis",),
+    "ddg": ("DataDependenceGraph", "PropagationResult", "build_ddg", "collect_propagations",
+            "confirm_findings"),
+    "errors": ("ZeroTotal",),
+    "parser": ("parse_interpolation",),
+    "report": ("categorize_resource", "impacted_resource_pct", "resources_per_weakness_stats"),
+    "rules": ("WeaknessCandidate", "detect_candidates", "evaluate_predicate"),
+}
+
+
+def test_public_api_is_the_names_readme_uses():
+    import importlib
+
+    assert pupsec.__all__ == PUBLIC_API
+    namespace = {}
+    exec("from pupsec import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC_API)
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Public API", 1)[1].split("\n#", 1)[0]
+    assert [name for name in PUBLIC_API if f"`{name}" not in section] == []
+    for module, names in FORMERLY_PUBLIC.items():
+        module = importlib.import_module(f"pupsec.{module}")
+        assert all(hasattr(module, name) for name in names), module
+        assert not any(hasattr(pupsec, name) for name in names), module
 
 
 def test_unknown_mode_raises_before_any_file_is_read(monkeypatch):
@@ -373,7 +413,7 @@ def _scan_title(tmp_path, name):
     path.write_text(awkward_tree.titled(awkward_tree.CHAIN_TITLES[name]))
     report = run_scan([path])
     assert report.skipped == ()
-    assert report.stats.total_resources == 1
+    assert report.stats["total_resources"] == 1
     (resource,) = _analyze_file(str(path), "taint", DEFAULT_PATTERNS).resources
     assert resource.resource_type == "file"
     return resource

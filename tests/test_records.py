@@ -30,7 +30,7 @@ from pupsec.ddg import (
     collect_propagations,
     confirm_findings,
 )
-from pupsec.harness import RunConfig, evaluate, load_ground_truth, scan
+from pupsec.harness import Report, RunConfig, evaluate, load_ground_truth, scan
 from pupsec.lexer import Token, tokenize
 from pupsec.nodes import Assignment, AttributeNode, Manifest, Parameter, iter_nodes
 from pupsec.parser import parse_manifest
@@ -56,8 +56,8 @@ def _record_types() -> set:
 
 RECORDS = _record_types()
 # Unhashable: tokens and use records are mutable while they are built,
-# and a propagation result holds a dict.
-UNHASHABLE = {Token, UseRecord, PropagationResult}
+# a propagation result holds a dict, and so does a report (its ``stats``).
+UNHASHABLE = {Token, UseRecord, PropagationResult, Report}
 
 
 @functools.cache

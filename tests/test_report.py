@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 import reference_report
 from pupsec.classify import AttributeId
-from pupsec.errors import UnknownFormat, ZeroTotal
-from pupsec.harness import RunConfig, evaluate, load_ground_truth, scan
+from pupsec.cli import main
+from pupsec.errors import ScanError, UnknownFormat, ZeroTotal
+from pupsec.harness import RunConfig, analyze_manifest, evaluate, load_ground_truth, scan
 from pupsec.nodes import SourceLocation
+from pupsec.parser import parse_manifest
 from pupsec.report import (
     DEFAULT_TAXONOMY,
     Finding,
@@ -156,11 +158,54 @@ def test_per_category_counts_sum_to_impacted():
         ResourceInfo("m.pp", "untouched", "d", 3, SourceLocation("m.pp", 4, 1)),
     ]
     stats = compute_stats(findings, resources)
-    assert stats.total_resources == 4
-    assert stats.impacted_resources == 3
-    assert sum(c.impacted_resources for c in stats.per_category) == 3
-    names = {c.name for c in stats.per_category}
-    assert names == {"DataStorage", "File", "Unknown"}
+    assert stats["total_resources"] == 4
+    assert stats["impacted_resources"] == 3
+    assert sum(c["resources"] for c in stats["per_category"].values()) == 3
+    assert list(stats["per_category"]) == ["DataStorage", "File", "Unknown"]
+    # the whole object, in the key order the report prints
+    share = {"resources": 1, "pct": 33.33}
+    assert list(stats.items()) == [
+        ("total_resources", 4),
+        ("impacted_resources", 3),
+        ("impacted_pct", 75.0),
+        ("per_category", {"DataStorage": share, "File": share, "Unknown": share}),
+        ("per_weakness_stats", {"min": 3, "median": 3, "max": 3}),  # one weakness, 3 sinks
+    ]
+    assert compute_stats([], resources)["per_weakness_stats"] is None
+
+
+def _analyzed(tree):
+    """The findings and resources of every ``.pp`` file under *tree* that
+    parses, with the paths ``scan`` gives them."""
+    findings, resources = [], []
+    for path in sorted(tree.glob("**/*.pp")):
+        try:
+            manifest = parse_manifest(path.read_text(encoding="utf-8"), str(path))
+        except ScanError:
+            continue
+        found, kept = analyze_manifest(manifest)
+        findings += found
+        resources += kept
+    return findings, resources
+
+
+@pytest.mark.parametrize("tree", [FIXTURES, CORPUS], ids=["fixtures", "corpus"])
+def test_stats_are_the_reports_stats_object(tree, tmp_path):
+    """``compute_stats`` returns the ``stats`` object that the JSON report
+    prints, and ``Report.stats`` is that object: the records that carried
+    it to the renderer are gone."""
+    import pupsec
+    import pupsec.report
+
+    out = tmp_path / "report.json"
+    assert main(["scan", str(tree), "--out", str(out)]) == 0
+    printed = json.loads(out.read_text(encoding="utf-8"))["stats"]
+    stats = compute_stats(*_analyzed(tree))
+    assert stats == printed and list(stats) == list(printed)
+    assert stats["impacted_resources"] > 0 and stats["per_weakness_stats"] is not None
+    assert scan(RunConfig(inputs=(str(tree),))).stats == stats
+    removed = ("CorpusStats", "CategoryStat", "_stats_to_dict")
+    assert not any(hasattr(m, name) for m in (pupsec, pupsec.report) for name in removed)
 
 
 # -- rendering -------------------------------------------------------------------
