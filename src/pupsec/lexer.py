@@ -1,20 +1,17 @@
 """Tokenizer for the Puppet manifest subset.
 
-``tokenize`` matches one compiled master pattern (``_MASTER``) at the
-current offset.  Its alternatives (``_ALTERNATIVES``) say what the next
-token is: trivia, a single- or double-quoted string, a ``$variable``, a
-number, a name, a type reference, an unsupported operator, a symbol or
-the end of the input.  Each alternative ends in an empty marker group,
-and ``tokenize`` dispatches on the index of the marker that matched
-(``m.lastindex``, one of the module constants ``_TRIVIA`` ... ``_BAD_CHAR``).
-It tests the two most frequent matches first: symbols, then trivia.
-Blanks before a token on the same line are the match's group 1, so the
-token starts where that group ends.  Some alternatives name an error
-instead (``_OPEN_COMMENT``, ``_OPEN_SQ``, ``_BAD_VAR``, ``_BAD_COLONS``,
-``_BAD_CHAR``) and match the text the error is reported at.  Lines and
-columns come from match offsets and the offset where the current line
-starts, which moves only past trivia and strings, the tokens that can
-contain a newline.
+``tokenize`` returns plain ``(kind, text, value, line, column)`` tuples,
+``EOF`` last.  One ``findall`` of the compiled pattern ``_FIND`` lexes the
+manifest: each match is ``(trivia, token)``, where group 1 holds the
+comments and blanks before the token and group 2 the token's text, one of
+``_ALTERNATIVES``.  So the loop over the matches runs in the regex
+engine, and ``tokenize`` only works out each token's kind from its text:
+the ``_SYMBOLS`` dict first, then its first character (``_LEADS``).  Some
+alternatives match the text an error is reported at instead: an open
+``/*`` or ``'``, a bare ``$`` or ``::``, an unsupported operator and any
+other character.  Lines and columns come from the lengths of the two
+groups and the offset where the current line starts, which moves only
+past trivia and strings, the tokens that can contain a newline.
 
 ``TokenKind`` is a plain class of string constants, not an ``Enum``: on
 Python 3.11 ``EnumType`` defines ``__getattr__``, which makes every
@@ -23,10 +20,13 @@ is a Python function, so every dict lookup keyed by a kind would run
 Python code.
 
 Double-quoted bodies are kept raw for the parser.  The ``dq`` alternative
-covers bodies whose ``${...}`` parts hold no quote, brace or backslash.
-Any other ``"`` falls to ``dq_open``, and ``_dq_end`` scans for the end of
-that string: a backslash skips two characters, and ``interpolation_end``
-(shared with the parser) skips each ``${...}``, quotes inside included.
+covers bodies whose ``${...}`` parts hold no brace or backslash outside
+quoted text.  At any other ``"`` group 2 does not take part and the match
+runs to the end of the text, which the engine skips without reading, so
+the ``findall`` ends there.  ``_dq_end`` then finds the end of that string
+(a backslash skips two characters, and ``interpolation_end``, shared with
+the parser, skips each ``${...}``, quotes inside included), and a new
+``findall`` lexes on from it.  No text is lexed twice.
 
 Comments (``# ...`` and ``/* ... */``) are discarded here, so the parser
 only ever sees code tokens.  Constructs that are recognizably Puppet but
@@ -37,7 +37,7 @@ raise UnsupportedConstruct as early as possible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import string
 
 from .errors import ParseError, UnsupportedConstruct
 from .nodes import SourceLocation
@@ -112,19 +112,6 @@ KEYWORDS = {
 }
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str  # one of the TokenKind constants
-    text: str
-    value: object
-    line: int
-    column: int
-
-    def loc(self, path: str) -> SourceLocation:
-        return SourceLocation(path, self.line, self.column)
-
-
-
 # Recognized Puppet operators outside the supported subset, by construct.
 _UNSUPPORTED = {
     "<<|": "resource_collector",
@@ -174,17 +161,17 @@ def _alternation(operators) -> str:
     return "|".join(re.escape(op) for op in sorted(operators, key=len, reverse=True))
 
 
-# The alternatives of ``_MASTER``, in the order they are tried: one is
-# tried only where every earlier one failed.  The last two always match,
-# so ``_MASTER.match`` never fails.  No pattern may hold a capturing group:
-# it would shift the marker groups, and so ``lastindex``.
+# The alternatives of group 2, in the order they are tried: one is tried
+# only where every earlier one failed.  The last two match at any offset
+# but that of a '"', which ``dq`` or the branch after group 2 takes, so a
+# match never fails.  No pattern may hold a capturing group.
 _ALTERNATIVES = (
-    ("trivia", r"(?:[ \t\r\n]+|#[^\n]*|/\*.*?\*/)+"),
     ("open_comment", r"/\*"),
     ("sq", r"'[^'\\]*(?:\\.[^'\\]*)*'"),
     ("open_sq", "'"),
-    ("dq", r'"[^"\\$]*(?:(?:\\.|\$(?!\{)|\$\{[^{}"\'\\]*\})[^"\\$]*)*"'),
-    ("dq_open", '"'),
+    # A `${...}` body may hold quoted text, written unrolled: a
+    # per-character alternation backtracks and costs more.
+    ("dq", r'"[^"\\$]*(?:(?:\\.|\$(?!\{)|\$\{[^{}"\'\\]*(?:(?:\'[^\'\\]*\'|"[^"\\]*")[^{}"\'\\]*)*\})[^"\\$]*)*"'),
     ("var", r"\$(?:::)?[A-Za-z0-9_]+(?:::[A-Za-z0-9_]+)*"),
     ("bad_var", r"\$"),
     ("number", r"[0-9]+(?:\.[0-9]+)?"),
@@ -194,29 +181,28 @@ _ALTERNATIVES = (
     ("unsupported_op", _alternation(_UNSUPPORTED)),
     ("symbol", _alternation(_SYMBOLS)),
     ("eof", r"\Z"),
-    ("bad_char", "."),
+    ("bad_char", '[^"]'),
 )
-# Group 1 holds the blanks before the token.  Each alternative ends in an
-# empty marker group, so ``m.lastindex`` says which one matched.  Markers
-# at the end match faster than named groups around whole alternatives,
-# likely because the engine can then reject an alternative on its first
-# character.
-_MASTER = re.compile(
-    r"([ \t]*)(?:" + "|".join(f"(?:{pattern})()" for _, pattern in _ALTERNATIVES) + ")",
+_TRIVIA = r"(?:[ \t\r\n]+|#[^\n]*|/\*.*?\*/)*"
+# Group 1 is the trivia and group 2 the token.  At a '"' that no
+# alternative matches, group 2 stays empty and ``.*`` takes the rest of
+# the text: the engine jumps to the end without reading it.
+_FIND = re.compile(
+    f"({_TRIVIA})(?:({'|'.join(pattern for _, pattern in _ALTERNATIVES)})|\".*)",
     re.DOTALL,
 )
-# The marker group of each alternative: ``_`` and its name in upper case.
-(
-    _TRIVIA, _OPEN_COMMENT, _SQ, _OPEN_SQ, _DQ, _DQ_OPEN, _VAR, _BAD_VAR, _NUMBER, _NAME,
-    _TYPE_REF, _BAD_COLONS, _UNSUPPORTED_OP, _SYMBOL, _EOF, _BAD_CHAR,
-) = range(2, len(_ALTERNATIVES) + 2)
 
-# Alternatives that match the start of a token the lexer rejects.
-_ERRORS = {
-    _OPEN_COMMENT: "unterminated block comment",
-    _OPEN_SQ: "unterminated string",
-    _BAD_VAR: "invalid variable name",
-    _BAD_COLONS: "unexpected character ':'",
+# The kind of a token that is not a symbol, by its first character.  A
+# ':' here starts '::', alone or before a name or type reference.
+_TOP_SCOPE = "::"
+_LEADS = {
+    **dict.fromkeys(string.ascii_lowercase + "_", TokenKind.NAME),
+    **dict.fromkeys(string.ascii_uppercase, TokenKind.TYPE_REF),
+    **dict.fromkeys(string.digits, TokenKind.NUMBER),
+    "$": TokenKind.VARIABLE,
+    "'": TokenKind.SQ_STRING,
+    '"': TokenKind.DQ_STRING,
+    ":": _TOP_SCOPE,
 }
 _SQ_ESCAPE = re.compile(r"\\([\\'])")
 _INTERPOLATION_STOP = re.compile(r"\\.|['\"{}]", re.DOTALL)  # an escape, a quote or a brace
@@ -259,69 +245,79 @@ def _dq_end(text: str, pos: int) -> int:
     return -1
 
 
-def tokenize(text: str, path: str) -> list[Token]:
-    """Tokenize *text*, raising ParseError/UnsupportedConstruct on bad input."""
-    tokens: list[Token] = []
+def tokenize(text: str, path: str) -> list[tuple]:
+    """Tokenize *text* into ``(kind, text, value, line, column)`` tuples,
+    raising ParseError/UnsupportedConstruct on bad input."""
+    tokens: list[tuple] = []
     append = tokens.append
-    match = _MASTER.match
+    symbols, leads, keywords = _SYMBOLS, _LEADS, KEYWORDS
+    NAME, VARIABLE, SQ_STRING, DQ_STRING, TYPE_REF, NUMBER = (
+        TokenKind.NAME, TokenKind.VARIABLE, TokenKind.SQ_STRING, TokenKind.DQ_STRING,
+        TokenKind.TYPE_REF, TokenKind.NUMBER,
+    )
     pos = 0
     line = 1
     line_start = 0  # offset of the first character of the current line
     while True:
-        m = match(text, pos)
-        alt = m.lastindex
-        start = m.end(1)
-        pos = m.end()
-        column = start - line_start + 1
-        if alt == _SYMBOL:
-            s = text[start:pos]
-            append(Token(_SYMBOLS[s], s, s, line, column))
-            continue
-        if alt == _TRIVIA:
-            pass  # its newlines are counted below, with the strings'
-        elif alt == _NAME:
-            s = text[start:pos]
-            append(Token(KEYWORDS.get(s, TokenKind.NAME), s, s, line, column))
-            continue
-        elif alt == _VAR:
-            name = text[start + 1 : pos].removeprefix("::")
-            append(Token(TokenKind.VARIABLE, name, name, line, column))
-            continue
-        elif alt == _TYPE_REF:
-            s = text[start:pos]
-            append(Token(TokenKind.TYPE_REF, s, s, line, column))
-            continue
-        elif alt == _NUMBER:
-            s = text[start:pos]
-            try:
-                value = float(s) if "." in s else int(s)
-            except ValueError:  # beyond Python's int-string digit limit
-                raise ParseError(SourceLocation(path, line, column), "number literal too long") from None
-            append(Token(TokenKind.NUMBER, s, value, line, column))
-            continue
-        elif alt == _SQ:
-            body = text[start + 1 : pos - 1]
-            if "\\" in body:
-                body = _SQ_ESCAPE.sub(r"\1", body)
-            append(Token(TokenKind.SQ_STRING, body, body, line, column))
-        elif alt == _DQ or alt == _DQ_OPEN:
-            if alt == _DQ_OPEN:
-                pos = _dq_end(text, pos) + 1
-                if pos == 0:
+        for trivia, s in _FIND.findall(text, pos):
+            if trivia:
+                if "\n" in trivia:
+                    line += trivia.count("\n")
+                    line_start = pos + trivia.rindex("\n") + 1
+                pos += len(trivia)
+            kind = symbols.get(s)
+            if kind is not None:
+                append((kind, s, s, line, pos - line_start + 1))
+                pos += len(s)
+                continue
+            column = pos - line_start + 1
+            kind = leads.get(s[:1])
+            if kind is NAME:
+                append((keywords.get(s, NAME), s, s, line, column))
+            elif kind is VARIABLE:
+                if len(s) == 1:
+                    raise ParseError(SourceLocation(path, line, column), "invalid variable name")
+                name = s[1:].removeprefix("::")
+                append((VARIABLE, name, name, line, column))
+            elif kind is SQ_STRING or kind is DQ_STRING:
+                if len(s) == 1:  # an open "'": a '"' never matches alone
                     raise ParseError(SourceLocation(path, line, column), "unterminated string")
-            body = text[start + 1 : pos - 1]
-            append(Token(TokenKind.DQ_STRING, body, body, line, column))
-        elif alt == _EOF:
-            append(Token(TokenKind.EOF, "", None, line, column))
-            return tokens
-        elif alt == _UNSUPPORTED_OP:
-            raise UnsupportedConstruct(SourceLocation(path, line, column), _UNSUPPORTED[text[start:pos]])
-        elif alt == _BAD_CHAR:
-            raise ParseError(SourceLocation(path, line, column), f"unexpected character {text[start:pos]!r}")
-        else:
-            raise ParseError(SourceLocation(path, line, column), _ERRORS[alt])
-        # Only trivia and strings can span lines.
-        newlines = text.count("\n", start, pos)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", start, pos) + 1
+                body = s[1:-1]
+                if kind is SQ_STRING and "\\" in body:
+                    body = _SQ_ESCAPE.sub(r"\1", body)
+                append((kind, body, body, line, column))
+                if "\n" in s:  # only trivia and strings can span lines
+                    line += s.count("\n")
+                    line_start = pos + s.rindex("\n") + 1
+            elif kind is TYPE_REF:
+                append((TYPE_REF, s, s, line, column))
+            elif kind is NUMBER:
+                try:
+                    value = float(s) if "." in s else int(s)
+                except ValueError:  # beyond Python's int-string digit limit
+                    raise ParseError(SourceLocation(path, line, column), "number literal too long") from None
+                append((NUMBER, s, value, line, column))
+            elif kind is _TOP_SCOPE:
+                if len(s) == 2:
+                    raise ParseError(SourceLocation(path, line, column), "unexpected character ':'")
+                append((leads[s[2]], s, s, line, column))
+            elif s:
+                loc = SourceLocation(path, line, column)
+                if s in _UNSUPPORTED:
+                    raise UnsupportedConstruct(loc, _UNSUPPORTED[s])
+                raise ParseError(loc, "unterminated block comment" if s == "/*" else f"unexpected character {s!r}")
+            elif pos == len(text):
+                append((TokenKind.EOF, "", None, line, column))
+                return tokens
+            else:  # a '"' that ``dq`` cannot close; the match took the rest of the text
+                end = _dq_end(text, pos + 1) + 1
+                if end == 0:
+                    raise ParseError(SourceLocation(path, line, column), "unterminated string")
+                body = text[pos + 1 : end - 1]
+                append((DQ_STRING, body, body, line, column))
+                if "\n" in body:
+                    line += body.count("\n")
+                    line_start = pos + 1 + body.rindex("\n") + 1
+                pos = end
+                break  # a new findall lexes on from the end of the string
+            pos += len(s)

@@ -22,7 +22,7 @@ import re
 from collections.abc import Callable
 
 from .errors import ParseError, UnsupportedConstruct
-from .lexer import Token, TokenKind, interpolation_end, tokenize
+from .lexer import TokenKind, interpolation_end, tokenize
 from .nodes import (
     AccessExpr,
     ArrayLiteral,
@@ -83,6 +83,9 @@ _BINARY = {
     TokenKind.PERCENT: ("%", 5),
 }
 
+# A prefix operator's operand binds tighter than any binary operator.
+_PREFIX_POWER = max(power for _, power in _BINARY.values()) + 1
+
 _CLOSERS = {TokenKind.RPAREN: ")", TokenKind.RBRACK: "]", TokenKind.RBRACE: "}"}
 
 _EXPR_START = {
@@ -105,22 +108,29 @@ _EXPR_START = {
 
 class _Parser:
     """Recursive descent over one token list, which ends in ``EOF``.
-    ``pos`` indexes the next token and never moves past ``EOF``.
+    ``pos`` indexes the next token and never moves past ``EOF``.  A token
+    is the lexer's ``(kind, text, value, line, column)`` tuple, read by
+    index.
 
     Every path reads ``self.tokens[self.pos]`` and moves ``self.pos``
     itself, the statement level included: a helper call per token read
     costs more than the read.  The one token helper left is ``expect``,
     which checks a token's kind and raises if it is wrong."""
 
-    def __init__(self, tokens: list[Token], path: str):
+    def __init__(self, tokens: list[tuple], path: str):
         self.tokens = tokens
         self.path = path
         self.pos = 0
 
-    def expect(self, kind: str, what: str) -> Token:
+    def _loc(self, tok: tuple) -> SourceLocation:
+        """Where *tok* starts.  The paths that build nodes write this out,
+        a call less per node."""
+        return SourceLocation(self.path, tok[3], tok[4])
+
+    def expect(self, kind: str, what: str) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.kind is not kind:
-            raise ParseError(tok.loc(self.path), f"expected {what}, found {tok.text or 'end of input'!r}")
+        if tok[0] is not kind:
+            raise ParseError(self._loc(tok), f"expected {what}, found {tok[1] or 'end of input'!r}")
         if kind is not TokenKind.EOF:
             self.pos += 1
         return tok
@@ -133,7 +143,7 @@ class _Parser:
         self.expect(TokenKind.LBRACE, "'{'")
         tokens = self.tokens
         stmts: list[Statement] = []
-        while (kind := tokens[self.pos].kind) is not TokenKind.RBRACE and kind is not TokenKind.EOF:
+        while (kind := tokens[self.pos][0]) is not TokenKind.RBRACE and kind is not TokenKind.EOF:
             stmts.append(self.parse_statement())
         self.expect(TokenKind.RBRACE, "'}'")
         return tuple(stmts)
@@ -143,15 +153,13 @@ class _Parser:
         token is already consumed and a trailing comma is allowed."""
         tokens = self.tokens
         items = []
-        while tokens[self.pos].kind is not close:
+        while tokens[self.pos][0] is not close:
             items.append(item())
-            kind = tokens[self.pos].kind
-            if kind is TokenKind.COMMA:
+            tok = tokens[self.pos]
+            if tok[0] is TokenKind.COMMA:
                 self.pos += 1
-            elif kind is not close:
-                raise ParseError(
-                    tokens[self.pos].loc(self.path), f"expected ',' or '{_CLOSERS[close]}' in {what}"
-                )
+            elif tok[0] is not close:
+                raise ParseError(self._loc(tok), f"expected ',' or '{_CLOSERS[close]}' in {what}")
         self.pos += 1
         return tuple(items)
 
@@ -160,7 +168,7 @@ class _Parser:
     def parse_statements(self) -> tuple[Statement, ...]:
         tokens = self.tokens
         stmts: list[Statement] = []
-        while tokens[self.pos].kind is not TokenKind.EOF:
+        while tokens[self.pos][0] is not TokenKind.EOF:
             stmts.append(self.parse_statement())
         return tuple(stmts)
 
@@ -168,16 +176,16 @@ class _Parser:
         tokens = self.tokens
         pos = self.pos
         tok = tokens[pos]
-        kind = tok.kind
+        kind = tok[0]
         if kind is TokenKind.VARIABLE:
             self.pos = pos + 1
             self.expect(TokenKind.ASSIGN, "'='")
             value = self.parse_expression()
-            return Assignment(tok.text, value, SourceLocation(self.path, tok.line, tok.column))
+            return Assignment(tok[1], value, SourceLocation(self.path, tok[3], tok[4]))
         if kind is TokenKind.NAME:
-            if tok.text in _UNSUPPORTED_STATEMENT_WORDS:
-                raise UnsupportedConstruct(tok.loc(self.path), _UNSUPPORTED_STATEMENT_WORDS[tok.text])
-            nxt = tokens[pos + 1].kind
+            if tok[1] in _UNSUPPORTED_STATEMENT_WORDS:
+                raise UnsupportedConstruct(self._loc(tok), _UNSUPPORTED_STATEMENT_WORDS[tok[1]])
+            nxt = tokens[pos + 1][0]
             if nxt is TokenKind.LBRACE:
                 return self._resource_decl()
             if nxt is TokenKind.LPAREN:
@@ -185,8 +193,8 @@ class _Parser:
                 return ExprStatement(call, call.loc)
             if nxt in _EXPR_START:
                 # e.g. `include apache` -- statement calls without parentheses
-                raise UnsupportedConstruct(tok.loc(self.path), "statement_function_call")
-            raise ParseError(tok.loc(self.path), f"unexpected bare word {tok.text!r}")
+                raise UnsupportedConstruct(self._loc(tok), "statement_function_call")
+            raise ParseError(self._loc(tok), f"unexpected bare word {tok[1]!r}")
         if kind is TokenKind.KW_IF:
             return self._if_statement()
         if kind is TokenKind.KW_CLASS:
@@ -197,7 +205,7 @@ class _Parser:
             return self._case_statement()
         if kind is TokenKind.TYPE_REF:
             return self._resource_override()
-        raise ParseError(tok.loc(self.path), f"expected statement, found {tok.text or 'end of input'!r}")
+        raise ParseError(self._loc(tok), f"expected statement, found {tok[1] or 'end of input'!r}")
 
     def _class_def(self) -> ClassDef:
         kw = self.tokens[self.pos]
@@ -205,37 +213,38 @@ class _Parser:
         name = self.expect(TokenKind.NAME, "class name")
         params = self._parameter_list()
         tok = self.tokens[self.pos]
-        if tok.kind is TokenKind.NAME and tok.text == "inherits":
-            raise UnsupportedConstruct(tok.loc(self.path), "class_inheritance")
-        return ClassDef(name.text, params, self._block(), kw.loc(self.path))
+        if tok[0] is TokenKind.NAME and tok[1] == "inherits":
+            raise UnsupportedConstruct(self._loc(tok), "class_inheritance")
+        return ClassDef(name[1], params, self._block(), SourceLocation(self.path, kw[3], kw[4]))
 
     def _defined_type(self) -> DefinedTypeDef:
         kw = self.tokens[self.pos]
         self.pos += 1
         name = self.expect(TokenKind.NAME, "defined type name")
         params = self._parameter_list()
-        return DefinedTypeDef(name.text, params, self._block(), kw.loc(self.path))
+        return DefinedTypeDef(name[1], params, self._block(), SourceLocation(self.path, kw[3], kw[4]))
 
     def _parameter_list(self) -> tuple[Parameter, ...]:
         tokens = self.tokens
-        if tokens[self.pos].kind is not TokenKind.LPAREN:
+        if tokens[self.pos][0] is not TokenKind.LPAREN:
             return ()
         self.pos += 1
         seen: set[str] = set()
 
         def parameter() -> Parameter:
             tok = tokens[self.pos]
-            if tok.kind is TokenKind.TYPE_REF:
-                raise UnsupportedConstruct(tok.loc(self.path), "typed_parameter")
+            if tok[0] is TokenKind.TYPE_REF:
+                raise UnsupportedConstruct(self._loc(tok), "typed_parameter")
             var = self.expect(TokenKind.VARIABLE, "parameter")
-            if var.text in seen:
-                raise ParseError(var.loc(self.path), f"duplicate parameter ${var.text}")
-            seen.add(var.text)
+            loc = SourceLocation(self.path, var[3], var[4])
+            if var[1] in seen:
+                raise ParseError(loc, f"duplicate parameter ${var[1]}")
+            seen.add(var[1])
             default = None
-            if tokens[self.pos].kind is TokenKind.ASSIGN:
+            if tokens[self.pos][0] is TokenKind.ASSIGN:
                 self.pos += 1
                 default = self.parse_expression()
-            return Parameter(var.text, default, var.loc(self.path))
+            return Parameter(var[1], default, loc)
 
         return self._delimited(TokenKind.RPAREN, "parameter list", parameter)
 
@@ -246,14 +255,14 @@ class _Parser:
         condition = self.parse_expression()
         then_body = self._block()
         else_body: tuple[Statement, ...] = ()
-        kind = tokens[self.pos].kind
+        kind = tokens[self.pos][0]
         if kind is TokenKind.KW_ELSIF:
             # Desugar `elsif` into a nested if inside the else branch.
             else_body = (self._if_statement(),)
         elif kind is TokenKind.KW_ELSE:
             self.pos += 1
             else_body = self._block()
-        return IfStatement(condition, then_body, else_body, SourceLocation(self.path, kw.line, kw.column))
+        return IfStatement(condition, then_body, else_body, SourceLocation(self.path, kw[3], kw[4]))
 
     def _case_statement(self) -> CaseStatement:
         tokens = self.tokens
@@ -262,23 +271,24 @@ class _Parser:
         scrutinee = self.parse_expression()
         self.expect(TokenKind.LBRACE, "'{'")
         arms: list[CaseArm] = []
-        while tokens[self.pos].kind is not TokenKind.RBRACE:
+        while tokens[self.pos][0] is not TokenKind.RBRACE:
             arm_tok = tokens[self.pos]
             matches: list[Expr] = []
             is_default = False
             while True:
-                if tokens[self.pos].kind is TokenKind.KW_DEFAULT:
+                if tokens[self.pos][0] is TokenKind.KW_DEFAULT:
                     self.pos += 1
                     is_default = True
                 else:
                     matches.append(self.parse_expression())
-                if tokens[self.pos].kind is not TokenKind.COMMA:
+                if tokens[self.pos][0] is not TokenKind.COMMA:
                     break
                 self.pos += 1
             self.expect(TokenKind.COLON, "':'")
-            arms.append(CaseArm(tuple(matches), self._block(), is_default, arm_tok.loc(self.path)))
+            arm_loc = SourceLocation(self.path, arm_tok[3], arm_tok[4])
+            arms.append(CaseArm(tuple(matches), self._block(), is_default, arm_loc))
         self.expect(TokenKind.RBRACE, "'}'")
-        return CaseStatement(scrutinee, tuple(arms), kw.loc(self.path))
+        return CaseStatement(scrutinee, tuple(arms), SourceLocation(self.path, kw[3], kw[4]))
 
     def _resource_decl(self) -> ResourceDecl:
         """``type { title: attributes }``; ``parse_statement`` has seen the
@@ -287,8 +297,8 @@ class _Parser:
         self.pos += 2
         title = self.parse_expression()
         self.expect(TokenKind.COLON, "':' after resource title")
-        loc = SourceLocation(self.path, type_tok.line, type_tok.column)
-        return ResourceDecl(type_tok.text, title, self._attribute_list(), loc)
+        loc = SourceLocation(self.path, type_tok[3], type_tok[4])
+        return ResourceDecl(type_tok[1], title, self._attribute_list(), loc)
 
     def _resource_override(self) -> ResourceOverride:
         type_tok = self.tokens[self.pos]
@@ -297,7 +307,8 @@ class _Parser:
         title = self.parse_expression()
         self.expect(TokenKind.RBRACK, "']'")
         self.expect(TokenKind.LBRACE, "'{' for resource override")
-        return ResourceOverride(type_tok.text, title, self._attribute_list(), type_tok.loc(self.path))
+        loc = SourceLocation(self.path, type_tok[3], type_tok[4])
+        return ResourceOverride(type_tok[1], title, self._attribute_list(), loc)
 
     def _attribute_list(self) -> tuple[AttributeNode, ...]:
         tokens = self.tokens
@@ -305,18 +316,19 @@ class _Parser:
 
         def attribute() -> AttributeNode:
             name_tok = tokens[self.pos]
-            if name_tok.kind is not TokenKind.NAME:
-                if name_tok.kind is TokenKind.SEMI:
-                    raise UnsupportedConstruct(name_tok.loc(self.path), "multi_body_resource")
+            kind = name_tok[0]
+            if kind is not TokenKind.NAME:
+                if kind is TokenKind.SEMI:
+                    raise UnsupportedConstruct(self._loc(name_tok), "multi_body_resource")
                 self.expect(TokenKind.NAME, "attribute name")  # raises
-            name = name_tok.text
+            name = name_tok[1]
             if name in seen:
-                raise ParseError(name_tok.loc(self.path), f"duplicate attribute {name!r}")
+                raise ParseError(self._loc(name_tok), f"duplicate attribute {name!r}")
             seen.add(name)
             self.pos += 1
             self.expect(TokenKind.ARROW, "'=>'")
             value = self.parse_expression()
-            return AttributeNode(name, value, SourceLocation(self.path, name_tok.line, name_tok.column))
+            return AttributeNode(name, value, SourceLocation(self.path, name_tok[3], name_tok[4]))
 
         return self._delimited(TokenKind.RBRACE, "resource body", attribute)
 
@@ -325,53 +337,55 @@ class _Parser:
     def parse_expression(self, min_power: int = 1) -> Expr:
         """Precedence climbing over ``_BINARY``: an operand, then every
         operator that binds at least *min_power*, each taking a right
-        operand that binds tighter, so all of them associate left."""
-        left = self._unary()
+        operand that binds tighter, so all of them associate left.
+
+        The operand is a prefix ``!`` or ``-`` applied to an operand that
+        binds tighter than any binary operator, or a primary with its
+        ``[key]`` and ``? { ... }`` suffixes."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        kind = tok[0]
+        if kind is TokenKind.BANG or kind is TokenKind.MINUS:
+            self.pos += 1
+            operand = self.parse_expression(_PREFIX_POWER)
+            left = UnaryOp(tok[1], operand, SourceLocation(self.path, tok[3], tok[4]))
+        else:
+            left = self._primary()
+            while True:
+                tok = tokens[self.pos]
+                kind = tok[0]
+                if kind is TokenKind.LBRACK:
+                    self.pos += 1
+                    key = self.parse_expression()
+                    self.expect(TokenKind.RBRACK, "']'")
+                    left = AccessExpr(left, key, left.loc)
+                elif kind is TokenKind.QUESTION:
+                    self.pos += 1
+                    self.expect(TokenKind.LBRACE, "'{'")
+                    arms = self._delimited(TokenKind.RBRACE, "selector", self._selector_arm)
+                    left = SelectorExpr(left, arms, SourceLocation(self.path, tok[3], tok[4]))
+                else:
+                    break
         while True:
-            tok = self.tokens[self.pos]
-            entry = _BINARY.get(tok.kind)
+            tok = tokens[self.pos]
+            entry = _BINARY.get(tok[0])
             if entry is None or entry[1] < min_power:
                 return left
             self.pos += 1
             op, power = entry
             right = self.parse_expression(power + 1)
-            left = BinaryOp(op, left, right, SourceLocation(self.path, tok.line, tok.column))
-
-    def _unary(self) -> Expr:
-        """Prefix ``!`` and ``-``, then a primary with its ``[key]`` and
-        ``? { ... }`` suffixes."""
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        kind = tok.kind
-        if kind is TokenKind.BANG or kind is TokenKind.MINUS:
-            self.pos += 1
-            return UnaryOp(tok.text, self._unary(), SourceLocation(self.path, tok.line, tok.column))
-        expr = self._primary()
-        while True:
-            kind = tokens[self.pos].kind
-            if kind is TokenKind.LBRACK:
-                self.pos += 1
-                key = self.parse_expression()
-                self.expect(TokenKind.RBRACK, "']'")
-                expr = AccessExpr(expr, key, expr.loc)
-            elif kind is TokenKind.QUESTION:
-                q = tokens[self.pos]
-                self.pos += 1
-                self.expect(TokenKind.LBRACE, "'{'")
-                arms = self._delimited(TokenKind.RBRACE, "selector", self._selector_arm)
-                expr = SelectorExpr(expr, arms, SourceLocation(self.path, q.line, q.column))
-            else:
-                return expr
+            left = BinaryOp(op, left, right, SourceLocation(self.path, tok[3], tok[4]))
 
     def _selector_arm(self) -> SelectorArm:
         arm_tok = self.tokens[self.pos]
         match = None
-        if arm_tok.kind is TokenKind.KW_DEFAULT:
+        if arm_tok[0] is TokenKind.KW_DEFAULT:
             self.pos += 1
         else:
             match = self.parse_expression()
         self.expect(TokenKind.ARROW, "'=>'")
-        return SelectorArm(match, self.parse_expression(), match is None, arm_tok.loc(self.path))
+        loc = SourceLocation(self.path, arm_tok[3], arm_tok[4])
+        return SelectorArm(match, self.parse_expression(), match is None, loc)
 
     def _hash_entry(self) -> tuple[Expr, Expr]:
         key = self.parse_expression()
@@ -381,18 +395,18 @@ class _Parser:
     def _primary(self) -> Expr:
         tokens = self.tokens
         tok = tokens[self.pos]
-        kind = tok.kind
+        kind = tok[0]
         if kind is not TokenKind.EOF:
             self.pos += 1
         if kind is TokenKind.DQ_STRING:  # placed at its body, one column in
-            return _interpolated_string(tok.value, SourceLocation(self.path, tok.line, tok.column + 1))
-        loc = SourceLocation(self.path, tok.line, tok.column)
+            return _interpolated_string(tok[2], SourceLocation(self.path, tok[3], tok[4] + 1))
+        loc = SourceLocation(self.path, tok[3], tok[4])
         if kind is TokenKind.SQ_STRING:
-            return StrLiteral(tok.value, loc)
+            return StrLiteral(tok[2], loc)
         if kind is TokenKind.VARIABLE:
-            return VarRef(tok.text, loc)
+            return VarRef(tok[1], loc)
         if kind is TokenKind.NUMBER:
-            return NumberLiteral(tok.value, loc)
+            return NumberLiteral(tok[2], loc)
         if kind is TokenKind.KW_UNDEF:
             return UndefLiteral(loc)
         if kind is TokenKind.KW_TRUE or kind is TokenKind.KW_FALSE:
@@ -406,20 +420,20 @@ class _Parser:
             self.expect(TokenKind.RPAREN, "')'")
             return inner
         if kind is TokenKind.NAME:
-            if tokens[self.pos].kind is TokenKind.LPAREN:
+            if tokens[self.pos][0] is TokenKind.LPAREN:
                 self.pos += 1
                 args = self._delimited(TokenKind.RPAREN, "call arguments", self.parse_expression)
-                return FunctionCall(tok.text, args, loc)
+                return FunctionCall(tok[1], args, loc)
             # Unquoted barewords are strings in Puppet (e.g. `ensure => present`).
-            return StrLiteral(tok.text, loc)
+            return StrLiteral(tok[1], loc)
         if kind is TokenKind.TYPE_REF:
-            if tokens[self.pos].kind is TokenKind.LBRACK:
+            if tokens[self.pos][0] is TokenKind.LBRACK:
                 self.pos += 1
                 title = self.parse_expression()
                 self.expect(TokenKind.RBRACK, "']'")
-                return ResourceRef(tok.text, title, loc)
-            return StrLiteral(tok.text, loc)
-        raise ParseError(loc, f"expected expression, found {tok.text or 'end of input'!r}")
+                return ResourceRef(tok[1], title, loc)
+            return StrLiteral(tok[1], loc)
+        raise ParseError(loc, f"expected expression, found {tok[1] or 'end of input'!r}")
 
 
 def parse_manifest(text: str, path: str) -> Manifest:
@@ -507,21 +521,21 @@ def _parse_embedded(inner: str, inner_loc: SourceLocation, part_loc: SourceLocat
     _shift_tokens(tokens, inner_loc)
     # Inside ${...} a leading bareword denotes a variable unless it is
     # immediately called as a function.
-    if tokens and tokens[0].kind is TokenKind.NAME and not (
-        len(tokens) > 1 and tokens[1].kind is TokenKind.LPAREN
+    if tokens and tokens[0][0] is TokenKind.NAME and not (
+        len(tokens) > 1 and tokens[1][0] is TokenKind.LPAREN
     ):
-        first = tokens[0]
-        name = first.text[2:] if first.text.startswith("::") else first.text
-        tokens[0] = Token(TokenKind.VARIABLE, name, name, first.line, first.column)
+        _, text, _, line, column = tokens[0]
+        name = text[2:] if text.startswith("::") else text
+        tokens[0] = (TokenKind.VARIABLE, name, name, line, column)
     parser = _Parser(tokens, inner_loc.path)
     expr = parser.parse_expression()
     parser.expect(TokenKind.EOF, "end of interpolation")
     return expr
 
 
-def _shift_tokens(tokens: list[Token], base: SourceLocation) -> None:
+def _shift_tokens(tokens: list[tuple], base: SourceLocation) -> None:
     """Rebase token coordinates from the embedded text onto the manifest."""
-    for tok in tokens:
-        if tok.line == 1:
-            tok.column = base.column + tok.column - 1
-        tok.line = base.line + tok.line - 1
+    for i, (kind, text, value, line, column) in enumerate(tokens):
+        if line == 1:
+            column = base.column + column - 1
+        tokens[i] = (kind, text, value, base.line + line - 1, column)

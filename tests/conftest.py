@@ -20,10 +20,32 @@ define app::vhost($port, $docroot = "/srv/${name}") {
 """
 
 FIXTURE_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.rglob("*.pp"))]
+# Double-quoted strings at the edge of what the lexer's `dq` pattern
+# closes by itself: quoted keys holding a brace or a quote, a backslash in
+# a quoted key, nested braces, an unterminated quoted key, and a `${` at
+# the end of the text.
+DQ_EDGES = r"""
+"${h['}']}"
+"${h['{']}"
+"${h['"']}"
+"${h["'"]}"
+"${h["}"]}"
+"${h['a\'b']}"
+"${h["a\"b"]}"
+"${h['a\\']}"
+"${f({a => 1})}"
+"a${f(1, {b => {c => 2}})}b"
+"${h['k]}"
+"${h['k]}" '
+"${h["k]}"
+"${
+"a${
+"${h['
+""".strip("\n").split("\n")
 SNIPPETS = list("'\"$\\{}[]()#/*:@|.-~<=>!+?%,;\n\t\r _aZ09") + [
     "${", "${'", '"${x}"', '"}"', "${h['k']}", "${f(1)}", "::", "$::", "/*", "*/", "<<|",
     "@(", "1.5", "'\\'", "\\\\", " \u00b2 ", "\u0663", "\u00e9",
-]
+] + DQ_EDGES
 
 
 @st.composite

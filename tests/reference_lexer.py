@@ -5,20 +5,35 @@ differential tests in ``test_lexer.py`` require ``pupsec.lexer.tokenize``
 to return the same tokens as ``tokenize`` here, or to raise the same error.
 The one known divergence is a non-ASCII digit such as ``²``: this
 scanner takes it for the start of a number and then fails with
-AttributeError, where ``pupsec.lexer`` raises ParseError.
+AttributeError, where ``pupsec.lexer`` raises ParseError.  Its tokens are
+the ``Token`` records that ``pupsec.lexer`` built before it returned plain
+tuples; ``reference_parser.py`` reads them too.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 from pupsec.errors import ParseError, UnsupportedConstruct
-from pupsec.lexer import KEYWORDS, Token, TokenKind
+from pupsec.lexer import KEYWORDS, TokenKind
 from pupsec.nodes import SourceLocation
 
 _WORD_RE = re.compile(r"(::)?[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*")
 _VAR_RE = re.compile(r"(::)?[A-Za-z0-9_]+(::[A-Za-z0-9_]+)*")
 _NUM_RE = re.compile(r"[0-9]+(\.[0-9]+)?")
+
+
+@dataclass(slots=True)
+class Token:
+    kind: str  # one of the TokenKind constants
+    text: str
+    value: object
+    line: int
+    column: int
+
+    def loc(self, path: str) -> SourceLocation:
+        return SourceLocation(path, self.line, self.column)
 
 
 class _Scanner:

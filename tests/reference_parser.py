@@ -6,6 +6,7 @@ differential tests in ``test_parser.py`` require ``pupsec.parser`` to build
 the same trees as ``parse_manifest`` and ``parse_interpolation`` here, or to
 raise the same error.  The one intended divergence is the message for input
 nested too deeply, which ``pupsec.parser`` words as "nesting too deep".
+It reads ``pupsec.lexer``'s tokens as ``reference_lexer.Token`` records.
 The original module docstring follows.
 
 Recursive-descent parser for the Puppet manifest subset.
@@ -24,8 +25,9 @@ from __future__ import annotations
 
 import re
 
+from pupsec import lexer
 from pupsec.errors import ParseError, UnsupportedConstruct
-from pupsec.lexer import Token, TokenKind, tokenize
+from pupsec.lexer import TokenKind
 from pupsec.nodes import (
     AccessExpr,
     ArrayLiteral,
@@ -58,6 +60,7 @@ from pupsec.nodes import (
     UndefLiteral,
     VarRef,
 )
+from reference_lexer import Token
 
 # Statement-position barewords that are real Puppet but not in the subset.
 _UNSUPPORTED_STATEMENT_WORDS = {
@@ -86,6 +89,10 @@ _EXPR_START = {
     TokenKind.BANG,
     TokenKind.MINUS,
 }
+
+
+def tokenize(text: str, path: str) -> list[Token]:
+    return [Token(*tok) for tok in lexer.tokenize(text, path)]
 
 
 class _Parser:

@@ -31,7 +31,7 @@ from pupsec.ddg import (
     confirm_findings,
 )
 from pupsec.harness import Report, RunConfig, evaluate, load_ground_truth, scan
-from pupsec.lexer import Token, tokenize
+from pupsec.lexer import tokenize
 from pupsec.nodes import Assignment, AttributeNode, Manifest, Parameter, iter_nodes
 from pupsec.parser import parse_manifest
 from pupsec.rules import DEFAULT_PATTERNS, PatternSet, WeaknessCandidate, detect_candidates
@@ -55,9 +55,9 @@ def _record_types() -> set:
 
 
 RECORDS = _record_types()
-# Unhashable: tokens and use records are mutable while they are built,
-# a propagation result holds a dict, and so does a report (its ``stats``).
-UNHASHABLE = {Token, UseRecord, PropagationResult, Report}
+# Unhashable: use records are mutable while they are built, a
+# propagation result holds a dict, and so does a report (its ``stats``).
+UNHASHABLE = {UseRecord, PropagationResult, Report}
 
 
 @functools.cache
@@ -70,7 +70,7 @@ def _texts() -> tuple:
 
 
 def test_every_record_type_is_slotted_and_not_frozen():
-    assert {Manifest, Token, UseRecord, RunConfig, PatternSet} <= RECORDS
+    assert {Manifest, UseRecord, RunConfig, PatternSet} <= RECORDS
     for cls in RECORDS:
         assert "__slots__" in vars(cls), cls
         assert cls.__dictoffset__ == 0, f"{cls} instances have a __dict__"
