@@ -23,11 +23,18 @@ For each workload it records:
   tree holds and whatever `PYTHONDONTWRITEBYTECODE` says.  The file
   records each round, the median CPU with its quartiles, the median peak
   RSS and lines per CPU second at the median CPU.
-- `stages`: the in-process CPU of `tokenize` and of `parse_manifest`
-  less that of `tokenize`, summed over the workload's files, in a fresh
-  interpreter per round after one untimed pass.  Each file is tokenized,
-  then parsed, as the scan does; no module global is replaced.  Median,
-  quartiles and each round.
+- `stages`: the in-process CPU of each stage of a taint scan, summed
+  over the workload's files: `tokenize`, `parse_manifest` less that of
+  `tokenize`, the membership index, classification with the call sites,
+  the rules, the dataflow with the DDG, the witness paths, confirmation,
+  and, once per pass, statistics and the JSON rendering of all findings.
+  Each file is tokenized, then parsed, then taken through the stages in
+  `analyze_manifest`'s order; no module global is replaced.  A round is
+  a fresh interpreter that makes one untimed pass and then `PASSES`
+  timed ones, and reads each stage's median pass, so one slow moment of
+  the machine moves one pass, not the round.  Every pass starts with the
+  rules' predicate memo emptied, as a scan starts, so the rules are
+  timed cold.  Median, quartiles and each round.
 
 `startup` records the CPU of a spawned `python -c "import pupsec.cli"`
 with a warm cache under the bench's own `PYTHONPYCACHEPREFIX` and with
@@ -42,6 +49,10 @@ start-up, scans and stages next to this tree's, with the side that runs
 first alternating from round to round.  Each workload and the start-up
 then hold the parent's readings under `parent`, and `pairs_won` counts
 the rounds in which each side used less CPU; ties count for neither.
+Each workload's `ratios` gives, for the end-to-end scan and each stage,
+this tree's CPU over the parent's two ways: the median of the per-round
+ratios, which a slow phase of the machine that hits both sides of a
+round moves little, and the ratio of the two medians.
 
 `meta` gives the git revision (and whether the work tree differed from
 it), the Python version, the machine, and the Python line counts of
@@ -69,7 +80,9 @@ SCRIPTS = ROOT / "scripts"
 CORPUS_FILES = 300
 # sweep.py's smallest size of each template, in its own units (lines)
 SIZES = {"chain": 1000, "branchy": 1000, "relay": 250, "many": 75}
-STAGES = ("tokenize_s", "parse_excl_lex_s")
+STAGES = ("tokenize_s", "parse_excl_lex_s", "index_s", "classify_calls_s", "rules_s",
+          "dataflow_ddg_s", "paths_s", "confirm_s", "render_s")
+PASSES = 3  # timed passes per round of in-process stages
 
 # Spawns the command in argv and prints its exit code, CPU seconds and
 # peak RSS in KiB.  A fresh interpreter holds little memory, so the scan's
@@ -82,39 +95,69 @@ proc.returncode = os.waitstatus_to_exitcode(status)
 print(proc.returncode, usage.ru_utime + usage.ru_stime, usage.ru_maxrss)
 """
 
-# Prints, for each workload directory in the JSON object argv[1], the CPU
-# seconds of `tokenize` and of `parse_manifest` less `tokenize`, summed
-# over its files, after one untimed pass.
+# Prints, for each workload directory in the JSON object argv[1], the
+# median over argv[3] passes of the CPU seconds of each stage in the JSON
+# list argv[2], summed over its files, after one untimed pass.
 _STAGES = """
-import json, sys, time
+import json, statistics, sys, time
 from pathlib import Path
+from pupsec import rules
+from pupsec.classify import build_membership_index, classify_expressions, collect_function_calls
+from pupsec.ddg import build_ddg, collect_propagations, confirm_findings
 from pupsec.errors import ParseError, UnsupportedConstruct
 from pupsec.lexer import tokenize
 from pupsec.parser import parse_manifest
+from pupsec.report import compute_stats, render_report
+from pupsec.rules import DEFAULT_PATTERNS, detect_candidates
+
+STAGES, PASSES = json.loads(sys.argv[2]), int(sys.argv[3])
 
 def one_pass(texts):
-    lex = parse = 0.0
+    if hasattr(rules, "_memos"):  # a tree from before the memo has none
+        rules._memos.cache_clear()
     clock = time.process_time
+    spent = [0.0] * len(STAGES)
+    findings, resources = [], []
     for text, path in texts:
         start = clock()
         try:
             tokenize(text, path)
         except (ParseError, UnsupportedConstruct):
             pass
-        middle = clock()
+        lexed = clock()
         try:
-            parse_manifest(text, path)
+            manifest = parse_manifest(text, path)
         except (ParseError, UnsupportedConstruct):
-            pass
-        lex += middle - start
-        parse += clock() - middle
-    return lex, parse - lex
+            manifest = None
+        ticks = [start, lexed, clock()]
+        if manifest is not None:
+            index = build_membership_index(manifest)
+            ticks.append(clock())
+            classified, sites = classify_expressions(index), collect_function_calls(index)
+            ticks.append(clock())
+            candidates = detect_candidates(classified, sites, DEFAULT_PATTERNS)
+            ticks.append(clock())
+            ddg = build_ddg(manifest, candidates, index)
+            ticks.append(clock())
+            propagations = [] if ddg is None else collect_propagations(ddg)
+            ticks.append(clock())
+            findings += confirm_findings(propagations)
+            resources += index.resource_list
+            ticks.append(clock())
+        for i in range(len(ticks) - 1):
+            spent[i] += ticks[i + 1] - ticks[i]
+        spent[1] -= lexed - start  # parse_manifest lexes too
+    start = clock()
+    render_report(findings, compute_stats(findings, resources), "json")
+    spent[-1] = clock() - start
+    return spent
 
 out = {}
 for name, directory in json.loads(sys.argv[1]).items():
     texts = [(p.read_text(encoding="utf-8"), str(p)) for p in sorted(Path(directory).glob("*.pp"))]
     one_pass(texts)
-    out[name] = one_pass(texts)
+    passes = [one_pass(texts) for _ in range(PASSES)]
+    out[name] = [statistics.median(cpu) for cpu in zip(*passes)]
 print(json.dumps(out))
 """
 
@@ -183,13 +226,13 @@ def spawn_import(pycache: Path, src: Path = SRC, write_bytecode: bool = True) ->
     return _spawn([*flags, "-c", "import pupsec.cli"], _env(pycache, src))[0]
 
 
-def stage_cpu(inputs: dict, src: Path = SRC) -> dict[str, tuple[float, float]]:
-    """Per workload, the in-process CPU seconds of `tokenize` and of
-    `parse_manifest` less `tokenize`, in a fresh interpreter."""
+def stage_cpu(inputs: dict, src: Path = SRC) -> dict[str, tuple[float, ...]]:
+    """Per workload, the in-process CPU seconds of each of `STAGES`, the
+    median of `PASSES` passes in a fresh interpreter."""
     dirs = {name: str(workload["dir"]) for name, workload in inputs.items()}
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", _STAGES, json.dumps(dirs)],
-                          capture_output=True, text=True, env=env, check=True)
+    argv = [sys.executable, "-c", _STAGES, json.dumps(dirs), json.dumps(STAGES), str(PASSES)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
     return {name: tuple(cpu) for name, cpu in json.loads(proc.stdout).items()}
 
 
@@ -205,6 +248,15 @@ def pairs_won(this: list[float], parent: list[float]) -> dict[str, int]:
     """Rounds in which each side used less CPU."""
     return {"this": sum(a < b for a, b in zip(this, parent)),
             "parent": sum(b < a for a, b in zip(this, parent))}
+
+
+def ratios(this: list[float], parent: list[float], digits: int = 3) -> dict:
+    """This side's CPU over the parent's: the median of the per-round
+    ratios, and the ratio of the medians (None where the parent read 0)."""
+    per_round = [a / b for a, b in zip(this, parent) if b]
+    of_medians = statistics.median(parent)
+    return {"median_of_round_ratios": round(statistics.median(per_round), digits) if per_round else None,
+            "ratio_of_medians": round(statistics.median(this) / of_medians, digits) if of_medians else None}
 
 
 def _python_lines(tree: Path) -> int:
@@ -299,7 +351,8 @@ def main(argv=None, corpus_files: int = CORPUS_FILES, sizes: dict[str, int] = SI
     def side_doc(side: str, name: str) -> dict:
         return {"line_events": counts[side][name],
                 "end_to_end": _end_to_end(inputs[name], runs[side][name]),
-                "stages": {stage: summary(values) for stage, values in stages[side][name].items()}}
+                # to the microsecond: the small workloads' later stages take less than 0.1 ms
+                "stages": {stage: summary(values, 6) for stage, values in stages[side][name].items()}}
 
     def startup_doc(side: str) -> dict:
         return {case: summary(values) for case, values in startup[side].items()}
@@ -310,12 +363,11 @@ def main(argv=None, corpus_files: int = CORPUS_FILES, sizes: dict[str, int] = SI
                **side_doc("this", name)}
         if "parent" in trees:
             doc["parent"] = side_doc("parent", name)
-            doc["pairs_won"] = {
-                "end_to_end": pairs_won(*(
-                    [cpu for cpu, _ in runs[side][name]] for side in ("this", "parent"))),
-                **{stage: pairs_won(stages["this"][name][stage], stages["parent"][name][stage])
-                   for stage in STAGES},
-            }
+            cpu = {"end_to_end": [[c for c, _ in runs[side][name]] for side in ("this", "parent")],
+                   **{stage: [stages[side][name][stage] for side in ("this", "parent")]
+                      for stage in STAGES}}
+            doc["pairs_won"] = {key: pairs_won(*sides) for key, sides in cpu.items()}
+            doc["ratios"] = {key: ratios(*sides) for key, sides in cpu.items()}
         workloads[name] = doc
     no_cache = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
     startup_out = {

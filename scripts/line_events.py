@@ -13,6 +13,11 @@ the package runs inside a standard-library helper (such as
 `collections.ChainMap`'s lookups) is not counted, so moving work out of
 such a helper into `pupsec` raises the count while the CPU time can fall.
 
+Each count is of a cold scan: the rules' predicate memo, which a scan
+keeps from file to file (`pupsec.rules._memos`), is emptied first, so two
+counts in one process read the same, and the count includes every
+predicate a fresh scan evaluates.
+
 With `--parent SRC` the count runs twice, each in a subprocess: once with
 this tree's `pupsec` package and once with the one under SRC, the `src`
 directory of another tree.  The table shows both sides and the change.
@@ -68,6 +73,7 @@ def line_events(call):
 def count_line_events(tree: str, files: int) -> dict[str, int]:
     """Line events per `pupsec` module over the first *files* sorted
     `*.pp` files under *tree* (all of them when *files* is 0)."""
+    from pupsec import rules
     from pupsec.errors import ScanError
     from pupsec.harness import analyze_manifest
     from pupsec.parser import parse_manifest
@@ -79,6 +85,9 @@ def count_line_events(tree: str, files: int) -> dict[str, int]:
             texts.append((Path(p).read_text(encoding="utf-8").removeprefix("\ufeff"), p))
         except UnicodeDecodeError:
             pass  # the scanner skips such a file before it parses anything
+
+    if hasattr(rules, "_memos"):  # a tree from before the memo has none
+        rules._memos.cache_clear()
 
     def scan():
         for text, path in texts:

@@ -46,7 +46,7 @@ from .nodes import (
     StrLiteral,
     UndefLiteral,
     VarRef,
-    iter_nodes,
+    children,
 )
 from .printer import expr_text
 
@@ -156,6 +156,25 @@ _TEXT_AND_VARIABLES = frozenset({str, VarRef})
 _VALUE_HOLDERS = frozenset({Assignment, AttributeNode, Parameter})
 
 
+def _names_and_calls(expr: Expr) -> tuple[tuple[str, ...], tuple[FunctionCall, ...]]:
+    """The ``VarRef`` names and ``FunctionCall`` nodes in *expr*, in the
+    pre-order of ``nodes.iter_nodes``.  The walk keeps its own stack, so a
+    chain of any length takes one frame."""
+    names, calls = [], []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is VarRef:
+            names.append(node.name)
+        elif kind is FunctionCall:
+            calls.append(node)
+            stack.extend(reversed(node.args))
+        else:
+            stack.extend(reversed(children(node)))
+    return tuple(names), tuple(calls)
+
+
 class _Collector:
     """The walk over the statements of a manifest; only
     ``build_membership_index`` runs it.  ``exprs`` is its table in textual
@@ -184,13 +203,7 @@ class _Collector:
         elif kind is InterpolatedString and _TEXT_AND_VARIABLES.issuperset(map(type, expr.parts)):
             names, calls = tuple([p.name for p in expr.parts if type(p) is VarRef]), ()
         else:
-            names, calls = [], []
-            for n in iter_nodes(expr):
-                if isinstance(n, VarRef):
-                    names.append(n.name)
-                elif isinstance(n, FunctionCall):
-                    calls.append(n)
-            names, calls = tuple(names), tuple(calls)
+            names, calls = _names_and_calls(expr)
         self.exprs.append((expr, attr_id, node, names, calls))
 
     def _walk(self, statements: tuple[Statement, ...]) -> None:

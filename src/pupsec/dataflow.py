@@ -22,9 +22,11 @@ arm.
 The result is one def-use map: each ``UseRecord`` holds the indices of
 every definition that may reach a use at its node, the node itself, which
 says what the value read there feeds, and the node's ``AttributeId`` when
-it is an attribute.  A definition index names its variable, so the set
-needs no per-variable split, and the DDG is built from these records
-alone.
+it is an attribute.  A node has a record only when one of its slots reads
+a name, or when it is an attribute: a literal's record would have nothing
+reaching it and would feed no edge, and every sink keeps one.  A
+definition index names its variable, so the set needs no per-variable
+split, and the DDG is built from these records alone.
 """
 
 from __future__ import annotations
@@ -85,8 +87,10 @@ class DataflowAnalysis:
                 else:
                     state = [{}, *branches[-1][0]]
                 continue
-            # Uses come first, so `$x = "${x}-1"` reads the previous $x.
-            if expr is not None:  # a parameter without a default reads nothing
+            # Uses come first, so `$x = "${x}-1"` reads the previous $x.  A
+            # slot that reads no name carries no value; an attribute keeps
+            # its record anyway, as the DDG reads each sink's place there.
+            if names or attr_id is not None:
                 self._use(node, attr_id, names, state)
             if type(node) in _DEFINERS:
                 self._define(node, state)

@@ -70,14 +70,44 @@ class _FileResult:
     skip_as: str = ""  # what the skip reason puts before the error
 
 
+def _pp_paths(directory: str) -> list[str]:
+    """What ``Path(directory).glob("**/*.pp")`` yields on Python 3.11, spelled
+    the same, in no set order: every entry whose name ends in ``.pp`` under
+    *directory*, directories and dangling links included.  The walk enters
+    a directory only when it is one and not a link to one, and a directory
+    it may not list adds nothing.  *directory* is spelled as ``str(Path)``
+    spells it, so the children of ``.`` are bare names."""
+    found: list[str] = []
+    stack = [directory]
+    while stack:
+        parent = stack.pop()
+        prefix = "" if parent == "." else parent if parent.endswith("/") else parent + "/"
+        try:
+            with os.scandir(parent) as listing:
+                entries = list(listing)
+        except PermissionError:
+            continue
+        for entry in entries:
+            path = prefix + entry.name
+            if path.endswith(".pp"):
+                found.append(path)
+            if entry.is_dir(follow_symlinks=False):
+                stack.append(path)
+    return found
+
+
 def _gather_manifests(inputs: tuple[str, ...]) -> list[str]:
+    """The ``.pp`` files that *inputs* name, each once, in sorted order: a
+    file as given, and each ``.pp`` entry under a directory (see
+    ``_pp_paths``).  An input that does not exist raises
+    ``FileNotFoundError``."""
     paths: list[str] = []
     for item in inputs:
         p = Path(item)
         if not p.exists():
             raise FileNotFoundError(f"input path does not exist: {item}")
         if p.is_dir():
-            paths.extend(str(f) for f in p.glob("**/*.pp"))
+            paths.extend(_pp_paths(str(p)))
         else:
             paths.append(str(p))
     # Overlapping inputs name one file in several spellings; keep the

@@ -4,7 +4,11 @@
 ``EOF`` last.  One ``findall`` of the compiled pattern ``_FIND`` lexes the
 manifest: each match is ``(trivia, token)``, where group 1 holds the
 comments and blanks before the token and group 2 the token's text, one of
-``_ALTERNATIVES``.  So the loop over the matches runs in the regex
+``_ALTERNATIVES``.  The alternatives are ordered so that the common
+tokens are tried first and each alternative fails on its first character
+where it cannot match; only alternatives that can start with the same
+character keep a fixed relative order, which decides what such a
+character lexes to.  So the loop over the matches runs in the regex
 engine, and ``tokenize`` only works out each token's kind from its text:
 the ``_SYMBOLS`` dict first, then its first character (``_LEADS``).  Some
 alternatives match the text an error is reported at instead: an open
@@ -161,29 +165,43 @@ def _alternation(operators) -> str:
     return "|".join(re.escape(op) for op in sorted(operators, key=len, reverse=True))
 
 
+# Single-character symbols that no other alternative starts with.
+_BRACKETS = "{}[](),;?*%"
+
 # The alternatives of group 2, in the order they are tried: one is tried
-# only where every earlier one failed.  The last two match at any offset
-# but that of a '"', which ``dq`` or the branch after group 2 takes, so a
-# match never fails.  No pattern may hold a capturing group.
+# only where every earlier one failed.  Each starts with a character test,
+# so the engine rejects an alternative that cannot match on its first
+# character, and the common tokens come first: names, then variables.  The
+# order is free only between alternatives that cannot start with the same
+# character; those that can keep their relative order (``sq`` before
+# ``open_sq``, ``top_name`` before ``bad_colons`` before the ``:`` of
+# ``symbol``, ``open_comment`` before the ``/`` of ``symbol``, and so on).
+# The last two match at any offset but that of a '"', which ``dq`` or the
+# branch after group 2 takes, so a match never fails.  No pattern may hold
+# a capturing group.
 _ALTERNATIVES = (
-    ("open_comment", r"/\*"),
+    ("name", r"[a-z_][A-Za-z0-9_]*(?:::[A-Za-z_][A-Za-z0-9_]*)*"),
+    ("var", r"\$(?:::)?[A-Za-z0-9_]+(?:::[A-Za-z0-9_]+)*"),
+    ("bad_var", r"\$"),
+    ("bracket", f"[{re.escape(_BRACKETS)}]"),
     ("sq", r"'[^'\\]*(?:\\.[^'\\]*)*'"),
     ("open_sq", "'"),
     # A `${...}` body may hold quoted text, written unrolled: a
     # per-character alternation backtracks and costs more.
     ("dq", r'"[^"\\$]*(?:(?:\\.|\$(?!\{)|\$\{[^{}"\'\\]*(?:(?:\'[^\'\\]*\'|"[^"\\]*")[^{}"\'\\]*)*\})[^"\\$]*)*"'),
-    ("var", r"\$(?:::)?[A-Za-z0-9_]+(?:::[A-Za-z0-9_]+)*"),
-    ("bad_var", r"\$"),
     ("number", r"[0-9]+(?:\.[0-9]+)?"),
-    ("name", r"(?:::)?[a-z_][A-Za-z0-9_]*(?:::[A-Za-z_][A-Za-z0-9_]*)*"),
-    ("type_ref", r"(?:::)?[A-Z][A-Za-z0-9_]*(?:::[A-Za-z_][A-Za-z0-9_]*)*"),
+    ("type_ref", r"[A-Z][A-Za-z0-9_]*(?:::[A-Za-z_][A-Za-z0-9_]*)*"),
+    ("top_name", r"::[a-z_][A-Za-z0-9_]*(?:::[A-Za-z_][A-Za-z0-9_]*)*"),
+    ("top_type_ref", r"::[A-Z][A-Za-z0-9_]*(?:::[A-Za-z_][A-Za-z0-9_]*)*"),
     ("bad_colons", "::"),
+    ("open_comment", r"/\*"),
     ("unsupported_op", _alternation(_UNSUPPORTED)),
-    ("symbol", _alternation(_SYMBOLS)),
+    ("symbol", _alternation([op for op in _SYMBOLS if op not in _BRACKETS])),
     ("eof", r"\Z"),
     ("bad_char", '[^"]'),
 )
-_TRIVIA = r"(?:[ \t\r\n]+|#[^\n]*|/\*.*?\*/)*"
+# Blanks, then any run of comments, each followed by blanks.
+_TRIVIA = r"[ \t\r\n]*(?:(?:#[^\n]*|/\*.*?\*/)[ \t\r\n]*)*"
 # Group 1 is the trivia and group 2 the token.  At a '"' that no
 # alternative matches, group 2 stays empty and ``.*`` takes the rest of
 # the text: the engine jumps to the end without reading it.

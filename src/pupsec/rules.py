@@ -7,13 +7,17 @@ private-key counts); reports carry a ``rule_semantics`` marker recording
 that choice.
 
 ``detect_candidates`` reads each entry's value once, and runs each
-predicate once per distinct text: its results are kept for the rest of
-the call, and only that long.  A value is a plain string's text or a tuple
-of literal fragments.  Per expression the candidates come in this order:
-admin by default, empty password and hard-coded secret (plain strings
-only, from the name's ``isUser`` and ``isPassword`` results), then invalid
-IP binding and HTTP without TLS (the first matching fragment each; a plain
-string is its own one fragment).
+predicate once per distinct text and pattern set: a predicate's result
+depends on nothing else, so its results are kept from call to call in
+memo dicts that ``_memos`` holds per pattern set, and a scan of many files
+evaluates each name or fragment once.  A memo dict is emptied when it
+reaches ``MEMO_CAP`` texts, so the memory it holds stays bounded on any
+input.  A value is a plain string's text or a tuple of literal fragments.
+Per expression the candidates come in this order: admin by default, empty
+password and hard-coded secret (plain strings only, from the name's
+``isUser`` and ``isPassword`` results), then invalid IP binding and HTTP
+without TLS (the first matching fragment each; a plain string is its own
+one fragment).
 Weak-crypto call sites follow all expressions.  A candidate's place is its
 element's: the call's ``loc`` for a call site, the holder node's
 otherwise.  Taint node i of the DDG is candidate i.
@@ -164,6 +168,27 @@ _VALUE_RULES = (
     (WeaknessCategory.HTTP_WITHOUT_TLS, "isHTTP"),
 )
 
+# The most texts one memo dict holds; a dict that is full is emptied.
+MEMO_CAP = 4096
+
+
+@functools.lru_cache(maxsize=4)
+def _memos(patterns: PatternSet) -> tuple:
+    """The seven memo dicts of one pattern set, each mapping a text to its
+    predicate's result: those of ``isUser``, ``isPassword``, ``isPvtKey``,
+    ``isAdmin`` and ``usesWeakAlgo``, then each value rule with its own.
+    Equal pattern sets share them."""
+    value_rules = tuple((category, predicate, {}) for category, predicate in _VALUE_RULES)
+    return ({}, {}, {}, {}, {}, value_rules)
+
+
+def _evaluate(memo: dict, predicate: str, text: str, patterns: PatternSet) -> bool:
+    """Evaluate a predicate that *memo* does not hold, and remember it."""
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    found = memo[text] = evaluate_predicate(predicate, text, patterns)
+    return found
+
 
 def detect_candidates(
     classified: list[ClassifiedExpression],
@@ -171,22 +196,22 @@ def detect_candidates(
     patterns: PatternSet = DEFAULT_PATTERNS,
 ) -> list[WeaknessCandidate]:
     """Apply every rule to one manifest's classified expressions and call
-    sites.  The result is the pattern-level (pre-propagation) finding set."""
-    # Each predicate's results by text, kept for this call only.
-    user_of, password_of, pvt_key_of, admin_of, weak_of = {}, {}, {}, {}, {}
-    value_rules = [(category, predicate, {}) for category, predicate in _VALUE_RULES]
+    sites.  The result is the pattern-level (pre-propagation) finding set.
+    Each predicate result comes from *patterns*' memo when it holds the
+    text (see the module docstring)."""
+    user_of, password_of, pvt_key_of, admin_of, weak_of, value_rules = _memos(patterns)
     out: list[WeaknessCandidate] = []
     for ce in classified:
         value = ce.value
         if type(value) is str:
             name = ce.name
             if (user := user_of.get(name)) is None:
-                user = user_of[name] = evaluate_predicate("isUser", name, patterns)
+                user = _evaluate(user_of, "isUser", name, patterns)
             if (password := password_of.get(name)) is None:
-                password = password_of[name] = evaluate_predicate("isPassword", name, patterns)
+                password = _evaluate(password_of, "isPassword", name, patterns)
             if user and type(ce.node) is Parameter:
                 if (admin := admin_of.get(value)) is None:
-                    admin = admin_of[value] = evaluate_predicate("isAdmin", value, patterns)
+                    admin = _evaluate(admin_of, "isAdmin", value, patterns)
                 if admin:
                     out.append(WeaknessCandidate(WeaknessCategory.ADMIN_BY_DEFAULT, ce, value))
             if not value:
@@ -195,7 +220,7 @@ def detect_candidates(
             else:
                 secret = user or password
                 if not secret and (secret := pvt_key_of.get(name)) is None:
-                    secret = pvt_key_of[name] = evaluate_predicate("isPvtKey", name, patterns)
+                    secret = _evaluate(pvt_key_of, "isPvtKey", name, patterns)
                 if secret:
                     out.append(WeaknessCandidate(WeaknessCategory.HARD_CODED_SECRET, ce, name))
             fragments = (value,)
@@ -204,14 +229,14 @@ def detect_candidates(
         for category, predicate, holds in value_rules:
             for fragment in fragments:
                 if (found := holds.get(fragment)) is None:
-                    found = holds[fragment] = evaluate_predicate(predicate, fragment, patterns)
+                    found = _evaluate(holds, predicate, fragment, patterns)
                 if found:
                     out.append(WeaknessCandidate(category, ce, fragment))
                     break
     for site in function_calls:
         name = site.call.name
         if (weak := weak_of.get(name)) is None:
-            weak = weak_of[name] = evaluate_predicate("usesWeakAlgo", name, patterns)
+            weak = _evaluate(weak_of, "usesWeakAlgo", name, patterns)
         if weak:
             out.append(WeaknessCandidate(WeaknessCategory.WEAK_CRYPTO_ALGORITHM, site, name))
     return out

@@ -9,6 +9,8 @@ import pytest
 from conftest import FIXTURES, load_script
 
 TINY = {"chain": 40, "branchy": 40, "relay": 20, "many": 18}  # sweep.py line counts
+STAGES = ["tokenize_s", "parse_excl_lex_s", "index_s", "classify_calls_s", "rules_s",
+          "dataflow_ddg_s", "paths_s", "confirm_s", "render_s"]
 
 
 def _bench(monkeypatch):
@@ -71,17 +73,21 @@ def test_bench_writes_the_schema_and_the_same_counts_twice(tmp_path, monkeypatch
                 assert total == sum(counts.values()) and total > 0, name
                 assert {"lexer.py", "parser.py", "harness.py", "ddg.py"} <= set(counts), name
                 _check_end_to_end(side["end_to_end"], workload["lines"], rounds, name)
-                assert list(side["stages"]) == ["tokenize_s", "parse_excl_lex_s"], name
+                assert list(side["stages"]) == STAGES, name
                 for summary in side["stages"].values():
                     _check_summary(summary, rounds, name)
                 assert side["stages"]["tokenize_s"]["median"] > 0, name
             if parented:
                 assert workload["parent"]["line_events"] == workload["line_events"], name
-                assert list(workload["pairs_won"]) == ["end_to_end", "tokenize_s", "parse_excl_lex_s"]
+                assert list(workload["pairs_won"]) == ["end_to_end", *STAGES]
                 for won in workload["pairs_won"].values():
                     assert set(won) == {"this", "parent"} and won["this"] + won["parent"] <= rounds
+                assert list(workload["ratios"]) == ["end_to_end", *STAGES]
+                for ratio in workload["ratios"].values():
+                    assert set(ratio) == {"median_of_round_ratios", "ratio_of_medians"}
+                    assert all(r is None or r > 0 for r in ratio.values()), (name, ratio)
             else:
-                assert "parent" not in workload and "pairs_won" not in workload
+                assert not {"parent", "pairs_won", "ratios"} & set(workload)
     for name in docs[0]["workloads"]:
         assert docs[1]["workloads"][name]["line_events"] == docs[0]["workloads"][name]["line_events"]
 

@@ -25,7 +25,7 @@ from pupsec.parser import parse_manifest
 from pupsec.printer import expr_text
 from pupsec.synth import generate_manifest_text
 
-from conftest import FIXTURES, RARE_FORMS, load_fixture
+from conftest import FIXTURE_TEXTS, FIXTURES, RARE_FORMS, load_fixture, load_script
 
 
 def parse(src):
@@ -288,9 +288,10 @@ def _walk_free(expr) -> bool:
 
 def test_each_analyzed_file_walks_its_statements_once(tmp_path, monkeypatch):
     """``build_membership_index`` is the one statement walk per file.  It
-    walks each expression of its table at most once, and a walk-free one
-    (see ``_walk_free``) not at all; every slot still holds the names and
-    calls a walk would find.  The classifier, the call-site search and the
+    walks each expression of its table at most once (one
+    ``_names_and_calls`` call), and a walk-free one (see ``_walk_free``)
+    not at all; every slot still holds the names and calls that
+    ``iter_nodes`` finds.  The classifier, the call-site search and the
     dataflow read the slots it fills."""
     import pupsec.classify as classify_mod
     import pupsec.dataflow as dataflow_mod
@@ -308,10 +309,12 @@ def test_each_analyzed_file_walks_its_statements_once(tmp_path, monkeypatch):
         real_init(self, manifest)
         collectors.append(None)  # the collector is done
 
-    def counting_iter_nodes(obj):
+    real_walk = classify_mod._names_and_calls
+
+    def counting_walk(expr):
         assert collectors and collectors[-1] is not None, "a walk outside the collector"
-        expression_walks.append(obj)
-        return iter_nodes(obj)
+        expression_walks.append(expr)
+        return real_walk(expr)
 
     def forbidden(*args):
         raise AssertionError("the dataflow walked an expression")
@@ -319,13 +322,15 @@ def test_each_analyzed_file_walks_its_statements_once(tmp_path, monkeypatch):
     def guarded_dataflow(index):
         dataflows.append(index)
         with monkeypatch.context() as m:
+            # Every walk of a node's children, iter_nodes' too, reads `children`.
             for module in (classify_mod, dataflow_mod, nodes_mod):
-                if hasattr(module, "iter_nodes"):
-                    m.setattr(module, "iter_nodes", forbidden)
+                for walk in ("_names_and_calls", "children", "iter_nodes"):
+                    if hasattr(module, walk):
+                        m.setattr(module, walk, forbidden)
             return real_dataflow(index)
 
     monkeypatch.setattr(classify_mod._Collector, "__init__", counting_init)
-    monkeypatch.setattr(classify_mod, "iter_nodes", counting_iter_nodes)
+    monkeypatch.setattr(classify_mod, "_names_and_calls", counting_walk)
     monkeypatch.setattr(ddg_mod, "DataflowAnalysis", guarded_dataflow)
     paths = [str(p) for p in sorted(FIXTURES.rglob("*.pp"))]
     texts = [RARE_FORMS, EMBEDDED_FORMS] + [generate_manifest_text(seed) for seed in range(100)]
@@ -356,3 +361,28 @@ def test_each_analyzed_file_walks_its_statements_once(tmp_path, monkeypatch):
                     walked_slots += id(expr) in walks
     assert walk_free > walked_slots > 0
     assert len(dataflows) > len(paths) // 2
+
+
+def test_the_slot_walk_finds_what_iter_nodes_finds():
+    """``_names_and_calls`` gives the ``VarRef`` names and ``FunctionCall``
+    nodes of ``iter_nodes``' pre-order, on every slot's expression of the
+    fixtures, ``RARE_FORMS``, generated manifests and titles that are
+    1,000-link operator, access and selector chains: its own stack takes
+    any depth."""
+    from pupsec.classify import _names_and_calls
+
+    awkward_tree = load_script("awkward_tree")
+    texts = FIXTURE_TEXTS + [RARE_FORMS, EMBEDDED_FORMS]
+    texts += [generate_manifest_text(seed) for seed in range(300)]
+    texts += [awkward_tree.titled(title) for title in awkward_tree.CHAIN_TITLES.values()]
+    walked = 0
+    for text in texts:
+        for expr, _, node, _, _ in build_membership_index(parse(text)).expressions:
+            if node is None or expr is None:
+                continue
+            names, calls = _names_and_calls(expr)
+            found = list(iter_nodes(expr))
+            assert names == tuple(n.name for n in found if type(n) is VarRef), text
+            assert [id(c) for c in calls] == [id(n) for n in found if type(n) is FunctionCall], text
+            walked += not _walk_free(expr)
+    assert walked > 1000

@@ -6,14 +6,14 @@ import pupsec.harness
 from pupsec.classify import build_membership_index
 from pupsec.dataflow import DataflowAnalysis
 from pupsec.harness import _analyze_file, analyze_manifest
-from pupsec.nodes import Assignment, IfStatement, Manifest, ResourceDecl, VarRef
+from pupsec.nodes import Assignment, AttributeNode, IfStatement, Manifest, ResourceDecl, VarRef
 from pupsec.parser import parse_manifest
 from pupsec.printer import manifest_source
 from pupsec.report import compute_stats, render_report
 from pupsec.rules import DEFAULT_PATTERNS
 from pupsec.synth import generate_manifest_text
 
-from conftest import FIXTURES, load_fixture, load_script
+from conftest import FIXTURE_TEXTS, FIXTURES, RARE_FORMS, load_fixture, load_script
 from oracle import all_def_use_pairs, enumerate_traces, oracle_reaches
 
 
@@ -164,6 +164,29 @@ def test_class_parameter_reaches_body_use():
     password_attr = resource.attributes[0]
     analysis = DataflowAnalysis(build_membership_index(m))
     assert analysis.reaches(password_param, password_attr) is True
+
+
+def test_a_use_record_is_made_exactly_where_a_value_can_flow():
+    """A node gets a use record, at its first such slot, when one of its
+    slots reads a name or when it is an attribute; a node whose slots read
+    only literals gets none, and every attribute, each a sink, has one."""
+    texts = FIXTURE_TEXTS + [RARE_FORMS, "$a = 'x'\nfile { 'f': mode => '0644' }\n"]
+    texts += [generate_manifest_text(seed) for seed in range(100)]
+    literal_only = 0
+    for text in texts:
+        index = build_membership_index(parse(text))
+        expected, holders = {}, set()
+        for _, attr_id, node, names, _ in index.expressions:
+            if node is None:
+                continue
+            holders.add(id(node))
+            assert (attr_id is not None) is (type(node) is AttributeNode)
+            if names or attr_id is not None:
+                expected.setdefault(id(node), node)
+        analysis = DataflowAnalysis(index)
+        assert [id(r.node) for r in analysis.use_records] == list(expected), text
+        literal_only += len(holders) - len(expected)
+    assert literal_only > 100
 
 
 # -- kill metamorphic property ------------------------------------------------

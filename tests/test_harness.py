@@ -138,6 +138,63 @@ def test_missing_input_raises():
         run_scan(["does/not/exist"])
 
 
+def _gather_tree(root):
+    """A tree of every kind of ``.pp`` entry: plain and nested files, a
+    directory named ``dir.pp`` with a file inside, a hidden directory, a
+    dangling link, a file named ``.pp``, a linked directory inside the
+    tree (entered only when it is the input), and names that almost end
+    in ``.pp``."""
+    d = root / "d"
+    for rel in ("a.pp", "sub/b.pp", "sub/deeper/c.pp", "dir.pp/inner.pp", ".hidden/h.pp",
+                ".pp", "x.PP", "y.ppp", "z.pp.bak"):
+        (d / rel).parent.mkdir(parents=True, exist_ok=True)
+        (d / rel).write_text("$x = 'ok'\n")
+    (d / "dangling.pp").symlink_to(d / "no-such-target.pp")
+    (root / "outside").mkdir()
+    (root / "outside" / "o.pp").write_text("$x = 'ok'\n")
+    (d / "linked").symlink_to(root / "outside", target_is_directory=True)
+    (d / "linked.pp").symlink_to(root / "outside", target_is_directory=True)
+    (root / "link").symlink_to(d, target_is_directory=True)
+    return d
+
+
+@pytest.mark.parametrize(
+    "cwd,spelling",
+    [("d", "."), ("d", "./"), ("", "d"), ("", "d/"), ("", "d/../d"), ("", "./d"), ("", "d//sub"),
+     ("", "link"), ("", "link/"), ("", None)],
+    ids=[".", "./", "d", "d/", "d/../d", "./d", "d//sub", "link", "link/", "absolute"],
+)
+def test_gathering_a_directory_is_path_glob(tmp_path, monkeypatch, cwd, spelling):
+    """A directory input gives exactly the paths, spelled alike, that
+    ``Path.glob("**/*.pp")`` gives, so reports name the same files."""
+    from pupsec.harness import _gather_manifests, _pp_paths
+
+    _gather_tree(tmp_path)
+    monkeypatch.chdir(tmp_path / cwd)
+    item = str(tmp_path / "d") if spelling is None else spelling
+    expected = sorted(str(p) for p in Path(item).glob("**/*.pp"))
+    assert sorted(_pp_paths(str(Path(item)))) == expected
+    assert _gather_manifests((item,)) == expected
+    assert expected and not any("o.pp" in p for p in expected)
+
+
+def test_a_directory_that_cannot_be_listed_adds_nothing(tmp_path, monkeypatch):
+    from pupsec.harness import _gather_manifests
+
+    d = _gather_tree(tmp_path)
+    real_scandir = os.scandir
+
+    def scandir(path="."):
+        if os.path.basename(os.fspath(path)) == "sub":
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    expected = sorted(str(p) for p in d.glob("**/*.pp"))
+    assert not any("/sub/" in p for p in expected)
+    assert _gather_manifests((str(d),)) == expected
+
+
 # -- inputs: a scan of several inputs is the union of their scans ------------------
 
 

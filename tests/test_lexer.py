@@ -156,16 +156,19 @@ def test_eof_token_follows_trailing_trivia():
 # One text per alternative of the pattern's token group, and what it lexes
 # to: the kind of its first token, or the error it raises.
 ALTERNATIVE_SAMPLES = {
-    "open_comment": ("/* c", "unterminated block comment"),
+    "name": ("if", TokenKind.KW_IF),
+    "var": ("$::a", TokenKind.VARIABLE),
+    "bad_var": ("$-", "invalid variable name"),
+    "bracket": ("(", TokenKind.LPAREN),
     "sq": ("'a'", TokenKind.SQ_STRING),
     "open_sq": ("'a", "unterminated string"),
     "dq": ('"a${b}${h[\'}\']}"', TokenKind.DQ_STRING),
-    "var": ("$::a", TokenKind.VARIABLE),
-    "bad_var": ("$-", "invalid variable name"),
     "number": ("1.5", TokenKind.NUMBER),
-    "name": ("if", TokenKind.KW_IF),
     "type_ref": ("File", TokenKind.TYPE_REF),
+    "top_name": ("::a::B", TokenKind.NAME),
+    "top_type_ref": ("::A::b", TokenKind.TYPE_REF),
     "bad_colons": (":: a", "unexpected character ':'"),
+    "open_comment": ("/* c", "unterminated block comment"),
     "unsupported_op": ("->", "unsupported construct: chaining_arrow"),
     "symbol": ("=>", TokenKind.ARROW),
     "eof": ("", TokenKind.EOF),
@@ -285,6 +288,27 @@ def assert_same_as_reference(text):
 def test_strings_at_the_edge_of_the_dq_pattern_match_reference(string):
     assert_same_as_reference(string)
     assert_same_as_reference(f"$x = {string}\n$y = '1'")
+
+
+# Texts at the first character of the pattern's alternatives, where their
+# order decides the match: top-scope names and type references, bare and
+# misplaced colons, comment delimiters, operators that share a first
+# character with a symbol, and single-character brackets.
+ORDER_EDGES = ["::x", "::X", "::", "::1", "*/", "/* open", "=>", "=~", "->", "-1", "%", "?",
+               "$x = ::a::b", "Foo[::X::y]", "$a = 1 /* c */ ? { default => $b % 2 }"]
+
+
+@pytest.mark.parametrize("text", ORDER_EDGES)
+def test_texts_at_the_edge_of_the_alternatives_order_match_reference(text):
+    assert_same_as_reference(text)
+    assert_same_as_reference(f"$x = 1\n{text} ")
+
+
+def test_brackets_start_no_other_alternative():
+    alternatives = [(name, re.compile(p, re.DOTALL)) for name, p in pupsec.lexer._ALTERNATIVES]
+    for char in pupsec.lexer._BRACKETS:
+        matching = [name for name, p in alternatives if p.match(char + "x")]
+        assert matching == ["bracket", "bad_char"], char
 
 
 def test_fixture_tokens_match_reference():

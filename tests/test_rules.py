@@ -306,9 +306,11 @@ CHAIN_TEXT = "$secret = 'p4ss'\n$link0 = $secret\n" + "".join(
 
 
 def test_each_name_predicate_runs_at_most_once_per_expression(monkeypatch):
-    """One ``detect_candidates`` call runs each predicate at most once per
-    distinct text, over all of a file's entries and call sites; so each
-    name predicate runs at most once per expression."""
+    """From an empty memo, one ``detect_candidates`` call runs each
+    predicate at most once per distinct text, over all of a file's entries
+    and call sites; so each name predicate runs at most once per
+    expression.  The memo is emptied before each call, as it is kept from
+    call to call and would otherwise hide the texts of earlier files."""
     real = pupsec.rules.evaluate_predicate
     calls = []
 
@@ -325,6 +327,7 @@ def test_each_name_predicate_runs_at_most_once_per_expression(monkeypatch):
         index = build_membership_index(parse_manifest(text, "t.pp"))
         classified = classify_expressions(index)
         calls.clear()
+        pupsec.rules._memos.cache_clear()
         detect_candidates(classified, collect_function_calls(index))
         repeated = [call for call, n in collections.Counter(calls).items() if n > 1]
         assert repeated == [], repeated
@@ -335,9 +338,9 @@ def test_each_name_predicate_runs_at_most_once_per_expression(monkeypatch):
 
 
 def test_each_call_matches_with_its_own_patterns():
-    """What one ``detect_candidates`` call learns about a text is not kept
-    for the next: two calls on the same entries with different pattern
-    sets each give their own set's candidates."""
+    """Predicate results are kept per pattern set, not per call: two
+    calls on the same entries with different pattern sets each give their
+    own set's candidates, also when the first set's memo is warm."""
     src = "$db_pass = 'x'\n$token = 'y'\n$bind = '127.0.0.1'\n$h = sha256('z')\n"
     index = build_membership_index(parse_manifest(src, "t.pp"))
     classified, sites = classify_expressions(index), collect_function_calls(index)
@@ -355,6 +358,72 @@ def test_each_call_matches_with_its_own_patterns():
     assert found(DEFAULT_PATTERNS) == default_found
     assert found(other) == other_found
     assert found(DEFAULT_PATTERNS) == default_found
+
+
+def _memo_dicts(patterns=DEFAULT_PATTERNS):
+    *by_name, value_rules = pupsec.rules._memos(patterns)
+    return by_name + [holds for _, _, holds in value_rules]
+
+
+def _generated_tree(root, count):
+    for seed in range(count):
+        (root / f"m{seed:03}.pp").write_text(generate_manifest_text(seed), encoding="utf-8")
+    return root
+
+
+def test_one_scan_evaluates_each_predicate_and_text_once(tmp_path, monkeypatch):
+    """The memo lasts from file to file: a scan of 100 generated manifests
+    evaluates each (predicate, text) pair at most once."""
+    from pupsec.harness import RunConfig, scan
+
+    real = pupsec.rules.evaluate_predicate
+    calls = []
+
+    def spy(predicate, text, patterns=DEFAULT_PATTERNS):
+        calls.append((predicate, text))
+        return real(predicate, text, patterns)
+
+    monkeypatch.setattr(pupsec.rules, "evaluate_predicate", spy)
+    pupsec.rules._memos.cache_clear()
+    report = scan(RunConfig(inputs=(str(_generated_tree(tmp_path, 100)),), mode="pattern"))
+    assert report.findings and report.skipped == ()
+    repeated = [call for call, n in collections.Counter(calls).items() if n > 1]
+    assert repeated == [] and len(calls) > 50, repeated
+    assert len(calls) == sum(map(len, _memo_dicts()))  # nothing was emptied
+
+
+def test_no_memo_dict_exceeds_its_cap(monkeypatch):
+    """A memo dict that reaches ``MEMO_CAP`` texts is emptied before the
+    next one is added, and the candidates stay those of an unbounded memo."""
+    texts = [generate_manifest_text(seed) for seed in range(60)]
+    texts += [f"$user_{i} = 'admin{i}'\n$h = md{i}('x')\n" for i in range(40)]
+    expected = [candidates_for(text) for text in texts]
+    monkeypatch.setattr(pupsec.rules, "MEMO_CAP", 8)
+    pupsec.rules._memos.cache_clear()
+    largest = 0
+    for text, want in zip(texts, expected):
+        assert candidates_for(text) == want
+        largest = max(largest, *map(len, _memo_dicts()))
+    assert largest == 8
+
+
+def test_a_cold_and_a_warm_memo_give_the_same_report_bytes(tmp_path):
+    """A scan gives the same bytes in each format whether the predicate
+    memo is empty or full from the same scan."""
+    from pupsec.harness import RunConfig, scan
+    from pupsec.report import render_report
+
+    tree = _generated_tree(tmp_path, 60)
+    config = RunConfig(inputs=(str(tree), str(FIXTURES)))
+
+    def rendered():
+        report = scan(config)
+        return [render_report(list(report.findings), report.stats, fmt) for fmt in ("json", "sarif", "text")]
+
+    pupsec.rules._memos.cache_clear()
+    cold = rendered()
+    assert sum(map(len, _memo_dicts())) > 0
+    assert rendered() == cold
 
 
 def test_detection_is_deterministic():
