@@ -55,14 +55,18 @@ ratios, which a slow phase of the machine that hits both sides of a
 round moves little, and the ratio of the two medians.
 
 `meta` gives the git revision (and whether the work tree differed from
-it), the Python version, the machine, and the Python line counts of
-`src/` and `tests/`; with `--parent`, also the parent's revision and
-`src/` line count.
+it), the Python version, the machine, the Python line counts of `src/`
+and `tests/`, and `src_sha256`, a digest of the `*.py` files under
+`src/`; with `--parent`, also the parent's revision, `src/` line count
+and digest.  A tree's revision is recorded only when the tree is the top
+of its own git work tree, and is null otherwise, as for a `git archive`
+copy; the digest names the code compared either way.
 
 Usage: python scripts/bench.py --out BENCH_<n>.json [--rounds K] [--parent SRC]
 """
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -263,25 +267,49 @@ def _python_lines(tree: Path) -> int:
     return sum(len(p.read_text(encoding="utf-8").splitlines()) for p in tree.rglob("*.py"))
 
 
+def src_digest(src: Path) -> str:
+    """sha256 over each `*.py` file under *src*, taken in the order of
+    their relative paths: each one's path, its size and its bytes."""
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(src).as_posix() for p in src.rglob("*.py")):
+        data = (src / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def _git(*args: str, cwd: Path = ROOT):
     proc = subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def git_revision(root: Path) -> str | None:
+    """The commit checked out at *root*, or None when *root* is not the
+    top of its own work tree: a copy in an untracked directory of another
+    work tree would otherwise get that tree's commit."""
+    top = _git("rev-parse", "--show-toplevel", cwd=root)
+    if top is None or Path(top).resolve() != root.resolve():
+        return None
+    return _git("rev-parse", "HEAD", cwd=root)
+
+
 def metadata(rounds: int, parent: Path | None) -> dict:
-    status = _git("status", "--porcelain", "--untracked-files=no")
+    revision = git_revision(ROOT)
+    status = None if revision is None else _git("status", "--porcelain", "--untracked-files=no")
     meta = {
-        "git_revision": _git("rev-parse", "HEAD"),
+        "git_revision": revision,
         "git_dirty": None if status is None else bool(status),
         "python": f"{platform.python_implementation()} {platform.python_version()}",
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "python_lines": {"src": _python_lines(SRC), "tests": _python_lines(ROOT / "tests")},
+        "src_sha256": src_digest(SRC),
         "rounds": rounds,
     }
     if parent is not None:
-        meta["parent"] = {"git_revision": _git("rev-parse", "HEAD", cwd=parent),
-                          "python_lines": {"src": _python_lines(parent)}}
+        meta["parent"] = {"git_revision": git_revision(parent.parent),
+                          "python_lines": {"src": _python_lines(parent)},
+                          "src_sha256": src_digest(parent)}
     return meta
 
 

@@ -2,10 +2,12 @@
 
 Kept as a test oracle, as ``reference_parser.py`` is for the parser: the
 differential test in ``test_ddg.py`` requires ``pupsec.ddg.build_ddg`` to
-return an equal ``DataDependenceGraph`` (nodes, node order and edges), or
-``None`` where this one does.  It keeps the old three-step construction:
-definition-level adjacency maps, a downstream search and a separate sink
-pass, then one index map per node kind.  The one change is in what it
+return a graph with the same taints in the same order, and the same nodes
+and edges once each of this one's nodes is mapped to its witness-path
+step, or ``None`` where this one does.  It keeps the node records that
+the steps replaced, their sort by place, and the old three-step
+construction: definition-level adjacency maps, a downstream search and a
+separate sink pass, then one index map per node kind.  The one change is in what it
 reads: ``UseRecord.reaching`` as a flat set of definition indices, and
 each use record's and candidate's ``attribute_id`` and holder node type
 for what the value feeds, in place of the use-kind tag and the attribute
@@ -14,13 +16,44 @@ table it once read.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from pupsec.classify import AttributeId, MembershipIndex
 from pupsec.dataflow import DataflowAnalysis
-from pupsec.ddg import DataDependenceGraph, DdgNode, IntermediateNode, SinkNode, TaintNode
-from pupsec.nodes import Assignment, AttributeNode, Manifest, Parameter
+from pupsec.nodes import Assignment, AttributeNode, Manifest, Parameter, SourceLocation
 from pupsec.rules import WeaknessCandidate
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class TaintNode:
+    candidate: WeaknessCandidate
+
+    @property
+    def loc(self) -> SourceLocation:
+        return self.candidate.location
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class IntermediateNode:
+    var_name: str
+    loc: SourceLocation
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class SinkNode:
+    attribute: AttributeId
+    loc: SourceLocation
+
+
+DdgNode = Union[TaintNode, IntermediateNode, SinkNode]
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class DataDependenceGraph:
+    manifest_path: str
+    nodes: tuple[DdgNode, ...]
+    edges: tuple[tuple[int, int], ...]  # (from, to): from's value is used to define to
 
 
 def _seed_for(candidate: WeaknessCandidate, analysis: DataflowAnalysis):

@@ -2,6 +2,8 @@
 
 import json
 import resource
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -49,9 +51,11 @@ def test_bench_writes_the_schema_and_the_same_counts_twice(tmp_path, monkeypatch
         assert meta["python"].endswith(".".join(map(str, sys.version_info[:3])))
         assert meta["python_lines"]["src"] > 0 and meta["python_lines"]["tests"] > 0
         assert meta["rounds"] == rounds and "git_revision" in meta and "git_dirty" in meta
+        assert meta["src_sha256"] == bench.src_digest(bench.SRC)
         if parented:
             assert meta["parent"] == {"git_revision": meta["git_revision"],
-                                      "python_lines": {"src": meta["python_lines"]["src"]}}
+                                      "python_lines": {"src": meta["python_lines"]["src"]},
+                                      "src_sha256": meta["src_sha256"]}
         startup = doc["startup"]
         assert set(startup) == {"environment", "warm_cache", "no_cache"} | (
             {"parent", "pairs_won"} if parented else set())
@@ -111,3 +115,48 @@ def test_bench_peak_rss_is_the_scans_own(tmp_path, monkeypatch):
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 > heavy + 80
     assert abs(heavy - lean) < 3, (lean, heavy)
     del ballast
+
+
+def _git(cwd, *args):
+    return subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                           *args], cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def _committed_tree(root):
+    """A git work tree at *root* with one commit of a small `src/pupsec`."""
+    (root / "src" / "pupsec" / "sub").mkdir(parents=True)
+    (root / "src" / "pupsec" / "__init__.py").write_text("X = 1\n", encoding="utf-8")
+    (root / "src" / "pupsec" / "sub" / "m.py").write_text("Y = 2\n", encoding="utf-8")
+    _git(root, "init", "-q")
+    _git(root, "add", "-A")
+    _git(root, "commit", "-q", "-m", "tree")
+    return _git(root, "rev-parse", "HEAD")
+
+
+def test_bench_src_digest_names_the_code_not_the_checkout(tmp_path, monkeypatch):
+    """A tree and its copy without `.git` get one digest; a one-byte edit
+    changes it."""
+    bench = _bench(monkeypatch)
+    tree, copy = tmp_path / "tree", tmp_path / "copy"
+    _committed_tree(tree)
+    shutil.copytree(tree, copy, ignore=shutil.ignore_patterns(".git"))
+    assert not (copy / ".git").exists()
+    digest = bench.src_digest(tree / "src")
+    assert len(digest) == 64 and bench.src_digest(copy / "src") == digest
+    (copy / "src" / "pupsec" / "sub" / "m.py").write_text("Y = 3\n", encoding="utf-8")
+    assert bench.src_digest(copy / "src") != digest
+
+
+def test_bench_parent_revision_is_its_own_or_null(tmp_path, monkeypatch):
+    """A parent that is the top of its own work tree gets its commit; one
+    copied into an untracked directory of another work tree gets null, not
+    the enclosing tree's commit."""
+    bench = _bench(monkeypatch)
+    outer = tmp_path / "outer"
+    head = _committed_tree(outer)
+    nested = outer / ".perfbench" / "parent"
+    shutil.copytree(outer / "src", nested / "src")
+    assert bench.metadata(1, outer / "src")["parent"]["git_revision"] == head
+    parent = bench.metadata(1, nested / "src")["parent"]
+    assert parent["git_revision"] is None
+    assert parent["src_sha256"] == bench.src_digest(outer / "src")

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -9,18 +10,10 @@ from pupsec.classify import (
     classify_expressions,
     collect_function_calls,
 )
-from pupsec.ddg import (
-    DataDependenceGraph,
-    IntermediateNode,
-    SinkNode,
-    TaintNode,
-    build_ddg,
-    collect_propagations,
-    confirm_findings,
-)
+from pupsec.ddg import DataDependenceGraph, build_ddg, collect_propagations, confirm_findings
 from pupsec.harness import analyze_manifest
-from pupsec.nodes import SourceLocation
 from pupsec.parser import parse_manifest
+from pupsec.report import PathStep
 from pupsec.rules import WeaknessCategory, detect_candidates
 from pupsec.synth import generate_manifest_text
 
@@ -53,8 +46,7 @@ def test_weak_hash_flows_into_password_file():
     m = load_fixture("sha1_password_file.pp")
     candidates, index, ddg = pipeline(m)
     assert ddg is not None
-    kinds = [type(n).__name__ for n in ddg.nodes]
-    assert kinds == ["TaintNode", "SinkNode"]
+    assert [step.kind for step in ddg.nodes] == ["taint", "sink"]
     assert ddg.edges == ((0, 1),)
     props = collect_propagations(ddg)
     assert len(props) == 1
@@ -82,9 +74,9 @@ def test_graph_always_has_taint_and_sink():
         _, _, ddg = pipeline(m)
         if ddg is None:
             continue
-        node_types = {type(n) for n in ddg.nodes}
-        assert TaintNode in node_types
-        assert SinkNode in node_types
+        kinds = {step.kind for step in ddg.nodes}
+        assert "taint" in kinds
+        assert "sink" in kinds
 
 
 def test_edges_point_at_valid_nodes_and_paths_are_walkable():
@@ -96,13 +88,16 @@ def test_edges_point_at_valid_nodes_and_paths_are_walkable():
         n = len(ddg.nodes)
         assert all(0 <= a < n and 0 <= b < n for a, b in ddg.edges)
         edge_pairs = set(ddg.edges)
+        # by identity: two candidates on one element have equal steps
+        node_of = {id(step): i for i, step in enumerate(ddg.nodes)}
         for prop in collect_propagations(ddg):
             assert prop.paths
             for attr_id, path in prop.paths.items():
-                assert isinstance(path[0], TaintNode)
-                assert isinstance(path[-1], SinkNode)
-                assert path[-1].attribute == attr_id
-                indexed = [ddg.nodes.index(node) for node in path]
+                assert path[0].kind == "taint"
+                assert path[-1].kind == "sink"
+                indexed = [node_of[id(step)] for step in path]
+                assert ddg.taints[indexed[0]] is prop.taint
+                assert ddg.attributes[indexed[-1]] == attr_id
                 for a, b in zip(indexed, indexed[1:]):
                     assert (a, b) in edge_pairs
 
@@ -154,15 +149,13 @@ def test_three_intermediate_chain():
     props = collect_propagations(ddg)
     password_prop = [p for p in props if p.taint.display_name == "$password"][0]
     (path,) = password_prop.paths.values()
-    labels = [
-        n.var_name if isinstance(n, IntermediateNode) else type(n).__name__ for n in path
-    ]
+    labels = [step.label if step.kind == "intermediate" else step.kind for step in path]
     assert labels == [
-        "TaintNode",
-        "dashboard_desc",
-        "json_hash",
-        "json_message",
-        "SinkNode",
+        "taint",
+        "$dashboard_desc",
+        "$json_hash",
+        "$json_message",
+        "sink",
     ]
 
 
@@ -198,15 +191,15 @@ file { 'f':
     (prop,) = collect_propagations(ddg)
     (path,) = prop.paths.values()
     assert len(path) == 3
-    assert isinstance(path[1], IntermediateNode)
-    assert path[1].var_name == "first_hop"
+    assert path[1].kind == "intermediate"
+    assert path[1].label == "$first_hop"
 
 
 def test_intermediate_with_no_sink_is_kept_but_contributes_nothing():
     m = load_fixture("magnum_auth.pp")
     candidates, index, ddg = pipeline(m)
-    inter_names = {n.var_name for n in ddg.nodes if isinstance(n, IntermediateNode)}
-    assert "magnum_url" in inter_names
+    inter_names = {step.label for step in ddg.nodes if step.kind == "intermediate"}
+    assert "$magnum_url" in inter_names
     findings = findings_of(m)
     assert len(findings) == 2
     for f in findings:
@@ -215,28 +208,35 @@ def test_intermediate_with_no_sink_is_kept_but_contributes_nothing():
 
 def _random_dag(rng, tied=False):
     """A synthetic 10-node DDG: 2 taints, 5 intermediates, 3 sinks, with
-    random forward edges.  With *tied*, intermediates and sinks draw their
-    lines from a narrow range, so several of them share a position and
-    their textual order ties."""
+    random forward edges.  The non-taint nodes are numbered by (line,
+    column, draw order), the textual numbering ``build_ddg`` gives.  With
+    *tied*, intermediates and sinks draw their lines from a narrow range,
+    so several of them share a position and their textual order ties."""
     m = parse("$seed_password = 'x'\n$other_password = 'y'")
     index = build_membership_index(m)
     candidates = detect_candidates(classify_expressions(index), collect_function_calls(index))
-    nodes = [TaintNode(c) for c in candidates]
+    drawn = []
     for i in range(5):
         line = rng.randint(3, 5) if tied else i + 3
-        nodes.append(IntermediateNode(f"v{i}", SourceLocation("dag.pp", line, 1)))
+        drawn.append((line, 1, len(drawn), PathStep("intermediate", f"$v{i}", line, 1), None))
     for i in range(3):
-        attr = AttributeId("dag.pp", "file", f"r{i}", "content", i)
         line = rng.randint(3, 5) if tied else i + 8
-        nodes.append(SinkNode(attr, SourceLocation("dag.pp", line, 1)))
-    edges = set()
+        attr = AttributeId("dag.pp", "file", f"r{i}", "content", i)
+        drawn.append((line, 1, len(drawn), PathStep("sink", f"file[r{i}].content", line, 1), attr))
+    drawn.sort(key=lambda d: d[:3])
+    nodes = [PathStep("taint", c.display_name, c.location.line, c.location.column)
+             for c in candidates]
+    nodes += [d[3] for d in drawn]
+    attributes = [None] * len(candidates) + [d[4] for d in drawn]
+    edges = []
     for a in range(10):
         for b in range(max(a + 1, 2), 10):
-            if isinstance(nodes[a], SinkNode):
+            if attributes[a] is not None:
                 continue  # sinks have no outgoing edges
             if rng.random() < 0.3:
-                edges.add((a, b))
-    return DataDependenceGraph("dag.pp", tuple(nodes), tuple(sorted(edges)))
+                edges.append((a, b))
+    return DataDependenceGraph(
+        "dag.pp", tuple(candidates), tuple(nodes), tuple(edges), tuple(attributes))
 
 
 def _bruteforce_reachable(edges, start):
@@ -260,50 +260,39 @@ def test_random_dag_propagations_match_bruteforce_closure():
     for _ in range(60):
         ddg = _random_dag(rng)
         props = {id(p.taint): p for p in collect_propagations(ddg)}
-        for start, node in enumerate(ddg.nodes):
-            if not isinstance(node, TaintNode):
-                continue
+        for start, taint in enumerate(ddg.taints):
             expected_sinks = {
-                ddg.nodes[i].attribute
+                ddg.attributes[i]
                 for i in _bruteforce_reachable(ddg.edges, start)
-                if isinstance(ddg.nodes[i], SinkNode)
+                if ddg.attributes[i] is not None
             }
-            prop = props.get(id(node.candidate))
+            prop = props.get(id(taint))
             got = frozenset(prop.paths) if prop is not None else frozenset()
             assert got == frozenset(expected_sinks)
-
-
-_KIND_RANK = {TaintNode: 0, IntermediateNode: 1, SinkNode: 2}
 
 
 def _bruteforce_witnesses(ddg, start):
     """The witness path to every sink reachable from *start*, chosen from
     all paths: the shortest, and among equal lengths the one whose steps
     come first by position in the predecessor's successor list.  Successors
-    are listed in text order (line, column, taint < intermediate < sink),
-    equal positions keeping node index order."""
-
-    def text_order(i):
-        node = ddg.nodes[i]
-        return (node.loc.line, node.loc.column, _KIND_RANK[type(node)])
-
+    are ranked by node index, which ``build_ddg`` makes their text order."""
     succ = {}
     for a, b in ddg.edges:
         succ.setdefault(a, []).append(b)
     for neighbors in succ.values():
-        neighbors.sort(key=text_order)
+        neighbors.sort()
     best = {}  # sink index -> (length, positions, path)
     stack = [((start,), ())]
     while stack:
         path, positions = stack.pop()
-        if isinstance(ddg.nodes[path[-1]], SinkNode):
+        if ddg.attributes[path[-1]] is not None:
             ranked = (len(path), positions, path)
             if path[-1] not in best or ranked < best[path[-1]]:
                 best[path[-1]] = ranked
         for pos, nxt in enumerate(succ.get(path[-1], ())):
             stack.append((path + (nxt,), positions + (pos,)))
     return {
-        ddg.nodes[sink].attribute: tuple(ddg.nodes[i] for i in path)
+        ddg.attributes[sink]: tuple(ddg.nodes[i] for i in path)
         for sink, (_, _, path) in best.items()
     }
 
@@ -313,11 +302,9 @@ def test_random_dag_witness_paths_match_bruteforce_enumeration():
     for trial in range(400):
         ddg = _random_dag(rng, tied=trial % 2 == 1)
         props = {id(p.taint): p for p in collect_propagations(ddg)}
-        for start, node in enumerate(ddg.nodes):
-            if not isinstance(node, TaintNode):
-                continue
+        for start, taint in enumerate(ddg.taints):
             expected = _bruteforce_witnesses(ddg, start)
-            prop = props.get(id(node.candidate))
+            prop = props.get(id(taint))
             assert (prop.paths if prop is not None else {}) == expected
 
 
@@ -376,9 +363,10 @@ def test_confirm_findings_builds_one_path_step_per_ddg_node(shape, monkeypatch):
     paths = [path for prop in collect_propagations(ddg) for path in prop.paths.values()]
     assert sum(map(len, paths)) > len({id(n) for path in paths for n in path})  # nodes repeat
     findings = confirm_findings(collect_propagations(ddg))
-    assert len(built) <= len(ddg.nodes)
+    # build_ddg makes each node's step once; the paths and findings share them
+    assert [id(s) for s in built] == [id(s) for s in ddg.nodes]
     assert len(set(built)) == len(built)  # no step is built twice
-    assert {id(s) for f in findings for s in f.path} == {id(s) for s in built}
+    assert {id(s) for f in findings for s in f.path} <= {id(s) for s in built}
 
 
 def test_filter_is_monotone_against_candidates():
@@ -396,10 +384,27 @@ def test_filter_is_monotone_against_candidates():
         assert finding_keys <= candidate_keys
 
 
+def _reference_step(node):
+    """A reference graph node as (kind, label, line, column, attribute):
+    the witness-path step ``build_ddg`` makes for it, and its sink's
+    attribute."""
+    if isinstance(node, reference_ddg.TaintNode):
+        return ("taint", node.candidate.display_name, node.loc.line, node.loc.column, None)
+    if isinstance(node, reference_ddg.IntermediateNode):
+        return ("intermediate", f"${node.var_name}", node.loc.line, node.loc.column, None)
+    a = node.attribute
+    label = f"{a.resource_type}[{a.resource_title}].{a.attribute_name}"
+    return ("sink", label, node.loc.line, node.loc.column, a)
+
+
 def test_build_ddg_equals_the_reference_on_every_input(monkeypatch):
     # The old construction, with an adjacency map per reader kind and an
-    # index map per node kind, must give the same nodes in the same order
-    # and the same edges, or no graph where it gives none.
+    # index map per node kind, must give the same taints in the same
+    # order, and the same nodes and edges once each of its nodes is mapped
+    # to its step, or no graph where it gives none.  Counted as multisets:
+    # two candidates on one element have equal steps.  The non-taint
+    # nodes are numbered in textual order, which is what ranks a node's
+    # successors, and the edges come sorted with no duplicates.
     sweep = _sweep(monkeypatch)
     texts = [(p.read_text(encoding="utf-8"), str(p)) for p in sorted(FIXTURES.rglob("*.pp"))]
     texts.append((RARE_FORMS, "rare.pp"))
@@ -412,10 +417,26 @@ def test_build_ddg_equals_the_reference_on_every_input(monkeypatch):
         index = build_membership_index(m)
         candidates = detect_candidates(classify_expressions(index), collect_function_calls(index))
         ddg = build_ddg(m, candidates, index)
-        assert ddg == reference_ddg.build_ddg(m, candidates, index), path
-        graphs += ddg is not None
-        for prop in collect_propagations(ddg) if ddg is not None else ():
-            sinks = [(p[-1].loc.line, p[-1].loc.column) for p in prop.paths.values()]
+        reference = reference_ddg.build_ddg(m, candidates, index)
+        assert (ddg is None) == (reference is None), path
+        if ddg is None:
+            continue
+        graphs += 1
+        assert ddg.manifest_path == reference.manifest_path, path
+        reference_taints = [n.candidate for n in reference.nodes
+                            if isinstance(n, reference_ddg.TaintNode)]
+        assert len(ddg.taints) == len(reference_taints), path
+        assert all(a is b for a, b in zip(ddg.taints, reference_taints)), path
+        steps = [(s.kind, s.label, s.line, s.column, a) for s, a in zip(ddg.nodes, ddg.attributes)]
+        reference_steps = [_reference_step(n) for n in reference.nodes]
+        assert Counter(steps) == Counter(reference_steps), path
+        assert (Counter((steps[a], steps[b]) for a, b in ddg.edges)
+                == Counter((reference_steps[a], reference_steps[b]) for a, b in reference.edges)), path
+        places = [(s.line, s.column) for s in ddg.nodes[len(ddg.taints):]]
+        assert all(a < b for a, b in zip(places, places[1:])), path
+        assert all(a < b for a, b in zip(ddg.edges, ddg.edges[1:])), path
+        for prop in collect_propagations(ddg):
+            sinks = [(p[-1].line, p[-1].column) for p in prop.paths.values()]
             assert sinks == sorted(sinks), path  # each candidate's sinks in textual order
     assert graphs > len(texts) // 3
 

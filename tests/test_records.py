@@ -23,13 +23,7 @@ from pupsec.classify import (
     collect_function_calls,
 )
 from pupsec.dataflow import DataflowAnalysis, UseRecord
-from pupsec.ddg import (
-    PropagationResult,
-    TaintNode,
-    build_ddg,
-    collect_propagations,
-    confirm_findings,
-)
+from pupsec.ddg import PropagationResult, build_ddg, collect_propagations, confirm_findings
 from pupsec.harness import Report, RunConfig, evaluate, load_ground_truth, scan
 from pupsec.lexer import tokenize
 from pupsec.nodes import Assignment, AttributeNode, Manifest, Parameter, iter_nodes
@@ -189,7 +183,6 @@ def test_each_place_and_call_name_is_kept_once():
     assert [f.name for f in dataclasses.fields(FunctionCallSite)] == [
         "attribute_id", "node", "call"]
     assert "location" not in {f.name for f in dataclasses.fields(WeaknessCandidate)}
-    assert [f.name for f in dataclasses.fields(TaintNode)] == ["candidate"]
     removed = ("ExpressionKind", "StringValue", "FunctionValue", "UndefValue", "CompositeValue",
                "OtherValue", "ValueView", "value_view")
     assert not any(hasattr(m, name) for m in (pupsec, pupsec.classify) for name in removed)
@@ -209,11 +202,13 @@ def test_each_place_and_call_name_is_kept_once():
         analysis = DataflowAnalysis(index)
         definitions = analysis.definitions
         assert [id(d.node) for d in definitions] == [id(h) for h in definers], path
-        # build_ddg takes textual order from the records: definitions and
-        # attribute use records are made in it, and no two share a place
+        # build_ddg numbers its nodes by the records, taking textual order
+        # from them: definitions, and the reader records of definitions and
+        # attributes taken together, are made in it, and no two share a place
         for places in (
             [d.node.loc for d in definitions],
-            [r.node.loc for r in analysis.use_records if r.attribute_id is not None],
+            [r.node.loc for r in analysis.use_records
+             if r.attribute_id is not None or analysis.definition_for(r.node) is not None],
         ):
             keys = [(loc.line, loc.column) for loc in places]
             assert all(a < b for a, b in zip(keys, keys[1:])), path
@@ -221,19 +216,32 @@ def test_each_place_and_call_name_is_kept_once():
         for ce in classified:  # the name is read from the holder
             holder_name = ce.node.var_name if isinstance(ce.node, Assignment) else ce.node.name
             assert ce.name == holder_name, path
-        for c in detect_candidates(classified, collect_function_calls(index)):
+        candidates = detect_candidates(classified, collect_function_calls(index))
+        for c in candidates:
             element = c.element
             holder = element.call if isinstance(element, FunctionCallSite) else element.node
             assert id(holder) in ast_nodes, path
             assert c.location is holder.loc, path
-            assert TaintNode(c).loc is c.location
             seen.add(type(element))
+        ddg = build_ddg(manifest, candidates, index)
+        for c, step in zip(ddg.taints, ddg.nodes) if ddg is not None else ():
+            assert (step.line, step.column) == (c.location.line, c.location.column), path
     assert seen == {ClassifiedExpression, FunctionCallSite}
+
+
+def _taint_steps(text: str) -> tuple:
+    """The taint steps of *text*'s graph, one per candidate."""
+    manifest = parse_manifest(text, "m.pp")
+    index = build_membership_index(manifest)
+    candidates = detect_candidates(classify_expressions(index), collect_function_calls(index))
+    ddg = build_ddg(manifest, candidates, index)
+    return ddg.nodes[:len(ddg.taints)]
 
 
 def test_equal_records_still_tell_places_apart():
     """With no location field, equality compares the AST node that holds
-    the place: two entries alike in all but their line are not equal."""
+    the place: two entries alike in all but their line are not equal, and
+    neither are their taint steps once their values reach a sink."""
     index = build_membership_index(parse_manifest("$db_user = 'root'\n$db_user = 'root'", "m.pp"))
     first, second = classify_expressions(index)
     assert (first.attribute_id, first.name, first.value) == (
@@ -242,7 +250,10 @@ def test_equal_records_still_tell_places_apart():
     a, b = detect_candidates([first, second], [])
     assert (a.category, a.matched_text) == (b.category, b.matched_text)
     assert a != b
-    assert TaintNode(a) != TaintNode(b)
+    first_step, second_step = _taint_steps(
+        "$db_user = 'root'\n$db_user = 'root'\nfile { 'f': content => $db_user }")
+    assert first_step.label == second_step.label
+    assert first_step != second_step
 
     index = build_membership_index(parse_manifest("md5('x')\nmd5('x')", "m.pp"))
     first, second = collect_function_calls(index)
@@ -251,4 +262,6 @@ def test_equal_records_still_tell_places_apart():
     a, b = detect_candidates([], [first, second])
     assert (a.category, a.matched_text) == (b.category, b.matched_text)
     assert a != b
-    assert TaintNode(a) != TaintNode(b)
+    first_step, second_step = _taint_steps("$h = md5('x')\n$h = md5('x')\nfile { 'f': content => $h }")
+    assert first_step.label == second_step.label
+    assert first_step != second_step

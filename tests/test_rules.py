@@ -294,7 +294,7 @@ def test_candidate_order_when_several_rules_match_one_expression():
     ddg = build_ddg(m, cands, index)
     assert ddg is not None
     for i, cand in enumerate(cands):
-        assert ddg.nodes[i].candidate is cand
+        assert ddg.taints[i] is cand
 
 
 # The shape of the benchmark's `chain` workload: every link's value has the
